@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .diffpoly import Ranking
-from .monomial import CapExceeded, Division, separations
+from .monomial import CapExceeded, Division, in_involutive_cone, separations
 
 __all__ = [
     "CompletionOptions", "InvolutiveBasis", "Triple", "CapExceeded",
@@ -91,38 +91,42 @@ def _separation_data(G, division, ranking):
     return sets, seps_by_j, leaders, elem_seps
 
 
-def _find_involutive_reducer(term, G, leaders, seps_by_j):
-    for idx, f in enumerate(G):
-        lead = leaders[idx]
-        if lead.indet != term.indet:
-            continue
-        if not lead.index.divides(term.index):
-            continue
-        sep = seps_by_j[lead.indet][lead.index]
-        if (term.index / lead.index).support() <= sep.multiplicative:
-            yield idx
+def _reduction_data(G, division, ranking):
+    """What involutive reduction modulo G needs: separations by function, and
+    per element its leader, the leader's ranking key and its separation."""
+    _, seps_by_j, leaders, elem_seps = _separation_data(G, division, ranking)
+    return seps_by_j, leaders, [ranking.key(d) for d in leaders], elem_seps
 
 
-def _reduce(p, G, ranking, reducer_for):
-    """Generic full reduction loop; ``reducer_for`` yields candidate indices."""
+def _reduce(p, G, ranking, leaders, keys, reducer_for):
+    """Generic full reduction loop; ``reducer_for`` yields candidate indices
+    in increasing order, and the one with the lowest leader is used."""
     if not G:
         return p
     h = p
     while h.terms:
-        target = None
         for d, a in h.sorted_terms(ranking):
-            candidates = sorted(reducer_for(d),
-                                key=lambda i: (ranking.key(G[i].ld(ranking)), i))
-            if candidates:
-                target = (d, a, G[candidates[0]])
+            idx = min(reducer_for(d), key=keys.__getitem__, default=None)
+            if idx is not None:
                 break
-        if target is None:
+        else:
             return h
-        d, a, f = target
-        beta = d.index / f.ld(ranking).index
-        factor = a / f.lc(ranking)
-        h = h - f.prolong(beta).scale(factor)
+        f, lead = G[idx], leaders[idx]
+        h = h - f.prolong(d.index / lead.index).scale(a / f.terms[lead])
     return h
+
+
+def _involutive_nf(p, G, ranking, data):
+    """Involutive normal form of p modulo G, given ``_reduction_data`` of G."""
+    _, leaders, keys, elem_seps = data
+
+    def reducer_for(term):
+        for idx, (lead, sep) in enumerate(zip(leaders, elem_seps)):
+            if lead.indet == term.indet and in_involutive_cone(term.index, lead.index,
+                                                               sep.multiplicative):
+                yield idx
+
+    return _reduce(p, G, ranking, leaders, keys, reducer_for)
 
 
 def involutive_normal_form(p, G, division, ranking):
@@ -134,12 +138,7 @@ def involutive_normal_form(p, G, division, ranking):
     G = list(G)
     if not G:
         return p
-    _, seps_by_j, leaders, _ = _separation_data(G, division, ranking)
-
-    def reducer_for(term):
-        return _find_involutive_reducer(term, G, leaders, seps_by_j)
-
-    return _reduce(p, G, ranking, reducer_for)
+    return _involutive_nf(p, G, ranking, _reduction_data(G, division, ranking))
 
 
 def conventional_normal_form(p, G, ranking):
@@ -154,7 +153,7 @@ def conventional_normal_form(p, G, ranking):
             if lead.indet == term.indet and lead.index.divides(term.index):
                 yield idx
 
-    return _reduce(p, G, ranking, reducer_for)
+    return _reduce(p, G, ranking, leaders, [ranking.key(d) for d in leaders], reducer_for)
 
 
 def s_polynomial(f, g, ranking):
@@ -214,10 +213,8 @@ def chain_criterion(p, theta, triples, seps_by_j, ranking_c, main):
     key_lead = ranking_c.key(lead)
     for t in triples:
         fl = t.poly.ld(main)
-        if fl.indet != lead.indet or not fl.index.divides(lead.index):
-            continue
-        sep = seps_by_j[fl.indet][fl.index]
-        if not (lead.index / fl.index).support() <= sep.multiplicative:
+        if fl.indet != lead.indet or not in_involutive_cone(
+                lead.index, fl.index, seps_by_j[fl.indet][fl.index].multiplicative):
             continue
         if theta.indet != t.ancestor.indet:
             continue
@@ -226,11 +223,13 @@ def chain_criterion(p, theta, triples, seps_by_j, ranking_c, main):
     return False
 
 
-def _basis_of(G, opts, ancestors=None, examined=0):
+def _basis_of(G, opts, ancestors=None, examined=0, seps_by_j=None):
     order = sorted(range(len(G)), key=lambda i: opts.main.key(G[i].ld(opts.main)),
                    reverse=True)
     elements = tuple(G[i] for i in order)
-    _, seps_by_j, leaders, _ = _separation_data(elements, opts.division, opts.main)
+    if seps_by_j is None:
+        _, seps_by_j, _, _ = _separation_data(elements, opts.division, opts.main)
+    leaders = [f.ld(opts.main) for f in elements]
     seps = tuple(seps_by_j[d.indet][d.index] for d in leaders)
     anc = tuple(ancestors[i] for i in order) if ancestors else ()
     return InvolutiveBasis(elements, seps, opts, anc, examined)
@@ -269,29 +268,31 @@ def minimal_involutive_basis(F, opts=None, trace=None):
     G = [g0]
     Q = [new_triple(f, f.ld(main), set()) for i, f in enumerate(work) if i != start]
     examined = 0
+    # _reduction_data of G; set to None wherever G changes, rebuilt on demand.
+    # T[i].poly is G[i]: both grow by append and shrink together in displace.
+    data = None
 
-    def seps_now():
-        return _separation_data(G, division, main)
-
-    def nm_of(poly, seps_by_j):
-        d = poly.ld(main)
-        return seps_by_j[d.indet][d.index].nonmultiplicative
+    def basis_data():
+        nonlocal data
+        if data is None:
+            data = _reduction_data(G, division, main)
+        return data
 
     def displace(h):
         """Move every triple with leader above ld(h) back to the queue."""
-        nonlocal T, G
+        nonlocal T, G, data
         key_h = main.key(h.ld(main))
         kept = []
         for t in T:
             if main.key(t.poly.ld(main)) > key_h:
                 Q.append(t)
                 G.remove(t.poly)
+                data = None
             else:
                 kept.append(t)
         T = kept
-        _, seps_by_j, _, _ = seps_now()
-        for t in T:
-            t.processed &= set(nm_of(t.poly, seps_by_j))
+        for t, sep in zip(T, basis_data()[3]):
+            t.processed &= sep.nonmultiplicative
 
     while True:
         h = None
@@ -300,38 +301,37 @@ def minimal_involutive_basis(F, opts=None, trace=None):
             pick = min(range(len(Q)), key=lambda i: (main.key(Q[i].poly.ld(main)),
                                                      Q[i].serial))
             t = Q.pop(pick)
-            _, seps_by_j, _, _ = seps_now()
             skip = opts.use_criterion and chain_criterion(
-                t.poly, t.ancestor, T, seps_by_j, comp, main)
+                t.poly, t.ancestor, T, basis_data()[0], comp, main)
             if trace is not None:
                 trace.append({"stage": "queue", "leader": t.poly.ld(main),
                               "criterion": skip})
             if skip:
                 continue
-            r = involutive_normal_form(t.poly, G, division, main)
+            r = _involutive_nf(t.poly, G, main, basis_data())
             if not r.is_zero():
                 h = (r.normalize(main), t)
         if h is not None:
             r, t = h
             G.append(r)
+            data = None
             if r.ld(main) == t.poly.ld(main):
-                _, seps_by_j, _, _ = seps_now()
-                T.append(new_triple(r, t.ancestor,
-                                    t.processed & set(nm_of(r, seps_by_j))))
+                r_sep = basis_data()[3][-1]
+                T.append(new_triple(r, t.ancestor, t.processed & r_sep.nonmultiplicative))
             else:
                 T.append(new_triple(r, r.ld(main), set()))
                 displace(r)
 
         # examine nonmultiplicative prolongations by the normal strategy
         while True:
-            _, seps_by_j, _, _ = seps_now()
+            seps_by_j, leaders, _, elem_seps = basis_data()
             gate = None
             if Q:
                 gate = min(main.key(t.poly.ld(main)) for t in Q)
             best = None
-            for t in T:
-                for x in nm_of(t.poly, seps_by_j) - t.processed:
-                    lead = t.poly.ld(main).differentiate(x)
+            for t, d, sep in zip(T, leaders, elem_seps):
+                for x in sep.nonmultiplicative - t.processed:
+                    lead = d.differentiate(x)
                     if gate is not None and not main.key(lead) < gate:
                         continue
                     cand_key = (comp.key(lead), t.serial, x)
@@ -344,21 +344,21 @@ def minimal_involutive_basis(F, opts=None, trace=None):
             if examined > opts.cap:
                 raise CapExceeded(
                     f"completion exceeded {opts.cap} prolongation examinations",
-                    partial=_basis_of(G, opts, examined=examined))
+                    partial=_basis_of(G, opts, examined=examined, seps_by_j=seps_by_j))
             t.processed.add(x)
             p = t.poly.differentiate(x)
-            _, seps_by_j, _, _ = seps_now()
             skip = opts.use_criterion and chain_criterion(
                 p, t.ancestor, T, seps_by_j, comp, main)
             status = "criterion"
             if not skip:
-                r = involutive_normal_form(p, G, division, main)
+                r = _involutive_nf(p, G, main, basis_data())
                 if r.is_zero():
                     status = "zero"
                 else:
                     status = "added"
                     r = r.normalize(main)
                     G.append(r)
+                    data = None
                     if r.ld(main) == p.ld(main):
                         T.append(new_triple(r, t.ancestor, set()))
                     else:
@@ -371,7 +371,7 @@ def minimal_involutive_basis(F, opts=None, trace=None):
             break
 
     ancestors = {id(t.poly): t.ancestor for t in T}
-    return _basis_of(G, opts, [ancestors[id(g)] for g in G], examined)
+    return _basis_of(G, opts, [ancestors[id(g)] for g in G], examined, basis_data()[0])
 
 
 def basis_from(elements, opts=None):
@@ -390,10 +390,10 @@ def verify_involutive(basis):
     """Local involutivity: every nonmultiplicative prolongation reduces to 0."""
     G = list(basis.elements)
     division, main = basis.options.division, basis.options.main
-    _, _, _, elem_seps = _separation_data(G, division, main)
-    for f, sep in zip(G, elem_seps):
+    data = _reduction_data(G, division, main)
+    for f, sep in zip(G, data[3]):
         for x in sep.nonmultiplicative:
-            if not involutive_normal_form(f.differentiate(x), G, division, main).is_zero():
+            if not _involutive_nf(f.differentiate(x), G, main, data).is_zero():
                 return False
     return True
 
@@ -408,11 +408,11 @@ def verify_partial_involutive(basis, vartheta):
     division, main = basis.options.division, basis.options.main
     comp = basis.options.completion
     bound = comp.key(vartheta)
-    _, _, _, elem_seps = _separation_data(G, division, main)
-    for f, sep in zip(G, elem_seps):
+    data = _reduction_data(G, division, main)
+    for f, sep in zip(G, data[3]):
         for x in sep.nonmultiplicative:
             if not comp.key(f.ld(main).differentiate(x)) < bound:
                 continue
-            if not involutive_normal_form(f.differentiate(x), G, division, main).is_zero():
+            if not _involutive_nf(f.differentiate(x), G, main, data).is_zero():
                 return False
     return True

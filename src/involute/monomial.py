@@ -134,17 +134,16 @@ def _check_set(U):
 
 
 def _janet_separations(U):
+    # x_i is multiplicative for u iff u[i] is the largest i-th exponent among
+    # the elements sharing u's first i exponents
     n = len(U[0])
-    out = {}
-    for u in U:
-        mult = set()
-        group = U
+    top = {}
+    for v in U:
         for i in range(n):
-            if u[i] == max(v[i] for v in group):
-                mult.add(i)
-            group = [v for v in group if v[i] == u[i]]
-        out[u] = mult
-    return out
+            prefix = v[:i]
+            if top.get(prefix, -1) < v[i]:
+                top[prefix] = v[i]
+    return {u: {i for i in range(n) if u[i] == top[u[:i]]} for u in U}
 
 
 def _pommaret_multiplicative(u):
@@ -156,14 +155,15 @@ def _pommaret_multiplicative(u):
 
 
 def _lex_induced_separations(U):
+    # U is lex-sorted, so the elements lexicographically below u are exactly
+    # those before it: x_i is nonmultiplicative for u iff some earlier element
+    # has a larger i-th exponent
     n = len(U[0])
     out = {}
+    running = [0] * n
     for u in U:
-        nonmult = set()
-        for v in U:
-            if _LEX(v) < _LEX(u):
-                nonmult.update(i for i in range(n) if u[i] < v[i])
-        out[u] = set(range(n)) - nonmult
+        out[u] = {i for i in range(n) if u[i] >= running[i]}
+        running = [max(a, b) for a, b in zip(running, u)]
     return out
 
 
@@ -193,6 +193,17 @@ def separation(u, U, kind):
     return seps[u]
 
 
+def in_involutive_cone(w, v, multiplicative):
+    """True iff w = v * x^beta with beta supported on ``multiplicative``.
+
+    Compares exponents position by position; no quotient is built.
+    """
+    for i, (a, b) in enumerate(zip(w, v)):
+        if a != b and (a < b or i not in multiplicative):
+            return False
+    return True
+
+
 def involutive_divides(u, w, U, kind, seps=None):
     """True iff u | w with the quotient supported on u's multiplicative variables."""
     u = u if isinstance(u, MultiIndex) else MultiIndex(u)
@@ -200,7 +211,16 @@ def involutive_divides(u, w, U, kind, seps=None):
     if not u.divides(w):
         return False
     sep = seps[u] if seps is not None else separation(u, U, kind)
-    return (w / u).support() <= sep.multiplicative
+    return in_involutive_cone(w, u, sep.multiplicative)
+
+
+def _multiplicative_pairs(U, seps):
+    return [(v, seps[v].multiplicative) for v in U]
+
+
+def _covered(w, pairs, skip=None):
+    """True iff some (v, multiplicative) pair, v not ``skip``, has w in its cone."""
+    return any(v is not skip and in_involutive_cone(w, v, mult) for v, mult in pairs)
 
 
 def _cones_intersect(u, su, v, sv):
@@ -220,20 +240,25 @@ def _cones_intersect(u, su, v, sv):
     return True
 
 
+def _autoreduce(U, kind):
+    """``autoreduce`` as a list, with the separations of the result."""
+    U = _check_set(U)
+    while True:
+        seps = separations(U, kind)
+        pairs = _multiplicative_pairs(U, seps)
+        victims = [u for u in U if _covered(u, pairs, skip=u)]
+        if not victims:
+            return U, seps
+        U.remove(min(victims, key=_LEX))
+
+
 def autoreduce(U, kind):
     """Maximal subset with pairwise disjoint involutive cones.
 
     Discards, smallest first in lexicographic order, any element lying in the
     involutive cone of another element, until none remains.
     """
-    U = _check_set(U)
-    while True:
-        seps = separations(U, kind)
-        victims = [u for u in U
-                   if any(v != u and involutive_divides(v, u, U, kind, seps) for v in U)]
-        if not victims:
-            return tuple(U)
-        U.remove(min(victims, key=_LEX))
+    return tuple(_autoreduce(U, kind)[0])
 
 
 def complete(U, kind, completion_order="grlex", cap=10000):
@@ -244,17 +269,14 @@ def complete(U, kind, completion_order="grlex", cap=10000):
     divisor.  Raises CapExceeded, with the partial set attached, after ``cap``
     candidate examinations without closure.
     """
-    U = list(autoreduce(U, kind))
+    U, seps = _autoreduce(U, kind)
     if not U:
         raise ValueError("empty set after autoreduction")
     order_key = (completion_order if callable(completion_order)
                  else monomial_sort_key(completion_order))
     examinations = 0
     while True:
-        # keep the set autoreduced: an adjoined prolongation may swallow an
-        # older element into its cone, and coverage survives the removal
-        U = list(autoreduce(U, kind))
-        seps = separations(U, kind)
+        pairs = _multiplicative_pairs(U, seps)
         candidates = []
         for u in U:
             for i in sorted(seps[u].nonmultiplicative):
@@ -264,13 +286,16 @@ def complete(U, kind, completion_order="grlex", cap=10000):
                     raise CapExceeded(
                         f"no closure within {cap} prolongation examinations",
                         partial=tuple(sorted(U, key=_LEX)))
-                if not any(involutive_divides(v, w, U, kind, seps) for v in U):
+                if not _covered(w, pairs):
                     candidates.append(w)
         if not candidates:
             return tuple(sorted(U, key=_LEX))
         w = min(candidates, key=order_key)
         if w not in U:
             U.append(w)
+        # keep the set autoreduced: an adjoined prolongation may swallow an
+        # older element into its cone, and coverage survives the removal
+        U, seps = _autoreduce(U, kind)
 
 
 def is_involutive(U, kind):
@@ -279,13 +304,13 @@ def is_involutive(U, kind):
     if not U:
         return True
     seps = separations(U, kind)
-    for u in U:
-        if any(v != u and involutive_divides(v, u, U, kind, seps) for v in U):
-            return False
+    pairs = _multiplicative_pairs(U, seps)
+    if any(_covered(u, pairs, skip=u) for u in U):
+        return False
     for u in U:
         for i in seps[u].nonmultiplicative:
             w = u * MultiIndex.variable(len(u), i)
-            if not any(involutive_divides(v, w, U, kind, seps) for v in U):
+            if not _covered(w, pairs):
                 return False
     return True
 

@@ -5,7 +5,7 @@ from involute import (CapExceeded, CompletionOptions, Division, Ranking,
                       involutive_normal_form, minimal_involutive_basis,
                       s_polynomial, verify_involutive,
                       verify_partial_involutive)
-from conftest import load_problem, norm_set, system
+from conftest import PROBLEMS, load_problem, norm_set, system
 
 
 GRL = Ranking("grlex")
@@ -349,6 +349,41 @@ class TestChainCriterionDirect:
         probe = G[1].prolong((0, 1))
         # ancestor theta belongs to the other function: must not fire
         assert not chain_criterion(probe, G[0].ld(GRL), triples, seps_by_j, GRL, GRL)
+
+
+class TestSeparationCache:
+    """The completion loop recomputes separations only when the basis changes."""
+
+    @pytest.mark.parametrize("text, division", [
+        ((PROBLEMS / "janet3.pde").read_text(), Division.JANET),
+        (JANET3_TEXT, Division.LEX_INDUCED),
+    ])
+    def test_separations_once_per_basis_change(self, monkeypatch, text, division):
+        from involute import completion
+        pf, eqs = system(text)
+        opts = CompletionOptions(division=division, main=pf.ranking())
+        plain = minimal_involutive_basis(eqs, opts)
+
+        calls = []
+        real = completion.separations
+
+        def counting(U, kind):
+            calls.append(kind)
+            return real(U, kind)
+
+        monkeypatch.setattr(completion, "separations", counting)
+        trace = []
+        basis = minimal_involutive_basis(eqs, opts, trace=trace)
+        # G grows by at most one element per added prolongation and per queue
+        # merge not skipped by the criterion
+        changes = sum(1 for e in trace
+                      if e.get("result") == "added"
+                      or (e["stage"] == "queue" and not e["criterion"]))
+        functions = pf.context().m
+        assert 1 <= len(calls) <= functions * (1 + changes)
+        assert basis.elements == plain.elements
+        assert basis.separations == plain.separations
+        assert basis.prolongations_examined == plain.prolongations_examined
 
 
 class TestVerifySingleton:

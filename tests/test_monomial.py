@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from involute import (CapExceeded, Division, MultiIndex, autoreduce,
                       axioms_check, cartan_characters,
@@ -50,6 +51,50 @@ class TestSeparations:
             for u, sep in separations(U, kind).items():
                 assert sep.multiplicative | sep.nonmultiplicative == frozenset(range(n))
                 assert not sep.multiplicative & sep.nonmultiplicative
+
+
+def multiplicative_by_definition(U, kind):
+    """Multiplicative variables of each element of U, straight from the rules."""
+    U = set(U)
+    n = len(next(iter(U)))
+    out = {}
+    for u in U:
+        if kind is Division.LEX_INDUCED:
+            # x_i is nonmultiplicative iff some v <_lex u has v_i > u_i
+            nonmult = {i for v in U if v < u for i in range(n) if u[i] < v[i]}
+            out[u] = set(range(n)) - nonmult
+        elif kind is Division.JANET:
+            # x_i is multiplicative iff u_i is maximal among the elements
+            # agreeing with u in the first i exponents
+            out[u] = {i for i in range(n)
+                      if u[i] == max(v[i] for v in U if v[:i] == u[:i])}
+        else:
+            # x_i is multiplicative iff no variable after x_i occurs in u
+            trailing = max((i for i in range(n) if u[i]), default=0)
+            out[u] = set(range(trailing, n))
+    return out
+
+
+@st.composite
+def monomial_lists(draw):
+    n = draw(st.integers(1, 6))
+    vector = st.tuples(*[st.integers(0, 5)] * n)
+    # lists: unsorted, and duplicates are drawn on purpose
+    base = draw(st.lists(vector, min_size=1, max_size=8))
+    return base + draw(st.lists(st.sampled_from(base), max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(monomial_lists())
+@example([(3,), (0,), (5,), (3,)])
+@example([(1, 0, 2), (2, 0, 1), (1, 1, 0), (2, 0, 1)])
+def test_separations_match_definitions(U):
+    for kind in Division:
+        want = multiplicative_by_definition(U, kind)
+        got = separations(U, kind)
+        assert set(got) == set(want)
+        for u, sep in got.items():
+            assert sep.multiplicative == frozenset(want[u])
 
 
 class TestInvolutiveDivides:
