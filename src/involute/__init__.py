@@ -13,7 +13,7 @@ from .monomial import (CapExceeded, CartanCharacters, ComplementaryDecomposition
                        separations)
 from .scalars import MultivarPolynomial, RationalFunction, arith, partial_derivative
 from .diffpoly import Context, Derivative, LinearDiffPoly, Ranking
-from .completion import (CompletionOptions, InvolutiveBasis, basis_from,
+from .completion import (CompletionOptions, InconsistentSystem, InvolutiveBasis, basis_from,
                          chain_criterion, conventional_autoreduce,
                          conventional_normal_form, groebner_oracle,
                          involutive_normal_form, minimal_involutive_basis,

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: complete, verify, ivp, hilbert, symmetry, monomial.
-Exit codes: 0 success, 1 input error, 2 prolongation cap exceeded.
+Exit codes: 0 success, 1 input error, 2 prolongation cap exceeded,
+3 inconsistent system (an equation or a prolongation reduces to 0 = c).
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import sys
 import time
 
 from . import analysis
-from .completion import (CompletionOptions, basis_from, groebner_oracle,
-                         minimal_involutive_basis, verify_involutive)
+from .completion import (CompletionOptions, InconsistentSystem, basis_from,
+                         groebner_oracle, minimal_involutive_basis, verify_involutive)
 from .diffpoly import Ranking
 from .monomial import (CapExceeded, Division, axioms_check, cartan_characters,
                        complementary_decomposition, complete as complete_monomials,
@@ -332,6 +333,9 @@ def main(argv=None):
     except CapExceeded as exc:
         print(f"cap exceeded: {exc}", file=sys.stderr)
         return 2
+    except InconsistentSystem as exc:
+        print(f"inconsistent system: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

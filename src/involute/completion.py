@@ -17,7 +17,7 @@ from .diffpoly import Ranking
 from .monomial import CapExceeded, Division, in_involutive_cone, separations
 
 __all__ = [
-    "CompletionOptions", "InvolutiveBasis", "Triple", "CapExceeded",
+    "CompletionOptions", "InvolutiveBasis", "Triple", "CapExceeded", "InconsistentSystem",
     "involutive_normal_form", "conventional_normal_form",
     "minimal_involutive_basis", "chain_criterion", "basis_from",
     "verify_involutive", "verify_partial_involutive",
@@ -41,16 +41,30 @@ class CompletionOptions:
             object.__setattr__(self, "completion", self.main)
 
 
+class InconsistentSystem(ValueError):
+    """An equation or a prolongation reduced to a nonzero constant: 0 = c."""
+
+
+def _nonzero_constant(poly, what):
+    return InconsistentSystem(f"{what} reduces to {poly.const.format(poly.ctx.variables)} = 0")
+
+
 class Triple:
-    """Basis element with its prolongation ancestor and processed variables."""
+    """Basis element with its prolongation ancestor and processed variables.
 
-    __slots__ = ("poly", "ancestor", "processed", "serial")
+    ``leader`` is the element's leading derivative and ``key`` its sort key
+    under the main ranking, fixed when the triple is made.
+    """
 
-    def __init__(self, poly, ancestor, processed, serial):
+    __slots__ = ("poly", "ancestor", "processed", "serial", "leader", "key")
+
+    def __init__(self, poly, ancestor, processed, serial, leader, key=None):
         self.poly = poly
         self.ancestor = ancestor
         self.processed = set(processed)
         self.serial = serial
+        self.leader = leader
+        self.key = key
 
 
 @dataclass(frozen=True)
@@ -80,9 +94,10 @@ class InvolutiveBasis:
         return "\n".join(f.format(self.options.main) for f in self.elements)
 
 
-def _separation_data(G, division, ranking):
+def _separation_data(G, division, ranking, leaders=None):
     """Leading-monomial sets per function and the separation of each element."""
-    leaders = [g.ld(ranking) for g in G]
+    if leaders is None:
+        leaders = [g.ld(ranking) for g in G]
     sets = {}
     for d in leaders:
         sets.setdefault(d.indet, set()).add(d.index)
@@ -91,11 +106,13 @@ def _separation_data(G, division, ranking):
     return sets, seps_by_j, leaders, elem_seps
 
 
-def _reduction_data(G, division, ranking):
+def _reduction_data(G, division, ranking, leaders=None, keys=None):
     """What involutive reduction modulo G needs: separations by function, and
     per element its leader, the leader's ranking key and its separation."""
-    _, seps_by_j, leaders, elem_seps = _separation_data(G, division, ranking)
-    return seps_by_j, leaders, [ranking.key(d) for d in leaders], elem_seps
+    _, seps_by_j, leaders, elem_seps = _separation_data(G, division, ranking, leaders)
+    if keys is None:
+        keys = [ranking.key(d) for d in leaders]
+    return seps_by_j, leaders, keys, elem_seps
 
 
 def _reduce(p, G, ranking, leaders, keys, reducer_for):
@@ -112,7 +129,8 @@ def _reduce(p, G, ranking, leaders, keys, reducer_for):
         else:
             return h
         f, lead = G[idx], leaders[idx]
-        h = h - f.prolong(d.index / lead.index).scale(a / f.terms[lead])
+        lc = f.terms[lead]
+        h = h.sub_scaled(f.prolong(d.index / lead.index), a if lc.is_one() else a / lc)
     return h
 
 
@@ -193,6 +211,8 @@ def conventional_autoreduce(F, ranking):
                 work.pop(i)
                 changed = True
                 break
+            if not r.terms:
+                raise _nonzero_constant(r, f"the equation {work[i].format(ranking)} = 0")
             r = r.normalize(ranking)
             if r != work[i]:
                 work[i] = r
@@ -212,7 +232,7 @@ def chain_criterion(p, theta, triples, seps_by_j, ranking_c, main):
     lead = p.ld(main)
     key_lead = ranking_c.key(lead)
     for t in triples:
-        fl = t.poly.ld(main)
+        fl = t.leader
         if fl.indet != lead.indet or not in_involutive_cone(
                 lead.index, fl.index, seps_by_j[fl.indet][fl.index].multiplicative):
             continue
@@ -249,24 +269,25 @@ def minimal_involutive_basis(F, opts=None, trace=None):
     work = [f for f in F if not f.is_zero()]
     if not work:
         raise ValueError("input system is empty or all zero")
-    if any(not f.terms for f in work):
-        raise ValueError("input contains a nonzero constant equation")
+    for f in work:
+        if not f.terms:
+            raise _nonzero_constant(f, "an input equation")
     work = [f.normalize(main) for f in work]
     if opts.autoreduce_input:
         work = conventional_autoreduce(work, main)
 
     serial = 0
 
-    def new_triple(poly, ancestor, processed):
+    def new_triple(poly, ancestor, processed, leader):
         nonlocal serial
         serial += 1
-        return Triple(poly, ancestor, processed, serial)
+        return Triple(poly, ancestor, processed, serial, leader, main.key(leader))
 
-    start = min(range(len(work)), key=lambda i: (main.key(work[i].ld(main)), i))
-    g0 = work[start]
-    T = [new_triple(g0, g0.ld(main), set())]
-    G = [g0]
-    Q = [new_triple(f, f.ld(main), set()) for i, f in enumerate(work) if i != start]
+    lds = [f.ld(main) for f in work]
+    start = min(range(len(work)), key=lambda i: (main.key(lds[i]), i))
+    T = [new_triple(work[start], lds[start], set(), lds[start])]
+    G = [work[start]]
+    Q = [new_triple(f, d, set(), d) for i, (f, d) in enumerate(zip(work, lds)) if i != start]
     examined = 0
     # _reduction_data of G; set to None wherever G changes, rebuilt on demand.
     # T[i].poly is G[i]: both grow by append and shrink together in displace.
@@ -275,16 +296,16 @@ def minimal_involutive_basis(F, opts=None, trace=None):
     def basis_data():
         nonlocal data
         if data is None:
-            data = _reduction_data(G, division, main)
+            data = _reduction_data(G, division, main, [t.leader for t in T],
+                                   [t.key for t in T])
         return data
 
-    def displace(h):
-        """Move every triple with leader above ld(h) back to the queue."""
+    def displace(key_h):
+        """Move every triple with leader key above ``key_h`` back to the queue."""
         nonlocal T, G, data
-        key_h = main.key(h.ld(main))
         kept = []
         for t in T:
-            if main.key(t.poly.ld(main)) > key_h:
+            if t.key > key_h:
                 Q.append(t)
                 G.remove(t.poly)
                 data = None
@@ -298,36 +319,38 @@ def minimal_involutive_basis(F, opts=None, trace=None):
         h = None
         # merge queue elements, lowest leader first, until one survives
         while Q and h is None:
-            pick = min(range(len(Q)), key=lambda i: (main.key(Q[i].poly.ld(main)),
-                                                     Q[i].serial))
+            pick = min(range(len(Q)), key=lambda i: (Q[i].key, Q[i].serial))
             t = Q.pop(pick)
             skip = opts.use_criterion and chain_criterion(
                 t.poly, t.ancestor, T, basis_data()[0], comp, main)
             if trace is not None:
-                trace.append({"stage": "queue", "leader": t.poly.ld(main),
+                trace.append({"stage": "queue", "leader": t.leader,
                               "criterion": skip})
             if skip:
                 continue
             r = _involutive_nf(t.poly, G, main, basis_data())
             if not r.is_zero():
+                if not r.terms:
+                    raise _nonzero_constant(r, f"the equation {t.poly.format(main)} = 0")
                 h = (r.normalize(main), t)
         if h is not None:
             r, t = h
             G.append(r)
             data = None
-            if r.ld(main) == t.poly.ld(main):
-                r_sep = basis_data()[3][-1]
-                T.append(new_triple(r, t.ancestor, t.processed & r_sep.nonmultiplicative))
+            lead = r.ld(main)
+            if lead == t.leader:
+                T.append(new_triple(r, t.ancestor, set(), lead))
+                T[-1].processed = t.processed & basis_data()[3][-1].nonmultiplicative
             else:
-                T.append(new_triple(r, r.ld(main), set()))
-                displace(r)
+                T.append(new_triple(r, lead, set(), lead))
+                displace(T[-1].key)
 
         # examine nonmultiplicative prolongations by the normal strategy
         while True:
             seps_by_j, leaders, _, elem_seps = basis_data()
             gate = None
             if Q:
-                gate = min(main.key(t.poly.ld(main)) for t in Q)
+                gate = min(t.key for t in Q)
             best = None
             for t, d, sep in zip(T, leaders, elem_seps):
                 for x in sep.nonmultiplicative - t.processed:
@@ -354,18 +377,22 @@ def minimal_involutive_basis(F, opts=None, trace=None):
                 r = _involutive_nf(p, G, main, basis_data())
                 if r.is_zero():
                     status = "zero"
+                elif not r.terms:
+                    raise _nonzero_constant(r, f"the prolongation of {t.poly.format(main)} = 0 "
+                                               f"by {t.poly.ctx.variables[x]}")
                 else:
                     status = "added"
                     r = r.normalize(main)
                     G.append(r)
                     data = None
-                    if r.ld(main) == p.ld(main):
-                        T.append(new_triple(r, t.ancestor, set()))
+                    lead = r.ld(main)
+                    if lead == p.ld(main):
+                        T.append(new_triple(r, t.ancestor, set(), lead))
                     else:
-                        T.append(new_triple(r, r.ld(main), set()))
-                        displace(r)
+                        T.append(new_triple(r, lead, set(), lead))
+                        displace(T[-1].key)
             if trace is not None:
-                trace.append({"stage": "prolongation", "leader": t.poly.ld(main),
+                trace.append({"stage": "prolongation", "leader": t.leader,
                               "variable": x, "criterion": skip, "result": status})
         if not Q:
             break

@@ -111,22 +111,30 @@ class MultivarPolynomial:
         self._check(other)
         res = dict(self.terms)
         for e, c in other.terms.items():
-            s = res.get(e, Fraction(0)) + c
-            if s:
-                res[e] = s
-            elif e in res:
-                del res[e]
+            prev = res.get(e)
+            if prev is None:
+                res[e] = c
+            else:
+                s = prev + c
+                if s:
+                    res[e] = s
+                else:
+                    del res[e]
         return self._raw(res)
 
     def __sub__(self, other):
         self._check(other)
         res = dict(self.terms)
         for e, c in other.terms.items():
-            s = res.get(e, Fraction(0)) - c
-            if s:
-                res[e] = s
-            elif e in res:
-                del res[e]
+            prev = res.get(e)
+            if prev is None:
+                res[e] = -c
+            else:
+                s = prev - c
+                if s:
+                    res[e] = s
+                else:
+                    del res[e]
         return self._raw(res)
 
     def __mul__(self, other):
@@ -135,11 +143,15 @@ class MultivarPolynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = res.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    res[e] = s
-                elif e in res:
-                    del res[e]
+                prev = res.get(e)
+                if prev is None:
+                    res[e] = c1 * c2
+                else:
+                    s = prev + c1 * c2
+                    if s:
+                        res[e] = s
+                    else:
+                        del res[e]
         return self._raw(res)
 
     def __pow__(self, k):
@@ -293,13 +305,18 @@ def _prem(f, g, v):
     return r
 
 
+def _support(p):
+    """Indices of the variables that occur in ``p``."""
+    return {i for e in p.terms for i, k in enumerate(e) if k}
+
+
 def poly_gcd(f, g):
     """Gcd of two polynomials, normalized to primitive integer coefficients."""
     if f.is_zero():
         return _rat_normalize(g)
     if g.is_zero():
         return _rat_normalize(f)
-    if f.is_constant() or g.is_constant():
+    if f.is_constant() or g.is_constant() or not _support(f) & _support(g):
         return MultivarPolynomial.const(f.nvars, 1)
     v = next(i for i in range(f.nvars) if f.degree_in(i) or g.degree_in(i))
     cf = _content_in(f, v)
@@ -320,6 +337,24 @@ def poly_gcd(f, g):
     return _rat_normalize(c * pf)
 
 
+def _monic(num, den):
+    """num and den rescaled so that den is monic."""
+    lc = den.leading()[1]
+    if lc != 1:
+        return num.scale(1 / lc), den.scale(1 / lc)
+    return num, den
+
+
+def _divide_out_gcd(p, q):
+    """``p`` and ``q`` divided by their gcd; a constant is returned unchanged."""
+    if p.is_constant() or q.is_constant():
+        return p, q
+    g = poly_gcd(p, q)
+    if g.is_one():
+        return p, q
+    return p.divexact(g), q.divexact(g)
+
+
 class RationalFunction:
     """Reduced quotient of two multivariate polynomials over Q."""
 
@@ -334,20 +369,13 @@ class RationalFunction:
             num = MultivarPolynomial.zero(num.nvars)
             den = MultivarPolynomial.const(num.nvars, 1)
         else:
-            g = poly_gcd(num, den)
-            if not g.is_one():
-                num = num.divexact(g)
-                den = den.divexact(g)
-            lc = den.leading()[1]
-            if lc != 1:
-                num = num.scale(1 / lc)
-                den = den.scale(1 / lc)
+            num, den = _monic(*_divide_out_gcd(num, den))
         self.num = num
         self.den = den
 
     @classmethod
     def zero(cls, nvars):
-        return cls(MultivarPolynomial.zero(nvars))
+        return cls._raw(MultivarPolynomial.zero(nvars), MultivarPolynomial.const(nvars, 1))
 
     @classmethod
     def one(cls, nvars):
@@ -394,21 +422,46 @@ class RationalFunction:
     def __neg__(self):
         return self._raw(-self.num, self.den)
 
+    # Operands are reduced with monic denominators, so most results need no
+    # gcd of the full numerator and denominator (Henrici, JACM 1956).
+
     def __add__(self, other):
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
+        return self._add(other.num, other.den)
 
     def __sub__(self, other):
-        return RationalFunction(self.num * other.den - other.num * self.den,
-                                self.den * other.den)
+        return self._add(-other.num, other.den)
+
+    def _add(self, c, d):
+        a, b = self.num, self.den
+        if b == d:
+            n = a + c
+            if n.is_zero():
+                return RationalFunction.zero(a.nvars)
+            return self._raw(*_monic(*_divide_out_gcd(n, b)))
+        if d.is_one():
+            return self._raw(a + c * b, b)
+        if b.is_one():
+            return self._raw(a * d + c, d)
+        if poly_gcd(b, d).is_one():
+            return self._raw(a * d + c * b, b * d)
+        return RationalFunction(a * d + c * b, b * d)
 
     def __mul__(self, other):
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        return self._mul(other.num, other.den)
 
     def __truediv__(self, other):
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return RationalFunction(self.num * other.den, self.den * other.num)
+        return self._mul(other.den, other.num)
+
+    def _mul(self, c, d):
+        """(num/den)*(c/d) for coprime c, d, cancelling across."""
+        a, b = self.num, self.den
+        if a.is_zero() or c.is_zero():
+            return RationalFunction.zero(a.nvars)
+        a, d = _divide_out_gcd(a, d)
+        c, b = _divide_out_gcd(c, b)
+        return self._raw(*_monic(a * c, b * d))
 
     def inverse(self):
         return RationalFunction.one(self.nvars) / self
@@ -417,11 +470,14 @@ class RationalFunction:
         return self._raw(self.num.scale(c), self.den) if c else RationalFunction.zero(self.nvars)
 
     def partial(self, i):
+        if self.den.is_one():
+            return self._raw(self.num.partial(i), self.den)
         # quotient rule; canonicalized by the constructor
         return RationalFunction(self.num.partial(i) * self.den - self.num * self.den.partial(i),
                                 self.den * self.den)
 
-    def _raw(self, num, den):
+    @staticmethod
+    def _raw(num, den):
         r = RationalFunction.__new__(RationalFunction)
         r.num = num
         r.den = den

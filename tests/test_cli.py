@@ -189,6 +189,27 @@ class TestCli:
         assert code == 1
         assert "error" in err
 
+    def test_inconsistent_system_exit_code(self, tmp_path, capsys):
+        # y_x1 = 1 and y_x2 = x1 give y_x1x2 = 0 and y_x1x2 = 1
+        bad = tmp_path / "inconsistent.pde"
+        bad.write_text("vars: x1 x2\nfuncs: y\neq: D[y,x1] = 1\neq: D[y,x2] = x1\n")
+        code, out, err = run_cli(capsys, "complete", str(bad))
+        assert code == 3
+        assert out == ""
+        assert err == ("inconsistent system: the prolongation of D[y,{0,1}] - x1 = 0 "
+                       "by x1 reduces to -1 = 0\n")
+
+    @pytest.mark.parametrize("flags, message", [
+        ((), "the equation D[y,{1,0}] - x1 = 0 reduces to -x1 + 1 = 0"),
+        (("--autoreduce-input",), "the equation D[y,{1,0}] - 1 = 0 reduces to x1 - 1 = 0"),
+    ])
+    def test_inconsistent_input_equations(self, tmp_path, capsys, flags, message):
+        bad = tmp_path / "inconsistent.pde"
+        bad.write_text("vars: x1 x2\nfuncs: y\neq: D[y,x1] = 1\neq: D[y,x1] = x1\n")
+        code, _, err = run_cli(capsys, "complete", str(bad), *flags)
+        assert code == 3
+        assert err == f"inconsistent system: {message}\n"
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "complete", "nope.pde")
         assert code == 1

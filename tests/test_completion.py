@@ -312,7 +312,7 @@ class TestChainCriterionDirect:
         pf, eqs = system(JANET3_BASIS)
         G = [f.normalize(GRL) for f in eqs]
         _, seps_by_j, _, _ = _separation_data(G, division, GRL)
-        triples = [Triple(f, f.ld(GRL), set(), i) for i, f in enumerate(G)]
+        triples = [Triple(f, f.ld(GRL), set(), i, f.ld(GRL)) for i, f in enumerate(G)]
         return G, triples, seps_by_j
 
     def test_empty_triples(self):
@@ -345,10 +345,40 @@ class TestChainCriterionDirect:
         """)
         G = [f.normalize(GRL) for f in eqs]
         _, seps_by_j, _, _ = _separation_data(G, Division.JANET, GRL)
-        triples = [Triple(G[1], G[1].ld(GRL), set(), 0)]
+        triples = [Triple(G[1], G[1].ld(GRL), set(), 0, G[1].ld(GRL))]
         probe = G[1].prolong((0, 1))
         # ancestor theta belongs to the other function: must not fire
         assert not chain_criterion(probe, G[0].ld(GRL), triples, seps_by_j, GRL, GRL)
+
+
+class TestChainCriterionLeaders:
+    def test_one_leader_lookup_per_call(self, monkeypatch):
+        # triples carry their leaders: only ld(p) is derived per call
+        from involute import LinearDiffPoly, completion
+        pf, eqs = system((PROBLEMS / "janet3.pde").read_text())
+        opts = CompletionOptions(division=Division.JANET, main=pf.ranking())
+        real_ld, real_criterion = LinearDiffPoly.ld, completion.chain_criterion
+        inside, per_call, sizes = [False], [], []
+
+        def ld(self, ranking):
+            if inside[0]:
+                per_call[-1] += 1
+            return real_ld(self, ranking)
+
+        def criterion(p, theta, triples, *rest):
+            per_call.append(0)
+            sizes.append(len(triples))
+            inside[0] = True
+            try:
+                return real_criterion(p, theta, triples, *rest)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(LinearDiffPoly, "ld", ld)
+        monkeypatch.setattr(completion, "chain_criterion", criterion)
+        minimal_involutive_basis(eqs, opts)
+        assert per_call and max(sizes) > 1
+        assert max(per_call) <= 1
 
 
 class TestSeparationCache:

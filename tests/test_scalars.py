@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from involute.scalars import (ExactDivisionError, MultivarPolynomial,
                               RationalFunction, arith, partial_derivative,
@@ -136,3 +137,102 @@ class TestGcd:
         x, y = MultivarPolynomial.variable(2, 0), MultivarPolynomial.variable(2, 1)
         with pytest.raises(ExactDivisionError):
             (x * x + y).divexact(x + y)
+
+
+# -- fast paths against the unreduced quotient -------------------------------
+
+DEN_CASES = ("both one", "one one", "equal", "coprime", "shared factor")
+
+
+@st.composite
+def polys(draw, nvars, nonconstant=False, size=2):
+    # small on purpose: the unreduced quotients go through poly_gcd, which
+    # can take minutes on some operands of a dozen terms
+    exps = st.tuples(*[st.integers(0, 1)] * nvars)
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
+    terms = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=size))
+    if nonconstant and not any(any(e) for e in terms):
+        terms[tuple(draw(st.integers(0, 1)) for _ in range(nvars - 1)) + (1,)] = Fraction(1)
+    return MultivarPolynomial(nvars, terms)
+
+
+@st.composite
+def operand_pairs(draw):
+    """Two reduced quotients whose denominators fall in one of DEN_CASES."""
+    nvars = draw(st.integers(2, 3))
+    case = draw(st.sampled_from(DEN_CASES))
+    one = MultivarPolynomial.const(nvars, 1)
+    b, d = (draw(polys(nvars, nonconstant=True)) for _ in range(2))
+    if case == "both one":
+        b = d = one
+    elif case == "one one":
+        b, d = draw(st.permutations([one, b]))
+    elif case == "equal":
+        d = b
+    elif case == "coprime":
+        assume(poly_gcd(b, d).is_one())
+    else:
+        f = draw(polys(nvars, nonconstant=True))
+        b, d = f * b, f * draw(polys(nvars))
+    return (RationalFunction(draw(polys(nvars)), b),
+            RationalFunction(draw(polys(nvars)), d))
+
+
+def old_path(a, b, op):
+    """The operation through the normalizing constructor alone."""
+    if op == "add":
+        return RationalFunction(a.num * b.den + b.num * a.den, a.den * b.den)
+    if op == "sub":
+        return RationalFunction(a.num * b.den - b.num * a.den, a.den * b.den)
+    if op == "mul":
+        return RationalFunction(a.num * b.num, a.den * b.den)
+    return RationalFunction(a.num * b.den, a.den * b.num)
+
+
+def assert_canonical(r, expect):
+    assert (r.num, r.den) == (expect.num, expect.den)
+    assert r.den.leading()[1] == 1
+    assert poly_gcd(r.num, r.den).is_one()
+
+
+class TestFastPaths:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(operand_pairs(), st.sampled_from(["add", "sub", "mul", "div"]))
+    def test_matches_the_constructor(self, pair, op):
+        a, b = pair
+        if op == "div" and b.is_zero():
+            with pytest.raises(ZeroDivisionError):
+                arith(a, b, op)
+            return
+        assert_canonical(arith(a, b, op), old_path(a, b, op))
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(operand_pairs(), st.integers(0, 2))
+    def test_partial_matches_the_quotient_rule(self, pair, i):
+        for a in pair:
+            i %= a.nvars
+            expect = RationalFunction(a.num.partial(i) * a.den - a.num * a.den.partial(i),
+                                      a.den * a.den)
+            assert_canonical(a.partial(i), expect)
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+    def test_against_sympy_cancel(self, op):
+        sympy = pytest.importorskip("sympy")
+        names = sympy.symbols("x1 x2 x3")
+
+        def to_sympy(p):
+            return sum(sympy.Rational(c.numerator, c.denominator)
+                       * sympy.Mul(*[v ** k for v, k in zip(names, e)])
+                       for e, c in p.terms.items())
+
+        rng = random.Random(23)
+        for _ in range(12):
+            a, b = random_rational(rng, 3), random_rational(rng, 3)
+            if op == "div" and b.is_zero():
+                continue
+            got = arith(a, b, op)
+            sa, sb = (to_sympy(r.num) / to_sympy(r.den) for r in (a, b))
+            want = {"add": sa + sb, "sub": sa - sb, "mul": sa * sb, "div": sa / sb}[op]
+            num, den = sympy.fraction(sympy.cancel(want))
+            assert sympy.expand(to_sympy(got.num) * den - num * to_sympy(got.den)) == 0
+            assert sympy.cancel(to_sympy(got.den) / den).is_number
