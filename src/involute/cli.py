@@ -15,7 +15,6 @@ import time
 from . import analysis
 from .completion import (CompletionOptions, InconsistentSystem, basis_from,
                          groebner_oracle, minimal_involutive_basis, verify_involutive)
-from .diffpoly import Ranking
 from .monomial import (CapExceeded, Division, axioms_check, cartan_characters,
                        complementary_decomposition, complete as complete_monomials,
                        separations)
@@ -218,12 +217,8 @@ def cmd_symmetry(args):
     problem_file = parse_problem(_read(args.file))
     sym = problem_file.symmetry_problem()
     det_ctx, eqs = determining_system(sym)
-    division = DIVISIONS[args.division] if args.division else Division.JANET
-    main = Ranking(args.ranking or problem_file.scheme,
-                   args.tie or problem_file.tiebreak)
-    opts = CompletionOptions(division=division, main=main,
-                             completion=problem_file.completion_ranking(args.completion_ranking),
-                             cap=args.cap, use_criterion=args.criterion == "on")
+    opts = _options(problem_file, args)
+    main = opts.main
     dim, basis, _ = symmetry_dimension(sym, opts)
     decs = analysis.complementary_set(basis)
     lines = [f"determining system ({len(eqs)} equations) for "

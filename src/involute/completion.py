@@ -53,10 +53,12 @@ class Triple:
     """Basis element with its prolongation ancestor and processed variables.
 
     ``leader`` is the element's leading derivative and ``key`` its sort key
-    under the main ranking, fixed when the triple is made.
+    under the main ranking, fixed when the triple is made.  ``prolonged``
+    maps a variable x to the main and completion keys of the leader's
+    derivative by x, filled by the completion loop on first use.
     """
 
-    __slots__ = ("poly", "ancestor", "processed", "serial", "leader", "key")
+    __slots__ = ("poly", "ancestor", "processed", "serial", "leader", "key", "prolonged")
 
     def __init__(self, poly, ancestor, processed, serial, leader, key=None):
         self.poly = poly
@@ -65,6 +67,7 @@ class Triple:
         self.serial = serial
         self.leader = leader
         self.key = key
+        self.prolonged = {}
 
 
 @dataclass(frozen=True)
@@ -347,17 +350,20 @@ def minimal_involutive_basis(F, opts=None, trace=None):
 
         # examine nonmultiplicative prolongations by the normal strategy
         while True:
-            seps_by_j, leaders, _, elem_seps = basis_data()
+            seps_by_j, _, _, elem_seps = basis_data()
             gate = None
             if Q:
                 gate = min(t.key for t in Q)
             best = None
-            for t, d, sep in zip(T, leaders, elem_seps):
+            for t, sep in zip(T, elem_seps):
                 for x in sep.nonmultiplicative - t.processed:
-                    lead = d.differentiate(x)
-                    if gate is not None and not main.key(lead) < gate:
+                    keys = t.prolonged.get(x)
+                    if keys is None:
+                        lead = t.leader.differentiate(x)
+                        keys = t.prolonged[x] = (main.key(lead), comp.key(lead))
+                    if gate is not None and not keys[0] < gate:
                         continue
-                    cand_key = (comp.key(lead), t.serial, x)
+                    cand_key = (keys[1], t.serial, x)
                     if best is None or cand_key < best[0]:
                         best = (cand_key, t, x)
             if best is None:

@@ -11,6 +11,7 @@ variables.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -214,13 +215,48 @@ def involutive_divides(u, w, U, kind, seps=None):
     return in_involutive_cone(w, u, sep.multiplicative)
 
 
-def _multiplicative_pairs(U, seps):
-    return [(v, seps[v].multiplicative) for v in U]
+class ConeIndex:
+    """Involutive divisor search over a monomial set with fixed separations.
+
+    w lies in the cone of v iff the two agree on v's nonmultiplicative
+    variables and w >= v on the others.  Tips are grouped by their set of
+    nonmultiplicative variables, and inside a group a dict maps the exponents
+    on those variables to the tips, so a query makes one lookup per group and
+    compares the multiplicative exponents of the few tips found.  This is the
+    Janet-tree search (Gerdt, Blinkov, Yanovich, CASC 2001) for any division
+    given by separations.
+    """
+
+    __slots__ = ("groups",)
+
+    def __init__(self, U, seps):
+        groups = {}
+        for v in U:
+            nonmult = tuple(sorted(seps[v].nonmultiplicative))
+            if nonmult not in groups:
+                groups[nonmult] = (_exponents_on(nonmult), {})
+            exponents, table = groups[nonmult]
+            lower = tuple((i, e) for i, e in enumerate(v) if e and i not in nonmult)
+            table.setdefault(exponents(v), []).append((v, lower))
+        self.groups = tuple(groups.values())
+
+    def divisors(self, w, skip=None):
+        """Yield the tips, other than ``skip``, whose involutive cone contains w."""
+        for exponents, table in self.groups:
+            for v, lower in table.get(exponents(w), ()):
+                if v is not skip and all(w[i] >= e for i, e in lower):
+                    yield v
+
+    def covers(self, w, skip=None):
+        """True iff w lies in the involutive cone of a tip other than ``skip``."""
+        return next(self.divisors(w, skip), None) is not None
 
 
-def _covered(w, pairs, skip=None):
-    """True iff some (v, multiplicative) pair, v not ``skip``, has w in its cone."""
-    return any(v is not skip and in_involutive_cone(w, v, mult) for v, mult in pairs)
+def _exponents_on(positions):
+    # itemgetter takes at least one position; one position gives a bare int
+    if not positions:
+        return lambda w: ()
+    return operator.itemgetter(*positions)
 
 
 def _cones_intersect(u, su, v, sv):
@@ -241,14 +277,14 @@ def _cones_intersect(u, su, v, sv):
 
 
 def _autoreduce(U, kind):
-    """``autoreduce`` as a list, with the separations of the result."""
+    """``autoreduce`` as a list, with the separations and cone index of the result."""
     U = _check_set(U)
     while True:
         seps = separations(U, kind)
-        pairs = _multiplicative_pairs(U, seps)
-        victims = [u for u in U if _covered(u, pairs, skip=u)]
+        index = ConeIndex(U, seps)
+        victims = [u for u in U if index.covers(u, skip=u)]
         if not victims:
-            return U, seps
+            return U, seps, index
         U.remove(min(victims, key=_LEX))
 
 
@@ -269,25 +305,24 @@ def complete(U, kind, completion_order="grlex", cap=10000):
     divisor.  Raises CapExceeded, with the partial set attached, after ``cap``
     candidate examinations without closure.
     """
-    U, seps = _autoreduce(U, kind)
+    U, seps, index = _autoreduce(U, kind)
     if not U:
         raise ValueError("empty set after autoreduction")
     order_key = (completion_order if callable(completion_order)
                  else monomial_sort_key(completion_order))
     examinations = 0
     while True:
-        pairs = _multiplicative_pairs(U, seps)
         candidates = []
         for u in U:
             for i in sorted(seps[u].nonmultiplicative):
-                w = u * MultiIndex.variable(len(u), i)
+                w = u[:i] + (u[i] + 1,) + u[i + 1:]
                 examinations += 1
                 if examinations > cap:
                     raise CapExceeded(
                         f"no closure within {cap} prolongation examinations",
                         partial=tuple(sorted(U, key=_LEX)))
-                if not _covered(w, pairs):
-                    candidates.append(w)
+                if not index.covers(w):
+                    candidates.append(MultiIndex(w))
         if not candidates:
             return tuple(sorted(U, key=_LEX))
         w = min(candidates, key=order_key)
@@ -295,7 +330,7 @@ def complete(U, kind, completion_order="grlex", cap=10000):
             U.append(w)
         # keep the set autoreduced: an adjoined prolongation may swallow an
         # older element into its cone, and coverage survives the removal
-        U, seps = _autoreduce(U, kind)
+        U, seps, index = _autoreduce(U, kind)
 
 
 def is_involutive(U, kind):
@@ -304,15 +339,11 @@ def is_involutive(U, kind):
     if not U:
         return True
     seps = separations(U, kind)
-    pairs = _multiplicative_pairs(U, seps)
-    if any(_covered(u, pairs, skip=u) for u in U):
+    index = ConeIndex(U, seps)
+    if any(index.covers(u, skip=u) for u in U):
         return False
-    for u in U:
-        for i in seps[u].nonmultiplicative:
-            w = u * MultiIndex.variable(len(u), i)
-            if not _covered(w, pairs):
-                return False
-    return True
+    return all(index.covers(u[:i] + (u[i] + 1,) + u[i + 1:])
+               for u in U for i in seps[u].nonmultiplicative)
 
 
 def in_cone(w, U):

@@ -442,9 +442,15 @@ class RationalFunction:
             return self._raw(a + c * b, b)
         if b.is_one():
             return self._raw(a * d + c, d)
-        if poly_gcd(b, d).is_one():
+        g = poly_gcd(b, d)
+        if g.is_one():
             return self._raw(a * d + c * b, b * d)
-        return RationalFunction(a * d + c * b, b * d)
+        # n = a*d1 + c*b1 is coprime to b1 and d1, so only gcd(n, g) can
+        # cancel; n is not zero, since reduced operands with different monic
+        # denominators cannot sum to zero
+        b1, d1 = b.divexact(g), d.divexact(g)
+        n, g = _divide_out_gcd(a * d1 + c * b1, g)
+        return self._raw(*_monic(n, b1 * d1 * g))
 
     def __mul__(self, other):
         return self._mul(other.num, other.den)

@@ -260,6 +260,26 @@ class TestMoreCli:
         assert doc["dimension"] == 3
         assert len(doc["basis"]) == 9
 
+    @pytest.mark.parametrize("flag, autoreduced", [((), False),
+                                                   (("--autoreduce-input",), True)])
+    def test_symmetry_autoreduce_input(self, tmp_path, capsys, monkeypatch, flag, autoreduced):
+        from involute import completion
+        kdv = tmp_path / "kdv.pde"
+        kdv.write_text("vars: t x\nfuncs: u\nranking: degrevlex\n"
+                       "solve: D[u,t] = u*D[u,x] + D[u,x,x,x]\n")
+        calls = []
+        real = completion.conventional_autoreduce
+
+        def counting(F, ranking):
+            calls.append(len(F))
+            return real(F, ranking)
+
+        monkeypatch.setattr(completion, "conventional_autoreduce", counting)
+        code, out, _ = run_cli(capsys, "symmetry", str(kdv), *flag)
+        assert code == 0
+        assert "solution space dimension: 4" in out
+        assert bool(calls) is autoreduced
+
     def test_ivp_json(self, capsys):
         code, out, _ = run_cli(capsys, "ivp", str(PROBLEMS / "fourvar.pde"),
                                "--division", "pommaret", "--json")

@@ -381,6 +381,42 @@ class TestChainCriterionLeaders:
         assert max(per_call) <= 1
 
 
+class TestProlongationKeyMemo:
+    def test_scan_derives_each_prolongation_leader_once(self, monkeypatch):
+        # the candidate scan keeps each triple's prolongation keys, so the
+        # leader of (triple, x) is derived at most once per triple made
+        import sys
+        from collections import Counter
+        from involute import Derivative, completion
+        pf, eqs = system((PROBLEMS / "example1.pde").read_text())
+        opts = CompletionOptions(division=Division.POMMARET, main=pf.ranking(), cap=300)
+        with pytest.raises(CapExceeded) as plain:
+            minimal_involutive_basis(eqs, opts)
+
+        made, derived = Counter(), Counter()
+        real_triple, real_differentiate = completion.Triple, Derivative.differentiate
+
+        class CountingTriple(real_triple):
+            def __init__(self, poly, ancestor, processed, serial, leader, key=None):
+                super().__init__(poly, ancestor, processed, serial, leader, key)
+                made[leader] += 1
+
+        def differentiate(self, i):
+            if sys._getframe(1).f_globals.get("__name__") == "involute.completion":
+                derived[self, i] += 1
+            return real_differentiate(self, i)
+
+        monkeypatch.setattr(completion, "Triple", CountingTriple)
+        monkeypatch.setattr(Derivative, "differentiate", differentiate)
+        with pytest.raises(CapExceeded) as counted:
+            minimal_involutive_basis(eqs, opts)
+        assert derived
+        assert all(k <= made[d] for (d, _), k in derived.items())
+        got, want = counted.value.partial, plain.value.partial
+        assert got.elements == want.elements
+        assert got.prolongations_examined == want.prolongations_examined == 301
+
+
 class TestSeparationCache:
     """The completion loop recomputes separations only when the basis changes."""
 

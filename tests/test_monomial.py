@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -8,6 +9,7 @@ from involute import (CapExceeded, Division, MultiIndex, autoreduce,
                       complementary_decomposition, complete, in_cone,
                       involutive_divides, is_involutive, monomials_up_to,
                       separation, separations)
+from involute.monomial import ConeIndex, in_involutive_cone
 from conftest import (complete_bruteforce, cones_pairwise_disjoint_bruteforce,
                       decomposition_exact_bruteforce, mi)
 
@@ -97,6 +99,34 @@ def test_separations_match_definitions(U):
             assert sep.multiplicative == frozenset(want[u])
 
 
+@settings(max_examples=300, deadline=None)
+@given(monomial_lists(), st.data())
+@example([(3,), (0,), (5,), (3,)], None)
+@example([(1, 0, 2), (2, 0, 1), (1, 1, 0), (2, 0, 1)], None)
+def test_cone_index_matches_brute_force(U, data):
+    n = len(U[0])
+    for kind in Division:
+        seps = separations(U, kind)
+        tips = list(seps)
+        index = ConeIndex(tips, seps)
+
+        def check(w, skip=None):
+            want = [v for v in tips
+                    if v is not skip and in_involutive_cone(w, v, seps[v].multiplicative)]
+            assert sorted(index.divisors(w, skip)) == sorted(want)
+            assert index.covers(w, skip) == bool(want)
+
+        queries = [] if data is None else data.draw(
+            st.lists(st.tuples(*[st.integers(0, 7)] * n), max_size=6))
+        for w in queries:
+            check(w)
+        for u in tips:
+            check(u, skip=u)
+            check(u)
+            for i in range(n):
+                check(u[:i] + (u[i] + 1,) + u[i + 1:])
+
+
 class TestInvolutiveDivides:
     def test_nonmultiplicative_direction(self):
         assert not involutive_divides(mi(1, 1, 0), mi(2, 1, 0), EX1, Division.JANET)
@@ -157,6 +187,45 @@ class TestComplete:
             for kind in (Division.JANET, Division.LEX_INDUCED):
                 res = complete(U, kind, cap=5000)
                 assert is_involutive(res, kind)
+
+
+def _recipe_sets():
+    """The seed-7 recipe sets (n, |U|, dmax) = (3,4,5) (4,5,5) (5,6,5) (6,6,5)."""
+    rng = random.Random(7)
+    return [[MultiIndex(rng.randint(0, dmax) for _ in range(n)) for _ in range(size)]
+            for n, size, dmax in ((3, 4, 5), (4, 5, 5), (5, 6, 5), (6, 6, 5))]
+
+
+def _digest(V):
+    return hashlib.sha256(repr([tuple(v) for v in V]).encode()).hexdigest()[:16]
+
+
+class TestCompleteRecipePins:
+    """``complete`` on the recipe sets: sizes and digests of the lex-sorted
+    results, recorded before the cone index replaced the linear cone scan."""
+
+    @pytest.mark.parametrize("k, kind, size, digest", [
+        (0, Division.JANET, 6, "66df15573e075962"),
+        (1, Division.JANET, 21, "8048a59c4a55bbda"),
+        (2, Division.JANET, 53, "62b4a14d5ab7ec7d"),
+        (3, Division.JANET, 92, "bc4af92a51ff4d56"),
+        (0, Division.LEX_INDUCED, 8, "d443a2ba0b26b0ad"),
+        (1, Division.LEX_INDUCED, 66, "44cf99897ab6d407"),
+    ])
+    def test_completed_set(self, k, kind, size, digest):
+        res = complete(_recipe_sets()[k], kind)
+        assert (len(res), _digest(res)) == (size, digest)
+        assert is_involutive(res, kind)
+
+    @pytest.mark.parametrize("k, size, digest", [
+        (0, 46, "47717ea55edfa8fd"),
+        (1, 38, "e8e181cc06444911"),
+    ])
+    def test_pommaret_cap_partial(self, k, size, digest):
+        with pytest.raises(CapExceeded) as err:
+            complete(_recipe_sets()[k], Division.POMMARET, cap=2000)
+        partial = err.value.partial
+        assert (len(partial), _digest(partial)) == (size, digest)
 
 
 class TestComplementaryDecomposition:

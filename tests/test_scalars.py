@@ -178,6 +178,17 @@ def operand_pairs(draw):
             RationalFunction(draw(polys(nvars)), d))
 
 
+def sympy_converter(sympy):
+    names = sympy.symbols("x1 x2 x3")
+
+    def to_sympy(p):
+        return sum(sympy.Rational(c.numerator, c.denominator)
+                   * sympy.Mul(*[v ** k for v, k in zip(names, e)])
+                   for e, c in p.terms.items())
+
+    return to_sympy
+
+
 def old_path(a, b, op):
     """The operation through the normalizing constructor alone."""
     if op == "add":
@@ -218,13 +229,7 @@ class TestFastPaths:
     @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
     def test_against_sympy_cancel(self, op):
         sympy = pytest.importorskip("sympy")
-        names = sympy.symbols("x1 x2 x3")
-
-        def to_sympy(p):
-            return sum(sympy.Rational(c.numerator, c.denominator)
-                       * sympy.Mul(*[v ** k for v, k in zip(names, e)])
-                       for e, c in p.terms.items())
-
+        to_sympy = sympy_converter(sympy)
         rng = random.Random(23)
         for _ in range(12):
             a, b = random_rational(rng, 3), random_rational(rng, 3)
@@ -236,3 +241,39 @@ class TestFastPaths:
             num, den = sympy.fraction(sympy.cancel(want))
             assert sympy.expand(to_sympy(got.num) * den - num * to_sympy(got.den)) == 0
             assert sympy.cancel(to_sympy(got.den) / den).is_number
+
+
+def poly3(*terms):
+    """Polynomial in x1, x2, x3 from (coefficient, e1, e2, e3) terms."""
+    return P(3, {tuple(t[1:]): Fraction(t[0]) for t in terms})
+
+
+class TestSharedDenominatorFactor:
+    # the denominators x1*x3*g and x2*(x1 - 6*x3)*g share g = x1*x2 + 3/2;
+    # normalizing the unreduced sum through poly_gcd took minutes here
+    A = RationalFunction(poly3((-2, 1, 0, 0), (4, 0, 1, 0), (-2, 0, 0, 1)),
+                         poly3((1, 2, 1, 1), (Fraction(3, 2), 1, 0, 1)))
+    B = RationalFunction(poly3((36, 1, 0, 1)),
+                         poly3((1, 2, 2, 0), (-6, 1, 2, 1), (Fraction(3, 2), 1, 1, 0),
+                               (-9, 0, 1, 1)))
+
+    def test_matches_the_hand_reduced_quotient(self):
+        # a*d1 - c*b1 with b1 = x1*x3 and d1 = x2*(x1 - 6*x3); g does not
+        # divide it, so the denominator is b1*d1*g
+        num = poly3((-36, 2, 0, 2), (-2, 2, 1, 0), (4, 1, 2, 0), (10, 1, 1, 1),
+                    (-24, 0, 2, 1), (12, 0, 1, 2))
+        den = (poly3((1, 1, 0, 1)) * poly3((1, 1, 1, 0), (-6, 0, 1, 1))
+               * poly3((1, 1, 1, 0), (Fraction(3, 2), 0, 0, 0)))
+        got = self.A - self.B
+        assert (got.num, got.den) == (num, den)
+        assert (self.A + -self.B) == got
+
+    def test_against_sympy_cancel(self):
+        sympy = pytest.importorskip("sympy")
+        to_sympy = sympy_converter(sympy)
+        got = self.A - self.B
+        want = (to_sympy(self.A.num) / to_sympy(self.A.den)
+                - to_sympy(self.B.num) / to_sympy(self.B.den))
+        num, den = sympy.fraction(sympy.cancel(want))
+        assert sympy.expand(to_sympy(got.num) * den - num * to_sympy(got.den)) == 0
+        assert sympy.cancel(to_sympy(got.den) / den).is_number
