@@ -15,6 +15,7 @@ from fractions import Fraction
 
 from .monomial import complementary_decomposition, in_cone
 from .diffpoly import Derivative
+from .scalars import power_product, signed_sum, signed_term
 
 
 def _comb(a, b):
@@ -131,25 +132,8 @@ class HilbertData:
         return acc
 
     def hp_format(self, var="s"):
-        if all(c == 0 for c in self.hp):
-            return "0"
-        parts = []
-        for k in range(len(self.hp) - 1, -1, -1):
-            c = self.hp[k]
-            if not c:
-                continue
-            if k == 0:
-                body = f"{abs(c)}"
-            elif k == 1:
-                body = var if abs(c) == 1 else f"{abs(c)}*{var}"
-            else:
-                body = f"{var}^{k}" if abs(c) == 1 else f"{abs(c)}*{var}^{k}"
-            parts.append(("-" if c < 0 else "+", body))
-        sign, head = parts[0]
-        out = [("-" + head) if sign == "-" else head]
-        for sign, body in parts[1:]:
-            out.append(f" {sign} {body}")
-        return "".join(out)
+        return signed_sum(signed_term(self.hp[k], power_product([(var, k)]))
+                          for k in range(len(self.hp) - 1, -1, -1) if self.hp[k])
 
 
 def _binomial_poly(shift, k):

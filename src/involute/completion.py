@@ -2,9 +2,10 @@
 
 The completion routine keeps a set G of monic generators together with
 bookkeeping triples (poly, ancestor, processed-variables).  Elements of a
-queue Q are merged in lowest-leader first; between merges, nonmultiplicative
-prolongations are examined lowest first under the completion ranking, with a
-chain criterion to skip prolongations that cannot contribute.  Every element
+queue Q are merged in lowest-leader first; before each merge, the
+nonmultiplicative prolongations whose leaders rank below it are examined
+lowest first under the completion ranking, with a chain criterion to skip
+prolongations that cannot contribute.  Every element
 whose leader exceeds a newly found lower leader is displaced back into the
 queue, which keeps the final basis minimal.
 """
@@ -319,36 +320,8 @@ def minimal_involutive_basis(F, opts=None, trace=None):
             t.processed &= sep.nonmultiplicative
 
     while True:
-        h = None
-        # merge queue elements, lowest leader first, until one survives
-        while Q and h is None:
-            pick = min(range(len(Q)), key=lambda i: (Q[i].key, Q[i].serial))
-            t = Q.pop(pick)
-            skip = opts.use_criterion and chain_criterion(
-                t.poly, t.ancestor, T, basis_data()[0], comp, main)
-            if trace is not None:
-                trace.append({"stage": "queue", "leader": t.leader,
-                              "criterion": skip})
-            if skip:
-                continue
-            r = _involutive_nf(t.poly, G, main, basis_data())
-            if not r.is_zero():
-                if not r.terms:
-                    raise _nonzero_constant(r, f"the equation {t.poly.format(main)} = 0")
-                h = (r.normalize(main), t)
-        if h is not None:
-            r, t = h
-            G.append(r)
-            data = None
-            lead = r.ld(main)
-            if lead == t.leader:
-                T.append(new_triple(r, t.ancestor, set(), lead))
-                T[-1].processed = t.processed & basis_data()[3][-1].nonmultiplicative
-            else:
-                T.append(new_triple(r, lead, set(), lead))
-                displace(T[-1].key)
-
-        # examine nonmultiplicative prolongations by the normal strategy
+        # examine nonmultiplicative prolongations by the normal strategy, below
+        # the lowest queue element
         while True:
             seps_by_j, _, _, elem_seps = basis_data()
             gate = None
@@ -402,6 +375,29 @@ def minimal_involutive_basis(F, opts=None, trace=None):
                               "variable": x, "criterion": skip, "result": status})
         if not Q:
             break
+        # merge the lowest queue element
+        t = Q.pop(min(range(len(Q)), key=lambda i: (Q[i].key, Q[i].serial)))
+        skip = opts.use_criterion and chain_criterion(
+            t.poly, t.ancestor, T, basis_data()[0], comp, main)
+        if trace is not None:
+            trace.append({"stage": "queue", "leader": t.leader, "criterion": skip})
+        if skip:
+            continue
+        r = _involutive_nf(t.poly, G, main, basis_data())
+        if r.is_zero():
+            continue
+        if not r.terms:
+            raise _nonzero_constant(r, f"the equation {t.poly.format(main)} = 0")
+        r = r.normalize(main)
+        G.append(r)
+        data = None
+        lead = r.ld(main)
+        if lead == t.leader:
+            T.append(new_triple(r, t.ancestor, set(), lead))
+            T[-1].processed = t.processed & basis_data()[3][-1].nonmultiplicative
+        else:
+            T.append(new_triple(r, lead, set(), lead))
+            displace(T[-1].key)
 
     ancestors = {id(t.poly): t.ancestor for t in T}
     return _basis_of(G, opts, [ancestors[id(g)] for g in G], examined, basis_data()[0])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .monomial import MultiIndex
-from .scalars import RationalFunction
+from .scalars import RationalFunction, signed_sum
 
 
 @dataclass(frozen=True)
@@ -279,37 +279,22 @@ class LinearDiffPoly:
             raise ValueError("mixed contexts")
 
     def format(self, ranking=None):
-        if self.is_zero():
-            return "0"
         ranking = ranking or Ranking()
         names = self.ctx.variables
-        pieces = []
-        for d, c in self.sorted_terms(ranking):
-            cs = c.format(names)
-            ds = d.format(self.ctx)
-            neg = cs.startswith("-") and " " not in cs
-            if neg:
-                cs = cs[1:]
-            if " " in cs:
-                body = f"({cs})*{ds}"
-            elif cs == "1":
-                body = ds
-            else:
-                body = f"{cs}*{ds}"
-            pieces.append(("-" if neg else "+", body))
+        terms = [(c, d.format(self.ctx)) for d, c in self.sorted_terms(ranking)]
         if not self.const.is_zero():
-            cs = self.const.format(names)
+            terms.append((self.const, ""))
+        pieces = []
+        for c, ds in terms:
+            # a coefficient's own leading minus becomes the term's sign
+            cs = c.format(names)
             neg = cs.startswith("-") and " " not in cs
             if neg:
                 cs = cs[1:]
             if " " in cs:
                 cs = f"({cs})"
-            pieces.append(("-" if neg else "+", cs))
-        sign, head = pieces[0]
-        parts = [("-" + head) if sign == "-" else head]
-        for sign, text in pieces[1:]:
-            parts.append(f" {sign} {text}")
-        return "".join(parts)
+            pieces.append((neg, cs if not ds else ds if cs == "1" else f"{cs}*{ds}"))
+        return signed_sum(pieces)
 
     def __repr__(self):
         return f"LinearDiffPoly({self.format()})"

@@ -10,10 +10,13 @@ variables.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import operator
 from dataclasses import dataclass
 from enum import Enum
+
+from .scalars import power_product
 
 
 class MultiIndex(tuple):
@@ -48,6 +51,10 @@ class MultiIndex(tuple):
     def __mul__(self, other):
         return MultiIndex(a + b for a, b in zip(self, other))
 
+    def prolongation(self, i):
+        """x_i * self, built without re-validating the exponents."""
+        return tuple.__new__(MultiIndex, self[:i] + (self[i] + 1,) + self[i + 1:])
+
     def __truediv__(self, other):
         q = [a - b for a, b in zip(self, other)]
         if any(x < 0 for x in q):
@@ -66,14 +73,7 @@ class MultiIndex(tuple):
     def format(self, names=None):
         if self.is_one():
             return "1"
-        names = names or [f"x{i+1}" for i in range(len(self))]
-        parts = []
-        for i, e in enumerate(self):
-            if e == 1:
-                parts.append(names[i])
-            elif e > 1:
-                parts.append(f"{names[i]}^{e}")
-        return "*".join(parts)
+        return power_product(zip(names or [f"x{i+1}" for i in range(len(self))], self))
 
     def __repr__(self):
         return f"MultiIndex{tuple(self)!r}"
@@ -105,33 +105,25 @@ class CapExceeded(RuntimeError):
         self.partial = partial
 
 
-def monomial_sort_key(scheme="grlex", variable_order=None):
+def monomial_sort_key(scheme="grlex"):
     """Key function realizing an admissible ordering (max = greatest)."""
-
-    def key(u):
-        order = variable_order if variable_order is not None else range(len(u))
-        perm = tuple(u[v] for v in order)
-        if scheme == "lex":
-            return perm
-        if scheme == "grlex":
-            return (sum(u), perm)
-        if scheme == "degrevlex":
-            return (sum(u), tuple(-u[v] for v in reversed(list(order))))
-        raise ValueError(f"unknown monomial ordering {scheme!r}")
-
-    return key
-
-
-_LEX = monomial_sort_key("lex")
+    if scheme == "lex":
+        return tuple
+    if scheme == "grlex":
+        return lambda u: (sum(u), tuple(u))
+    if scheme == "degrevlex":
+        return lambda u: (sum(u), tuple(-e for e in reversed(u)))
+    raise ValueError(f"unknown monomial ordering {scheme!r}")
 
 
 def _check_set(U):
+    """U as a lex-sorted list of distinct MultiIndex values of one dimension."""
     U = [u if isinstance(u, MultiIndex) else MultiIndex(u) for u in U]
     if U:
         n = len(U[0])
         if any(len(u) != n for u in U):
             raise ValueError("monomials of mixed dimension")
-    return sorted(set(U), key=_LEX)
+    return sorted(set(U))
 
 
 def _janet_separations(U):
@@ -168,22 +160,24 @@ def _lex_induced_separations(U):
     return out
 
 
+def _multiplicative(U, kind):
+    """Multiplicative positions of each element of a lex-sorted distinct list."""
+    if kind is Division.JANET:
+        return _janet_separations(U)
+    if kind is Division.POMMARET:
+        return {u: _pommaret_multiplicative(u) for u in U}
+    if kind is Division.LEX_INDUCED:
+        return _lex_induced_separations(U)
+    raise ValueError(f"unknown division {kind!r}")
+
+
 def separations(U, kind):
     """Multiplicative-variable map for every element of U under the division."""
     U = _check_set(U)
     if not U:
         return {}
-    if kind is Division.JANET:
-        mult = _janet_separations(U)
-    elif kind is Division.POMMARET:
-        mult = {u: _pommaret_multiplicative(u) for u in U}
-    elif kind is Division.LEX_INDUCED:
-        mult = _lex_induced_separations(U)
-    else:
-        raise ValueError(f"unknown division {kind!r}")
-    n = len(U[0])
-    allv = frozenset(range(n))
-    return {u: Separation(frozenset(m), allv - frozenset(m)) for u, m in mult.items()}
+    allv = frozenset(range(len(U[0])))
+    return {u: Separation(frozenset(m), allv - m) for u, m in _multiplicative(U, kind).items()}
 
 
 def separation(u, U, kind):
@@ -216,7 +210,7 @@ def involutive_divides(u, w, U, kind, seps=None):
 
 
 class ConeIndex:
-    """Involutive divisor search over a monomial set with fixed separations.
+    """Involutive divisor search over a monomial set.
 
     w lies in the cone of v iff the two agree on v's nonmultiplicative
     variables and w >= v on the others.  Tips are grouped by their set of
@@ -227,24 +221,40 @@ class ConeIndex:
     given by separations.
     """
 
-    __slots__ = ("groups",)
+    __slots__ = ("groups", "filed")
 
-    def __init__(self, U, seps):
-        groups = {}
+    def __init__(self, U=(), seps=None):
+        # nonmultiplicative set -> (that set, getter of the exponents on it,
+        # {exponents: tips}, multiplicative positions); tip -> its group's set
+        self.groups = {}
+        self.filed = {}
         for v in U:
-            nonmult = tuple(sorted(seps[v].nonmultiplicative))
-            if nonmult not in groups:
-                groups[nonmult] = (_exponents_on(nonmult), {})
-            exponents, table = groups[nonmult]
-            lower = tuple((i, e) for i, e in enumerate(v) if e and i not in nonmult)
-            table.setdefault(exponents(v), []).append((v, lower))
-        self.groups = tuple(groups.values())
+            self.file(v, seps[v].nonmultiplicative)
+
+    def file(self, v, nonmultiplicative):
+        """File tip v under its nonmultiplicative variables, moving it if it was
+        filed under others; returns the variables new to its nonmultiplicative set."""
+        nonmult = frozenset(nonmultiplicative)
+        old = self.filed.get(v)
+        if old == nonmult:
+            return frozenset()
+        if old is not None:
+            _, exponents, table, _ = self.groups[old]
+            table[exponents(v)].remove(v)
+        if nonmult not in self.groups:
+            mult = tuple(i for i in range(len(v)) if i not in nonmult)
+            self.groups[nonmult] = (nonmult, _exponents_on(sorted(nonmult)), {}, mult)
+        # the group's own copy of the set is shared by all its tips
+        nonmult, exponents, table, _ = self.groups[nonmult]
+        table.setdefault(exponents(v), []).append(v)
+        self.filed[v] = nonmult
+        return nonmult if old is None else nonmult - old
 
     def divisors(self, w, skip=None):
         """Yield the tips, other than ``skip``, whose involutive cone contains w."""
-        for exponents, table in self.groups:
-            for v, lower in table.get(exponents(w), ()):
-                if v is not skip and all(w[i] >= e for i, e in lower):
+        for _, exponents, table, mult in self.groups.values():
+            for v in table.get(exponents(w), ()):
+                if v is not skip and all(w[i] >= v[i] for i in mult):
                     yield v
 
     def covers(self, w, skip=None):
@@ -276,61 +286,65 @@ def _cones_intersect(u, su, v, sv):
     return True
 
 
-def _autoreduce(U, kind):
-    """``autoreduce`` as a list, with the separations and cone index of the result."""
-    U = _check_set(U)
-    while True:
-        seps = separations(U, kind)
-        index = ConeIndex(U, seps)
-        victims = [u for u in U if index.covers(u, skip=u)]
-        if not victims:
-            return U, seps, index
-        U.remove(min(victims, key=_LEX))
-
-
 def autoreduce(U, kind):
     """Maximal subset with pairwise disjoint involutive cones.
 
     Discards, smallest first in lexicographic order, any element lying in the
     involutive cone of another element, until none remains.
     """
-    return tuple(_autoreduce(U, kind)[0])
+    U = _check_set(U)
+    while True:
+        index = ConeIndex(U, separations(U, kind))
+        victims = [u for u in U if index.covers(u, skip=u)]
+        if not victims:
+            return tuple(U)
+        U.remove(min(victims))
 
 
 def complete(U, kind, completion_order="grlex", cap=10000):
-    """Complete a monomial set so every multiple has an involutive divisor.
+    """Minimal involutive basis of the monomial ideal generated by U.
 
-    Autoreduces the input, then repeatedly adjoins the lowest (with respect to
-    ``completion_order``) nonmultiplicative prolongation lacking an involutive
-    divisor.  Raises CapExceeded, with the partial set attached, after ``cap``
-    candidate examinations without closure.
+    This is ``completion.minimal_involutive_basis`` on leaders alone: the
+    involutive normal form of a monomial is 0 or the monomial itself.  One
+    sorted queue yields the candidates, the input monomials and the
+    nonmultiplicative prolongations of the basis, lowest first under
+    ``completion_order`` and an input before a prolongation of the same rank;
+    a candidate without an involutive divisor is adjoined.  Inputs the basis
+    already covers are dropped, so the result is the unique minimal
+    involutive basis.  Raises CapExceeded, with the partial basis attached,
+    once more than ``cap`` distinct prolongations have been examined.
     """
-    U, seps, index = _autoreduce(U, kind)
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
+    U = _check_set(U)
     if not U:
-        raise ValueError("empty set after autoreduction")
+        raise ValueError("empty monomial set")
     order_key = (completion_order if callable(completion_order)
                  else monomial_sort_key(completion_order))
-    examinations = 0
-    while True:
-        candidates = []
-        for u in U:
-            for i in sorted(seps[u].nonmultiplicative):
-                w = u[:i] + (u[i] + 1,) + u[i + 1:]
-                examinations += 1
-                if examinations > cap:
-                    raise CapExceeded(
-                        f"no closure within {cap} prolongation examinations",
-                        partial=tuple(sorted(U, key=_LEX)))
-                if not index.covers(w):
-                    candidates.append(MultiIndex(w))
-        if not candidates:
-            return tuple(sorted(U, key=_LEX))
-        w = min(candidates, key=order_key)
-        if w not in U:
-            U.append(w)
-        # keep the set autoreduced: an adjoined prolongation may swallow an
-        # older element into its cone, and coverage survives the removal
-        U, seps, index = _autoreduce(U, kind)
+    allv = frozenset(range(len(U[0])))
+    # kept sorted, so the lowest candidate is at the front
+    queue = sorted((order_key(u), False, u) for u in U)
+    basis, index = [], ConeIndex()
+    examined = 0
+    while queue:
+        _, prolonged, w = queue.pop(0)
+        if prolonged:
+            examined += 1
+            if examined > cap:
+                raise CapExceeded(f"completion exceeded {cap} prolongation examinations",
+                                  partial=tuple(basis))
+        if index.covers(w):
+            continue
+        bisect.insort(basis, w)
+        # an adjunction only shrinks the other multiplicative sets (axiom (d)),
+        # so each variable that file() reports is queued once; Pommaret
+        # separations are local, so only w itself is filed
+        for v, mult in _multiplicative([w] if kind is Division.POMMARET else basis,
+                                       kind).items():
+            for i in index.file(v, allv - mult):
+                p = v.prolongation(i)
+                bisect.insort(queue, (order_key(p), True, p))
+    return tuple(basis)
 
 
 def is_involutive(U, kind):
@@ -386,8 +400,7 @@ class ComplementaryDecomposition:
     def monomials(self):
         if not self.is_finite():
             raise ValueError("complement is infinite")
-        return tuple(sorted(set(self.finite_part) | {v for v, _ in self.generators},
-                            key=_LEX))
+        return tuple(sorted(set(self.finite_part) | {v for v, _ in self.generators}))
 
     def entries(self):
         """Uniform view: every finite-part element as a multiplier-free cone."""
@@ -438,7 +451,7 @@ def _split_decompose(us, k, front):
 def _janet_decomposition(U, n):
     cones = _split_decompose({tuple(u) for u in U}, n, front=True)
     gens = tuple(sorted(((MultiIndex(v), frozenset(s)) for v, s in cones),
-                        key=lambda g: _LEX(g[0])))
+                        key=operator.itemgetter(0)))
     return ComplementaryDecomposition((), gens, n)
 
 
@@ -487,8 +500,8 @@ def _normalized_lex_decomposition(U, n):
                     trailing = local
             mult = frozenset(svars[trailing:]) if trailing is not None else frozenset(svars)
             gens.append((MultiIndex(w), mult))
-    finite = sorted(set(finite), key=_LEX)
-    gens = sorted(gens, key=lambda g: _LEX(g[0]))
+    finite = sorted(set(finite))
+    gens = sorted(gens, key=operator.itemgetter(0))
     return ComplementaryDecomposition(tuple(finite), tuple(gens), n)
 
 

@@ -21,6 +21,32 @@ def _grlex_key(e):
     return (sum(e), e)
 
 
+# -- printing of signed sums, shared by every polynomial class -----------------
+
+def power_product(powers):
+    """``x^2*y`` from (name, exponent) pairs; zero exponents are skipped."""
+    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in powers if e)
+
+
+def signed_term(c, body):
+    """(negative, text) of the term c*body; magnitude 1 drops the coefficient."""
+    mag = abs(c)
+    if not body:
+        return c < 0, f"{mag}"
+    return c < 0, body if mag == 1 else f"{mag}*{body}"
+
+
+def signed_sum(terms):
+    """Join (negative, text) pairs as ``-a + b - c``; "0" when there are none."""
+    out = ""
+    for negative, text in terms:
+        if out:
+            out += f" - {text}" if negative else f" + {text}"
+        else:
+            out = f"-{text}" if negative else text
+    return out or "0"
+
+
 class MultivarPolynomial:
     """Polynomial in a fixed number of variables with rational coefficients."""
 
@@ -223,31 +249,8 @@ class MultivarPolynomial:
     # -- printing ------------------------------------------------------------
 
     def format(self, names):
-        if not self.terms:
-            return "0"
-        pieces = []
-        for e in sorted(self.terms, key=_grlex_key, reverse=True):
-            c = self.terms[e]
-            factors = []
-            for i, k in enumerate(e):
-                if k == 1:
-                    factors.append(names[i])
-                elif k > 1:
-                    factors.append(f"{names[i]}^{k}")
-            body = "*".join(factors)
-            mag = abs(c)
-            if body and mag == 1:
-                text = body
-            elif body:
-                text = f"{mag}*{body}"
-            else:
-                text = f"{mag}"
-            pieces.append(("-" if c < 0 else "+", text))
-        sign, head = pieces[0]
-        parts = [("-" + head) if sign == "-" else head]
-        for sign, text in pieces[1:]:
-            parts.append(f" {sign} {text}")
-        return "".join(parts)
+        return signed_sum(signed_term(self.terms[e], power_product(zip(names, e)))
+                          for e in sorted(self.terms, key=_grlex_key, reverse=True))
 
     def __repr__(self):
         return f"MultivarPolynomial({self.nvars}, {self.format([f'x{i+1}' for i in range(self.nvars)])})"

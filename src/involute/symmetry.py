@@ -19,7 +19,8 @@ from .analysis import solution_dimension
 from .completion import CompletionOptions, minimal_involutive_basis
 from .diffpoly import Context, Derivative, LinearDiffPoly, Ranking
 from .monomial import MultiIndex
-from .scalars import MultivarPolynomial, RationalFunction
+from .scalars import (MultivarPolynomial, RationalFunction, power_product, signed_sum,
+                      signed_term)
 
 
 def _add_index(alpha, i):
@@ -224,8 +225,6 @@ class DiffPolynomial:
         return out
 
     def format(self, var_names=None, func_names=None, coeff_names=None):
-        if not self.terms:
-            return "0"
         var_names = var_names or [f"x{i+1}" for i in range(self.n)]
         func_names = func_names or [f"y{j+1}" for j in range(self.m)]
         coeff_names = coeff_names or ([f"xi{i+1}" for i in range(self.n)]
@@ -240,27 +239,9 @@ class DiffPolynomial:
                 return f"D[{func_names[sym[1]]},{{{','.join(map(str, sym[2]))}}}]"
             return f"D[{coeff_names[sym[1]]},{{{','.join(map(str, sym[2]))}}}]"
 
-        pieces = []
-        for key in sorted(self.terms):
-            c = self.terms[key]
-            factors = []
-            for sym, e in key:
-                s = sym_str(sym)
-                factors.append(s if e == 1 else f"{s}^{e}")
-            body = "*".join(factors)
-            mag = abs(c)
-            if body and mag == 1:
-                text = body
-            elif body:
-                text = f"{mag}*{body}"
-            else:
-                text = f"{mag}"
-            pieces.append(("-" if c < 0 else "+", text))
-        sign, head = pieces[0]
-        parts = [("-" + head) if sign == "-" else head]
-        for sign, text in pieces[1:]:
-            parts.append(f" {sign} {text}")
-        return "".join(parts)
+        return signed_sum(
+            signed_term(self.terms[key], power_product((sym_str(sym), e) for sym, e in key))
+            for key in sorted(self.terms))
 
     def __repr__(self):
         return f"DiffPolynomial({self.format()})"

@@ -177,6 +177,13 @@ class TestCli:
         assert code == 2
         assert "cap exceeded" in err
 
+    @pytest.mark.parametrize("argv", [["complete"], ["monomial", "--action", "complete"]])
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_cap_below_one_is_an_input_error(self, capsys, argv, cap):
+        code, out, err = run_cli(capsys, argv[0], str(PROBLEMS / "example1.pde"),
+                                 *argv[1:], "--cap", cap)
+        assert (code, out, err) == (1, "", "error: cap must be at least 1\n")
+
     def test_monomial_cartan(self, capsys):
         code, out, _ = run_cli(capsys, "monomial", str(PROBLEMS / "example1.pde"),
                                "--action", "cartan", "--division", "pommaret")

@@ -4,14 +4,15 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from involute import (CapExceeded, Division, MultiIndex, autoreduce,
-                      axioms_check, cartan_characters,
+from involute import (CapExceeded, CompletionOptions, Division, MultiIndex,
+                      Ranking, autoreduce, axioms_check, cartan_characters,
                       complementary_decomposition, complete, in_cone,
-                      involutive_divides, is_involutive, monomials_up_to,
-                      separation, separations)
+                      involutive_divides, is_involutive,
+                      minimal_involutive_basis, monomials_up_to, separation,
+                      separations)
 from involute.monomial import ConeIndex, in_involutive_cone
 from conftest import (complete_bruteforce, cones_pairwise_disjoint_bruteforce,
-                      decomposition_exact_bruteforce, mi)
+                      decomposition_exact_bruteforce, mi, system)
 
 EX1 = (mi(2, 0, 1), mi(1, 1, 0), mi(1, 0, 2))
 
@@ -99,6 +100,20 @@ def test_separations_match_definitions(U):
             assert sep.multiplicative == frozenset(want[u])
 
 
+def grown_index(tips, kind):
+    """A cone index filled one tip at a time, re-filing the tips whose
+    separation each addition changes, as ``complete`` fills its index."""
+    index, filed = ConeIndex(), {}
+    for k in range(len(tips)):
+        for v, sep in separations(tips[:k + 1], kind).items():
+            before = filed.get(v, frozenset())
+            # axiom (d): adding a tip only shrinks the others' multiplicative sets
+            assert before <= sep.nonmultiplicative
+            assert index.file(v, sep.nonmultiplicative) == sep.nonmultiplicative - before
+            filed[v] = sep.nonmultiplicative
+    return index
+
+
 @settings(max_examples=300, deadline=None)
 @given(monomial_lists(), st.data())
 @example([(3,), (0,), (5,), (3,)], None)
@@ -108,13 +123,16 @@ def test_cone_index_matches_brute_force(U, data):
     for kind in Division:
         seps = separations(U, kind)
         tips = list(seps)
-        index = ConeIndex(tips, seps)
+        # the grown index files the tips in a drawn order, so re-files come in any order
+        order = tips if data is None else data.draw(st.permutations(tips))
+        indexes = [ConeIndex(tips, seps), grown_index(order, kind)]
 
         def check(w, skip=None):
             want = [v for v in tips
                     if v is not skip and in_involutive_cone(w, v, seps[v].multiplicative)]
-            assert sorted(index.divisors(w, skip)) == sorted(want)
-            assert index.covers(w, skip) == bool(want)
+            for index in indexes:
+                assert sorted(index.divisors(w, skip)) == sorted(want)
+                assert index.covers(w, skip) == bool(want)
 
         queries = [] if data is None else data.draw(
             st.lists(st.tuples(*[st.integers(0, 7)] * n), max_size=6))
@@ -189,11 +207,109 @@ class TestComplete:
                 assert is_involutive(res, kind)
 
 
-def _recipe_sets():
-    """The seed-7 recipe sets (n, |U|, dmax) = (3,4,5) (4,5,5) (5,6,5) (6,6,5)."""
+RECIPE_CLASSES = ((3, 4, 5), (4, 5, 5), (5, 6, 5), (6, 6, 5), (6, 8, 6))
+
+
+def _recipe_sets(count=4):
+    """The first ``count`` seed-7 recipe sets (n, |U|, dmax), drawn in the
+    order (3,4,5) (4,5,5) (5,6,5) (6,6,5) (6,8,6)."""
     rng = random.Random(7)
     return [[MultiIndex(rng.randint(0, dmax) for _ in range(n)) for _ in range(size)]
-            for n, size, dmax in ((3, 4, 5), (4, 5, 5), (5, 6, 5), (6, 6, 5))]
+            for n, size, dmax in RECIPE_CLASSES[:count]]
+
+
+def _differential(U, kind, cap, scheme="grlex"):
+    """(finished, lex-sorted leaders, prolongations examined) of
+    ``minimal_involutive_basis`` on the equations D[y, u] = 0, u in U."""
+    _, eqs = system("vars: " + " ".join(f"x{i + 1}" for i in range(len(U[0])))
+                    + "\nfuncs: y\n"
+                    + "".join("eq: D[y,{%s}]\n" % ",".join(map(str, u)) for u in U))
+    opts = CompletionOptions(division=kind, main=Ranking(scheme), cap=cap)
+    try:
+        basis, finished = minimal_involutive_basis(eqs, opts), True
+    except CapExceeded as err:
+        basis, finished = err.partial, False
+    leaders = tuple(sorted(d.index for d in basis.leading()))
+    return finished, leaders, basis.prolongations_examined
+
+
+def _monomial(U, kind, cap, scheme="grlex"):
+    try:
+        return True, complete(U, kind, scheme, cap=cap)
+    except CapExceeded as err:
+        return False, err.partial
+
+
+def _random_sets(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(1, 4)
+        yield [MultiIndex(rng.randint(0, 4) for _ in range(n))
+               for _ in range(rng.randint(1, 5))]
+
+
+def assert_engines_agree(U, kind, cap, scheme="grlex"):
+    """``complete`` is ``minimal_involutive_basis`` on leaders alone: the same
+    basis, the same verdict under the cap, the same partial basis when capped,
+    and a cap that counts the same prolongations."""
+    finished, leaders, examined = _differential(U, kind, cap, scheme)
+    assert _monomial(U, kind, cap, scheme) == (finished, leaders)
+    if finished:
+        assert is_involutive(leaders, kind)
+        assert complete(U, kind, scheme, cap=max(examined, 1)) == leaders
+        if examined > 1:
+            with pytest.raises(CapExceeded):
+                complete(U, kind, scheme, cap=examined - 1)
+
+
+class TestAgreementWithDifferentialEngine:
+    @pytest.mark.parametrize("kind", list(Division))
+    def test_recipe_sets(self, kind):
+        cap = 200 if kind is Division.POMMARET else 10000
+        for U in _recipe_sets():
+            assert_engines_agree(U, kind, cap)
+
+    @pytest.mark.parametrize("kind", list(Division))
+    @pytest.mark.parametrize("scheme, count", [("grlex", 36), ("degrevlex", 12), ("lex", 12)])
+    def test_random_sets(self, kind, scheme, count):
+        for U in _random_sets(count, 67):
+            assert_engines_agree(U, kind, 80, scheme)
+
+    @pytest.mark.parametrize("kind, scheme, U, size", [
+        (Division.LEX_INDUCED, "grlex",
+         [(2, 0, 3), (4, 0, 1), (4, 3, 2), (3, 0, 3), (0, 2, 4)], 12),
+        (Division.POMMARET, "lex", [(3, 4), (2, 3), (3, 2), (0, 2), (4, 0)], 5),
+    ])
+    def test_queue_waits_for_lower_prolongations(self, kind, scheme, U, size):
+        # the differential loop used to merge a queue element before the
+        # prolongations ranked below it, and kept one element too many here
+        U = [MultiIndex(u) for u in U]
+        finished, leaders, _ = _differential(U, kind, 300, scheme)
+        assert finished and len(leaders) == size
+        assert_engines_agree(U, kind, 300, scheme)
+
+    def test_cap_counts_distinct_prolongations(self):
+        U = _recipe_sets()[1]
+        assert _differential(U, Division.LEX_INDUCED, 10000)[2] == 141
+        assert len(complete(U, Division.LEX_INDUCED, cap=141)) == 66
+        with pytest.raises(CapExceeded, match="^completion exceeded 140 prolongation"):
+            complete(U, Division.LEX_INDUCED, cap=140)
+
+
+class TestExcludedRecipeSetsFinish:
+    """Sets the re-scanning loop abandoned at the default cap."""
+
+    def test_janet_6_8_6(self):
+        U = _recipe_sets(5)[4]
+        res = complete(U, Division.JANET)
+        assert len(res) == 388
+        assert _differential(U, Division.JANET, 10000)[:2] == (True, res)
+
+    def test_lex_induced_5_6_5(self):
+        U = _recipe_sets()[2]
+        res = complete(U, Division.LEX_INDUCED)
+        assert len(res) == 195
+        assert _differential(U, Division.LEX_INDUCED, 10000)[:2] == (True, res)
 
 
 def _digest(V):
@@ -202,13 +318,15 @@ def _digest(V):
 
 class TestCompleteRecipePins:
     """``complete`` on the recipe sets: sizes and digests of the lex-sorted
-    results, recorded before the cone index replaced the linear cone scan."""
+    minimal bases, and of the partial bases once 2000 distinct Pommaret
+    prolongations are examined; ``TestAgreementWithDifferentialEngine``
+    checks the same sets against the differential engine."""
 
     @pytest.mark.parametrize("k, kind, size, digest", [
-        (0, Division.JANET, 6, "66df15573e075962"),
-        (1, Division.JANET, 21, "8048a59c4a55bbda"),
-        (2, Division.JANET, 53, "62b4a14d5ab7ec7d"),
-        (3, Division.JANET, 92, "bc4af92a51ff4d56"),
+        (0, Division.JANET, 4, "63a2016d45b5d898"),
+        (1, Division.JANET, 5, "40e4e0d142e4783d"),
+        (2, Division.JANET, 47, "9ff166065f679bc9"),
+        (3, Division.JANET, 69, "24e80f0bec47871f"),
         (0, Division.LEX_INDUCED, 8, "d443a2ba0b26b0ad"),
         (1, Division.LEX_INDUCED, 66, "44cf99897ab6d407"),
     ])
@@ -218,8 +336,8 @@ class TestCompleteRecipePins:
         assert is_involutive(res, kind)
 
     @pytest.mark.parametrize("k, size, digest", [
-        (0, 46, "47717ea55edfa8fd"),
-        (1, 38, "e8e181cc06444911"),
+        (0, 1004, "687c9812445dfb19"),
+        (1, 818, "3f732142eee9b378"),
     ])
     def test_pommaret_cap_partial(self, k, size, digest):
         with pytest.raises(CapExceeded) as err:
