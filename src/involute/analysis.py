@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .monomial import complementary_decomposition, in_cone
 from .diffpoly import Derivative
-from .scalars import power_product, signed_sum, signed_term
+from .scalars import MultivarPolynomial
 
 
 def _comb(a, b):
@@ -132,44 +132,31 @@ class HilbertData:
         return acc
 
     def hp_format(self, var="s"):
-        return signed_sum(signed_term(self.hp[k], power_product([(var, k)]))
-                          for k in range(len(self.hp) - 1, -1, -1) if self.hp[k])
+        return MultivarPolynomial(1, {(k,): c for k, c in enumerate(self.hp)}).format([var])
 
 
 def _binomial_poly(shift, k):
-    """C(s + shift, k) expanded as a polynomial in s."""
-    coeffs = [Fraction(1)]
+    """C(s + shift, k) as a polynomial in s: a product of k linear factors."""
+    out = MultivarPolynomial.const(1, Fraction(1, math.factorial(k)))
     for i in range(k):
-        root = Fraction(shift - i)
-        coeffs = [Fraction(0)] + coeffs
-        for t in range(len(coeffs) - 1):
-            coeffs[t] += coeffs[t + 1] * root
-    inv = Fraction(1, math.factorial(k)) if k else Fraction(1)
-    out = [c * inv for c in coeffs]
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
+        out = out * MultivarPolynomial(1, {(1,): 1, (0,): shift - i})
     return out
 
 
-def _poly_add(a, b, scale=1):
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c * scale
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return out
+def _ascending(p):
+    """Coefficients of a polynomial in s, constant term first."""
+    return tuple(p.terms.get((k,), Fraction(0)) for k in range(p.total_degree() + 1))
 
 
 def hilbert_data(basis):
     _require_orderly(basis)
     ctx = basis.elements[0].ctx
     mus = tuple(_mu_data(basis))
-    hp = [c * ctx.m for c in _binomial_poly(ctx.n, ctx.n)]
+    poly = _binomial_poly(ctx.n, ctx.n).scale(ctx.m)
     for _, deg, mu in mus:
-        hp = _poly_add(hp, _binomial_poly(mu - deg, mu), scale=-1)
-    data = HilbertData(ctx.n, ctx.m, mus, tuple(hp), 0)
+        poly = poly - _binomial_poly(mu - deg, mu)
+    hp = _ascending(poly)
+    data = HilbertData(ctx.n, ctx.m, mus, hp, 0)
     bound = max((deg for _, deg, _ in mus), default=0) + ctx.n
     stab = bound
     for s in range(bound, -1, -1):
@@ -177,7 +164,7 @@ def hilbert_data(basis):
             stab = s
         else:
             break
-    return HilbertData(ctx.n, ctx.m, mus, tuple(hp), stab)
+    return HilbertData(ctx.n, ctx.m, mus, hp, stab)
 
 
 def hilbert_function(basis, s):

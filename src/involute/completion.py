@@ -417,14 +417,7 @@ def basis_from(elements, opts=None):
 
 def verify_involutive(basis):
     """Local involutivity: every nonmultiplicative prolongation reduces to 0."""
-    G = list(basis.elements)
-    division, main = basis.options.division, basis.options.main
-    data = _reduction_data(G, division, main)
-    for f, sep in zip(G, data[3]):
-        for x in sep.nonmultiplicative:
-            if not _involutive_nf(f.differentiate(x), G, main, data).is_zero():
-                return False
-    return True
+    return _prolongations_reduce(basis, lambda theta: True)
 
 
 def verify_partial_involutive(basis, vartheta):
@@ -433,15 +426,16 @@ def verify_partial_involutive(basis, vartheta):
     Only nonmultiplicative prolongations whose leading derivative precedes
     ``vartheta`` under the completion ranking are required to vanish.
     """
-    G = list(basis.elements)
-    division, main = basis.options.division, basis.options.main
     comp = basis.options.completion
     bound = comp.key(vartheta)
-    data = _reduction_data(G, division, main)
-    for f, sep in zip(G, data[3]):
-        for x in sep.nonmultiplicative:
-            if not comp.key(f.ld(main).differentiate(x)) < bound:
-                continue
-            if not _involutive_nf(f.differentiate(x), G, main, data).is_zero():
-                return False
-    return True
+    return _prolongations_reduce(basis, lambda theta: comp.key(theta) < bound)
+
+
+def _prolongations_reduce(basis, wanted):
+    """All nonmultiplicative prolongations whose leader is ``wanted`` reduce to 0."""
+    G = list(basis.elements)
+    main = basis.options.main
+    data = _reduction_data(G, basis.options.division, main)
+    return all(_involutive_nf(f.differentiate(x), G, main, data).is_zero()
+               for f, sep in zip(G, data[3]) for x in sep.nonmultiplicative
+               if wanted(f.ld(main).differentiate(x)))

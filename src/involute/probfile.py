@@ -216,8 +216,7 @@ class ProblemFile:
         return Ranking(scheme, self.tiebreak) if scheme else None
 
     def _index(self, eq):
-        ctx = self.context()
-        return _multiindex_of(eq, ctx, self.variables)
+        return _multiindex_of(eq, self.variables)
 
     def linear_system(self):
         ctx = self.context()
@@ -383,14 +382,11 @@ def _build_linear(node, ctx, line):
             return a
         if a.terms:
             raise ProblemError("power of a derivative expression is not linear", line)
-        c = RationalFunction.one(ctx.n)
-        for _ in range(node[2]):
-            c = c * a.const
-        return LinearDiffPoly(ctx, const=c)
+        return LinearDiffPoly(ctx, const=a.const ** node[2])
     raise ProblemError(f"unsupported syntax node {kind!r}", line)
 
 
-def _multiindex_of(eq, ctx, variables):
+def _multiindex_of(eq, variables):
     if eq.rhs is not None or eq.lhs[0] != "deriv":
         raise ProblemError("expected a bare derivative", eq.line)
     return _deriv_index(eq.lhs, variables, eq.line)

@@ -1,16 +1,19 @@
 """Exact scalar arithmetic for the engine's coefficient field.
 
-Sparse multivariate polynomials over Q (mapping exponent tuple -> Fraction)
-and canonical quotients of them.  A quotient is kept reduced (the gcd of
-numerator and denominator is constant) with the denominator monic in
-graded-lex order, so structural equality coincides with mathematical
-equality.  Everything is immutable after construction.
+One sparse-polynomial core over Q (a map from monomial key to Fraction)
+whose subclasses supply only their monomials: multivariate polynomials keyed
+by exponent tuples here, jet-space polynomials in ``symmetry``.  On top of
+them, canonical quotients of multivariate polynomials.  A quotient is kept
+reduced (the gcd of numerator and denominator is constant) with the
+denominator monic in graded-lex order, so structural equality coincides with
+mathematical equality.  Everything is immutable after construction.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
+from operator import add
 
 
 class ExactDivisionError(ArithmeticError):
@@ -47,29 +50,144 @@ def signed_sum(terms):
     return out or "0"
 
 
-class MultivarPolynomial:
-    """Polynomial in a fixed number of variables with rational coefficients."""
+class SparsePolynomial:
+    """Sparse polynomial over Q: a map from monomial key to nonzero Fraction.
 
-    __slots__ = ("nvars", "terms")
+    The arithmetic lives here once.  A subclass supplies its monomials:
+    ``_canon`` (an input key in canonical form), ``_key_mul`` (the product of
+    two keys), ``_raw`` (a polynomial of the same ring from a terms dict) and
+    ``_one``; ``_check`` may reject operands from another ring.
+    """
 
-    def __init__(self, nvars, terms=None):
-        self.nvars = int(nvars)
+    __slots__ = ("terms",)
+
+    def _set_terms(self, terms):
         out = {}
         if terms:
-            for e, c in terms.items():
+            for key, c in terms.items():
                 c = c if isinstance(c, Fraction) else Fraction(c)
                 if not c:
                     continue
-                e = tuple(int(x) for x in e)
-                if len(e) != self.nvars or any(x < 0 for x in e):
-                    raise ValueError(f"bad exponent vector {e!r} for {self.nvars} variables")
-                prev = out.get(e)
+                key = self._canon(key)
+                prev = out.get(key)
                 s = c if prev is None else prev + c
                 if s:
-                    out[e] = s
+                    out[key] = s
                 elif prev is not None:
-                    del out[e]
+                    del out[key]
         self.terms = out
+
+    def _check(self, other):
+        pass
+
+    def is_zero(self):
+        return not self.terms
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def __neg__(self):
+        return self._raw({k: -c for k, c in self.terms.items()})
+
+    def __add__(self, other):
+        self._check(other)
+        res = dict(self.terms)
+        for k, c in other.terms.items():
+            prev = res.get(k)
+            if prev is None:
+                res[k] = c
+            else:
+                s = prev + c
+                if s:
+                    res[k] = s
+                else:
+                    del res[k]
+        return self._raw(res)
+
+    def __sub__(self, other):
+        self._check(other)
+        res = dict(self.terms)
+        for k, c in other.terms.items():
+            prev = res.get(k)
+            if prev is None:
+                res[k] = -c
+            else:
+                s = prev - c
+                if s:
+                    res[k] = s
+                else:
+                    del res[k]
+        return self._raw(res)
+
+    def __mul__(self, other):
+        self._check(other)
+        key_mul = self._key_mul
+        res = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                k = key_mul(k1, k2)
+                prev = res.get(k)
+                if prev is None:
+                    res[k] = c1 * c2
+                else:
+                    s = prev + c1 * c2
+                    if s:
+                        res[k] = s
+                    else:
+                        del res[k]
+        return self._raw(res)
+
+    def __pow__(self, k):
+        if k < 0:
+            raise ValueError("negative exponent on a polynomial")
+        out = self._one()
+        base = self
+        while True:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if not k:
+                return out
+            base = base * base
+
+    def scale(self, c):
+        c = Fraction(c)
+        if not c:
+            return self._raw({})
+        return self._raw({k: cc * c for k, cc in self.terms.items()})
+
+
+class MultivarPolynomial(SparsePolynomial):
+    """Polynomial in a fixed number of variables with rational coefficients."""
+
+    __slots__ = ("nvars",)
+
+    def __init__(self, nvars, terms=None):
+        self.nvars = int(nvars)
+        self._set_terms(terms)
+
+    def _canon(self, e):
+        e = tuple(int(x) for x in e)
+        if len(e) != self.nvars or any(x < 0 for x in e):
+            raise ValueError(f"bad exponent vector {e!r} for {self.nvars} variables")
+        return e
+
+    @staticmethod
+    def _key_mul(e1, e2):
+        return tuple(map(add, e1, e2))
+
+    def _raw(self, terms):
+        p = MultivarPolynomial.__new__(MultivarPolynomial)
+        p.nvars = self.nvars
+        p.terms = terms
+        return p
+
+    def _one(self):
+        return self._raw({(0,) * self.nvars: Fraction(1)})
+
+    def _check(self, other):
+        if not isinstance(other, MultivarPolynomial) or other.nvars != self.nvars:
+            raise ValueError("mixed polynomial contexts")
 
     # -- constructors ------------------------------------------------------
 
@@ -88,9 +206,6 @@ class MultivarPolynomial:
         return cls(nvars, {tuple(e): Fraction(1)})
 
     # -- predicates --------------------------------------------------------
-
-    def is_zero(self):
-        return not self.terms
 
     def is_constant(self):
         return not self.terms or (len(self.terms) == 1 and not any(next(iter(self.terms))))
@@ -118,10 +233,7 @@ class MultivarPolynomial:
         e = max(self.terms, key=_grlex_key)
         return e, self.terms[e]
 
-    # -- arithmetic ---------------------------------------------------------
-
-    def __bool__(self):
-        return bool(self.terms)
+    # -- arithmetic beyond the ring operations ------------------------------
 
     def __eq__(self, other):
         return (isinstance(other, MultivarPolynomial)
@@ -129,74 +241,6 @@ class MultivarPolynomial:
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __neg__(self):
-        return MultivarPolynomial(self.nvars, {e: -c for e, c in self.terms.items()})
-
-    def __add__(self, other):
-        self._check(other)
-        res = dict(self.terms)
-        for e, c in other.terms.items():
-            prev = res.get(e)
-            if prev is None:
-                res[e] = c
-            else:
-                s = prev + c
-                if s:
-                    res[e] = s
-                else:
-                    del res[e]
-        return self._raw(res)
-
-    def __sub__(self, other):
-        self._check(other)
-        res = dict(self.terms)
-        for e, c in other.terms.items():
-            prev = res.get(e)
-            if prev is None:
-                res[e] = -c
-            else:
-                s = prev - c
-                if s:
-                    res[e] = s
-                else:
-                    del res[e]
-        return self._raw(res)
-
-    def __mul__(self, other):
-        self._check(other)
-        res = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prev = res.get(e)
-                if prev is None:
-                    res[e] = c1 * c2
-                else:
-                    s = prev + c1 * c2
-                    if s:
-                        res[e] = s
-                    else:
-                        del res[e]
-        return self._raw(res)
-
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative exponent on a polynomial")
-        out = MultivarPolynomial.const(self.nvars, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def scale(self, c):
-        c = Fraction(c)
-        if not c:
-            return MultivarPolynomial.zero(self.nvars)
-        return self._raw({e: cc * c for e, cc in self.terms.items()})
 
     def mul_term(self, exps, c):
         c = Fraction(c)
@@ -213,16 +257,6 @@ class MultivarPolynomial:
                 e2[i] -= 1
                 res[tuple(e2)] = c * e[i]
         return self._raw(res)
-
-    def _raw(self, terms):
-        p = MultivarPolynomial.__new__(MultivarPolynomial)
-        p.nvars = self.nvars
-        p.terms = terms
-        return p
-
-    def _check(self, other):
-        if not isinstance(other, MultivarPolynomial) or other.nvars != self.nvars:
-            raise ValueError("mixed polynomial contexts")
 
     # -- division -----------------------------------------------------------
 
@@ -392,10 +426,6 @@ class RationalFunction:
     def variable(cls, nvars, i):
         return cls(MultivarPolynomial.variable(nvars, i))
 
-    @classmethod
-    def from_poly(cls, p):
-        return cls(p)
-
     @property
     def nvars(self):
         return self.num.nvars
@@ -474,6 +504,10 @@ class RationalFunction:
 
     def inverse(self):
         return RationalFunction.one(self.nvars) / self
+
+    def __pow__(self, k):
+        # powers of coprime polynomials are coprime, and of a monic one monic
+        return self._raw(self.num ** k, self.den ** k)
 
     def scale(self, c):
         return self._raw(self.num.scale(c), self.den) if c else RationalFunction.zero(self.nvars)

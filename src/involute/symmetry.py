@@ -19,41 +19,51 @@ from .analysis import solution_dimension
 from .completion import CompletionOptions, minimal_involutive_basis
 from .diffpoly import Context, Derivative, LinearDiffPoly, Ranking
 from .monomial import MultiIndex
-from .scalars import (MultivarPolynomial, RationalFunction, power_product, signed_sum,
-                      signed_term)
+from .scalars import (MultivarPolynomial, RationalFunction, SparsePolynomial, power_product,
+                      signed_sum, signed_term)
 
 
 def _add_index(alpha, i):
     return tuple(e + 1 if k == i else e for k, e in enumerate(alpha))
 
 
-class DiffPolynomial:
+class DiffPolynomial(SparsePolynomial):
     """Sparse polynomial over Q in variables, functions and derivative symbols.
 
     Symbols: ('x', i) and ('y', j) for coordinates, ('d', j, alpha) for the
     derivative of y_j by the multiindex alpha, ('a', k, beta) for derivatives
-    of the k-th infinitesimal coefficient (beta runs over x's then y's).
+    of the k-th infinitesimal coefficient (beta runs over x's then y's).  A
+    monomial is the sorted tuple of its (symbol, exponent) pairs.
     """
 
-    __slots__ = ("n", "m", "terms")
+    __slots__ = ("n", "m")
 
     def __init__(self, n, m, terms=None):
         self.n = n
         self.m = m
-        out = {}
-        if terms:
-            for key, c in terms.items():
-                c = c if isinstance(c, Fraction) else Fraction(c)
-                if not c:
-                    continue
-                key = tuple(sorted((sym, int(e)) for sym, e in key if e))
-                prev = out.get(key)
-                s = c if prev is None else prev + c
-                if s:
-                    out[key] = s
-                elif prev is not None:
-                    del out[key]
-        self.terms = out
+        self._set_terms(terms)
+
+    @staticmethod
+    def _canon(key):
+        merged = {}
+        for sym, e in key:
+            merged[sym] = merged.get(sym, 0) + int(e)
+        return tuple(sorted(item for item in merged.items() if item[1]))
+
+    @staticmethod
+    def _key_mul(k1, k2):
+        merged = dict(k1)
+        for sym, e in k2:
+            merged[sym] = merged.get(sym, 0) + e
+        return tuple(sorted(merged.items()))
+
+    def _raw(self, terms):
+        p = DiffPolynomial.__new__(DiffPolynomial)
+        p.n, p.m, p.terms = self.n, self.m, terms
+        return p
+
+    def _one(self):
+        return self._raw({(): Fraction(1)})
 
     # -- constructors --------------------------------------------------------
 
@@ -86,72 +96,12 @@ class DiffPolynomial:
 
     # -- basic structure -----------------------------------------------------
 
-    def is_zero(self):
-        return not self.terms
-
-    def __bool__(self):
-        return bool(self.terms)
-
     def __eq__(self, other):
         return (isinstance(other, DiffPolynomial) and self.n == other.n
                 and self.m == other.m and self.terms == other.terms)
 
     def __hash__(self):
         return hash((self.n, self.m, frozenset(self.terms.items())))
-
-    def _raw(self, terms):
-        p = DiffPolynomial.__new__(DiffPolynomial)
-        p.n, p.m, p.terms = self.n, self.m, terms
-        return p
-
-    def __neg__(self):
-        return self._raw({k: -c for k, c in self.terms.items()})
-
-    def __add__(self, other):
-        res = dict(self.terms)
-        for k, c in other.terms.items():
-            s = res.get(k, Fraction(0)) + c
-            if s:
-                res[k] = s
-            elif k in res:
-                del res[k]
-        return self._raw(res)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        res = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                merged = dict(k1)
-                for sym, e in k2:
-                    merged[sym] = merged.get(sym, 0) + e
-                key = tuple(sorted(merged.items()))
-                s = res.get(key, Fraction(0)) + c1 * c2
-                if s:
-                    res[key] = s
-                elif key in res:
-                    del res[key]
-        return self._raw(res)
-
-    def __pow__(self, k):
-        if k < 0:
-            raise ValueError("negative power")
-        out = DiffPolynomial.const(self.n, self.m, 1)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
-    def scale(self, c):
-        c = Fraction(c)
-        if not c:
-            return DiffPolynomial.zero(self.n, self.m)
-        return self._raw({k: cc * c for k, cc in self.terms.items()})
 
     def symbols(self):
         out = set()
@@ -171,13 +121,9 @@ class DiffPolynomial:
         for key, c in self.terms.items():
             for pos, (s, e) in enumerate(key):
                 if s == sym:
-                    rest = key[:pos] + ((s, e - 1),) + key[pos + 1:]
-                    rest = tuple(x for x in rest if x[1])
-                    val = res.get(rest, Fraction(0)) + c * e
-                    if val:
-                        res[rest] = val
-                    elif rest in res:
-                        del res[rest]
+                    # distinct monomials have distinct partials, so nothing cancels
+                    lowered = ((s, e - 1),) if e > 1 else ()
+                    res[key[:pos] + lowered + key[pos + 1:]] = c * e
                     break
         return self._raw(res)
 

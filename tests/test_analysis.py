@@ -6,7 +6,7 @@ from involute import (CompletionOptions, Derivative, Division, MultiIndex,
                       Ranking, classify, complementary_set, hilbert_data,
                       hilbert_function, hilbert_polynomial, ivp_spec,
                       minimal_involutive_basis, solution_dimension)
-from involute.analysis import HilbertData, _binomial_poly
+from involute.analysis import HilbertData, _ascending, _binomial_poly
 from conftest import hf_bruteforce, load_problem, mi, system
 
 GRL = Ranking("grlex")
@@ -110,7 +110,7 @@ class TestIVP:
 class TestHilbert:
     def test_empty_leading_set_formula(self):
         # no principal derivatives: HF(s) = C(n+s, s)
-        data = HilbertData(2, 1, (), tuple(_binomial_poly(2, 2)), 0)
+        data = HilbertData(2, 1, (), _ascending(_binomial_poly(2, 2)), 0)
         for s in range(6):
             assert data.hf(s) == (s + 1) * (s + 2) // 2
             assert data.hp_eval(s) == data.hf(s)

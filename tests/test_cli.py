@@ -5,6 +5,7 @@ import pytest
 from involute import Ranking, parse_problem
 from involute.cli import main
 from involute.probfile import ProblemError, format_problem
+from involute.scalars import RationalFunction, SparsePolynomial
 from conftest import PROBLEMS, load_problem, norm_set, system
 
 
@@ -81,6 +82,31 @@ class TestParsing:
                 funcs: y
                 eq: 1/D[y,x]
             """)
+
+    def test_power_of_a_coefficient_is_the_repeated_product(self):
+        base = "(x1/(x1+1))"
+        for k in range(5):
+            _, power = system(f"vars: x1 x2\nfuncs: y\neq: {base}^{k}*D[y,x2]")
+            _, product = system(f"vars: x1 x2\nfuncs: y\neq: {'*'.join([base] * k) or 1}*D[y,x2]")
+            assert power == product
+
+    def test_power_of_a_coefficient_takes_logarithmically_many_products(self, monkeypatch):
+        calls = []
+
+        def counted(cls):
+            mul = cls.__mul__
+
+            def wrapper(a, b):
+                calls.append(cls)
+                return mul(a, b)
+            monkeypatch.setattr(cls, "__mul__", wrapper)
+
+        counted(RationalFunction)
+        counted(SparsePolynomial)
+        k = 200000
+        _, (f,) = system(f"vars: x1 x2\nfuncs: y\neq: x2^{k}*D[y,x1]")
+        assert len(calls) <= 4 * k.bit_length()
+        assert f.const.is_zero() and len(f.terms) == 1
 
     def test_syntax_error_carries_position(self):
         with pytest.raises(ProblemError, match="line"):

@@ -53,6 +53,21 @@ class TestRationalArithmetic:
         assert r == const(1, Fraction(1, 2)) / RationalFunction(t)
 
 
+class TestPower:
+    def test_matches_the_repeated_product(self):
+        x = var(2, 0)
+        r = x / (x + const(2, 1))
+        acc = const(2, 1)
+        for k in range(6):
+            got = r ** k
+            assert (got.num, got.den) == (acc.num, acc.den)
+            acc = acc * r
+
+    def test_negative_exponent_rejected(self):
+        with pytest.raises(ValueError):
+            var(1, 0) ** -1
+
+
 class TestPartialDerivative:
     def test_quotient_rule(self):
         t = RationalFunction(MultivarPolynomial.variable(1, 0))

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from involute import (CompletionOptions, Division, Ranking,
                       conventional_normal_form, minimal_involutive_basis,
@@ -22,6 +23,52 @@ def dp(n, m):
         "y": lambda j: DiffPolynomial.func(n, m, j),
         "d": lambda j, *alpha: DiffPolynomial.deriv(n, m, j, alpha),
     }
+
+
+# -- arithmetic of jet polynomials against sympy ------------------------------
+
+# two independent variables, one function: x, y, d and a symbols
+JET_SYMBOLS = (("x", 0), ("x", 1), ("y", 0), ("d", 0, (1, 0)), ("d", 0, (0, 2)),
+               ("a", 0, (0, 0, 0)), ("a", 2, (1, 0, 1)))
+
+jet_polys = st.dictionaries(
+    # a symbol may repeat and an exponent may be 0: the constructor merges
+    st.lists(st.tuples(st.sampled_from(JET_SYMBOLS), st.integers(0, 2)), max_size=3).map(tuple),
+    st.fractions(-4, 4, max_denominator=3), max_size=4,
+).map(lambda terms: DiffPolynomial(2, 1, terms))
+
+
+@pytest.fixture(scope="module")
+def sympy():
+    return pytest.importorskip("sympy")
+
+
+def to_sympy(sympy, p):
+    return sum((sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*[sympy.Symbol(str(sym)) ** e for sym, e in key])
+                for key, c in p.terms.items()), sympy.Integer(0))
+
+
+class TestDiffPolynomialArithmetic:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(jet_polys, jet_polys, st.integers(0, 3), st.fractions(-3, 3, max_denominator=4),
+           st.sampled_from(JET_SYMBOLS))
+    def test_matches_sympy(self, sympy, p, q, k, c, sym):
+        sp, sq = to_sympy(sympy, p), to_sympy(sympy, q)
+        x = to_sympy(sympy, DiffPolynomial.symbol(2, 1, sym))
+        cases = [(p + q, sp + sq), (p - q, sp - sq), (p * q, sp * sq), (p ** k, sp ** k),
+                 (p.scale(c), sympy.Rational(c.numerator, c.denominator) * sp),
+                 (-p, -sp), (p.partial_wrt(sym), sympy.diff(sp, x))]
+        for got, want in cases:
+            assert sympy.expand(to_sympy(sympy, got) - want) == 0
+            # canonical: sorted keys, each once, no zero coefficient
+            assert got == DiffPolynomial(2, 1, got.terms)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(jet_polys)
+    def test_difference_with_itself_has_no_terms(self, p):
+        assert (p - p).terms == {}
+        assert not (p - p) and (p - p).is_zero()
 
 
 DIFFUSION_INVOLUTIVE = """
