@@ -57,14 +57,13 @@ class IVPEntry:
 @dataclass(frozen=True)
 class IVPSpec:
     entries: tuple
-    point_suffix: str = "°"
 
     def format(self, ctx):
         lines = []
         nfun = 0
         ncon = 0
         for e in self.entries:
-            pin = ", ".join(f"{ctx.variables[i]}={ctx.variables[i]}{self.point_suffix}"
+            pin = ", ".join(f"{ctx.variables[i]}={ctx.variables[i]}°"
                             for i in sorted(e.fixed))
             head = e.derivative.format(ctx)
             if e.kind == "function":
@@ -78,7 +77,7 @@ class IVPSpec:
         return "\n".join(lines)
 
 
-def ivp_spec(basis, point_suffix="°"):
+def ivp_spec(basis):
     """Initial data making the solution unique: one entry per generator.
 
     Each generator of the complementary set becomes an arbitrary function of
@@ -95,7 +94,7 @@ def ivp_spec(basis, point_suffix="°"):
             kind = "function" if mult else "constant"
             entries.append(IVPEntry(j, Derivative(j, v), frozenset(mult),
                                     allv - frozenset(mult), kind))
-    return IVPSpec(tuple(entries), point_suffix)
+    return IVPSpec(tuple(entries))
 
 
 def _mu_data(basis):

@@ -18,7 +18,7 @@ from .completion import (CompletionOptions, InconsistentSystem, basis_from,
 from .monomial import (CapExceeded, Division, axioms_check, cartan_characters,
                        complementary_decomposition, complete as complete_monomials,
                        separations)
-from .probfile import ProblemError, format_problem, parse_problem
+from .probfile import ProblemError, parse_problem
 from .symmetry import determining_system, symmetry_dimension
 
 DIVISIONS = {"janet": Division.JANET, "pommaret": Division.POMMARET,
@@ -220,7 +220,7 @@ def cmd_symmetry(args):
     opts = _options(problem_file, args)
     main = opts.main
     dim, basis, _ = symmetry_dimension(sym, opts)
-    decs = analysis.complementary_set(basis)
+    decs = dim.decompositions
     lines = [f"determining system ({len(eqs)} equations) for "
              f"{', '.join(det_ctx.functions)} over ({', '.join(det_ctx.variables)}):"]
     lines.extend(f"  {e.format(main)} = 0" for e in eqs)

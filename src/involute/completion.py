@@ -1,21 +1,28 @@
 """Involutive reduction and completion of linear differential systems.
 
-The completion routine keeps a set G of monic generators together with
-bookkeeping triples (poly, ancestor, processed-variables).  Elements of a
-queue Q are merged in lowest-leader first; before each merge, the
+The completion routine keeps its basis G as bookkeeping triples (poly,
+ancestor, processed-variables) keyed by leading derivative, and one
+``monomial.ConeIndex`` per function over those leaders, which keeps their
+separations as elements come and go and finds involutive divisors.  Leaders
+in G are pairwise distinct: an adjoined normal form's leader lies in no cone,
+and every leader lies in its own.  Elements of a queue Q are merged in
+lowest-leader first; before each merge, the
 nonmultiplicative prolongations whose leaders rank below it are examined
 lowest first under the completion ranking, with a chain criterion to skip
-prolongations that cannot contribute.  Every element
-whose leader exceeds a newly found lower leader is displaced back into the
-queue, which keeps the final basis minimal.
+prolongations that cannot contribute.  Every element whose leader exceeds a
+newly found lower leader is displaced back into the queue, which keeps the
+final basis minimal.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter
 
-from .diffpoly import Ranking
-from .monomial import CapExceeded, Division, in_involutive_cone, separations
+from .diffpoly import Derivative, Ranking
+from .monomial import CapExceeded, ConeIndex, Division
 
 __all__ = [
     "CompletionOptions", "InvolutiveBasis", "Triple", "CapExceeded", "InconsistentSystem",
@@ -98,69 +105,69 @@ class InvolutiveBasis:
         return "\n".join(f.format(self.options.main) for f in self.elements)
 
 
-def _separation_data(G, division, ranking, leaders=None):
-    """Leading-monomial sets per function and the separation of each element."""
-    if leaders is None:
-        leaders = [g.ld(ranking) for g in G]
-    sets = {}
+_key = attrgetter("key")
+
+
+def _by_leader(polys, ranking):
+    """Triples of ``polys`` keyed by leader; the first of any that share one."""
+    triples = {}
+    for i, f in enumerate(polys):
+        lead = f.ld(ranking)
+        if lead not in triples:
+            triples[lead] = Triple(f, lead, (), i, lead, ranking.key(lead))
+    return triples
+
+
+def _cone_indexes(leaders, division):
+    """One cone index per function over the multiindices of its leaders."""
+    tips = {}
     for d in leaders:
-        sets.setdefault(d.indet, set()).add(d.index)
-    seps_by_j = {j: separations(us, division) for j, us in sets.items()}
-    elem_seps = [seps_by_j[d.indet][d.index] for d in leaders]
-    return sets, seps_by_j, leaders, elem_seps
+        tips.setdefault(d.indet, []).append(d.index)
+    return {j: ConeIndex(division, us) for j, us in tips.items()}
 
 
-def _reduction_data(G, division, ranking, leaders=None, keys=None):
-    """What involutive reduction modulo G needs: separations by function, and
-    per element its leader, the leader's ranking key and its separation."""
-    _, seps_by_j, leaders, elem_seps = _separation_data(G, division, ranking, leaders)
-    if keys is None:
-        keys = [ranking.key(d) for d in leaders]
-    return seps_by_j, leaders, keys, elem_seps
-
-
-def _reduce(p, G, ranking, leaders, keys, reducer_for):
-    """Generic full reduction loop; ``reducer_for`` yields candidate indices
-    in increasing order, and the one with the lowest leader is used."""
-    if not G:
-        return p
+def _reduce(p, ranking, reducer_for):
+    """Generic full reduction loop; ``reducer_for`` gives the triple that
+    reduces a derivative, or None."""
     h = p
     while h.terms:
         for d, a in h.sorted_terms(ranking):
-            idx = min(reducer_for(d), key=keys.__getitem__, default=None)
-            if idx is not None:
+            t = reducer_for(d)
+            if t is not None:
                 break
         else:
             return h
-        f, lead = G[idx], leaders[idx]
+        f, lead = t.poly, t.leader
         lc = f.terms[lead]
         h = h.sub_scaled(f.prolong(d.index / lead.index), a if lc.is_one() else a / lc)
     return h
 
 
-def _involutive_nf(p, G, ranking, data):
-    """Involutive normal form of p modulo G, given ``_reduction_data`` of G."""
-    _, leaders, keys, elem_seps = data
+def _involutive_nf(p, triples, indexes, ranking):
+    """Involutive normal form of p modulo triples keyed by leader, whose
+    leaders ``indexes`` holds; the divisor with the lowest leader reduces."""
 
     def reducer_for(term):
-        for idx, (lead, sep) in enumerate(zip(leaders, elem_seps)):
-            if lead.indet == term.indet and in_involutive_cone(term.index, lead.index,
-                                                               sep.multiplicative):
-                yield idx
+        index = indexes.get(term.indet)
+        if index is None:
+            return None
+        return min((triples[Derivative(term.indet, v)] for v in index.divisors(term.index)),
+                   key=_key, default=None)
 
-    return _reduce(p, G, ranking, leaders, keys, reducer_for)
+    return _reduce(p, ranking, reducer_for)
 
 
 def involutive_normal_form(p, G, division, ranking):
     """Full involutive normal form of p modulo the elements of G.
 
     No term of the result lies in the involutive cone of any leading
-    derivative of G; reducers are scanned lowest leader first.
+    derivative of G; of two elements with one leader, the first reduces.
     """
     G = list(G)
     if not G:
         return p
-    return _involutive_nf(p, G, ranking, _reduction_data(G, division, ranking))
+    triples = _by_leader(G, ranking)
+    return _involutive_nf(p, triples, _cone_indexes(triples, division), ranking)
 
 
 def conventional_normal_form(p, G, ranking):
@@ -168,14 +175,13 @@ def conventional_normal_form(p, G, ranking):
     G = list(G)
     if not G:
         return p
-    leaders = [g.ld(ranking) for g in G]
+    triples = _by_leader(G, ranking).values()
 
     def reducer_for(term):
-        for idx, lead in enumerate(leaders):
-            if lead.indet == term.indet and lead.index.divides(term.index):
-                yield idx
+        return min((t for t in triples if t.leader.indet == term.indet
+                    and t.leader.index.divides(term.index)), key=_key, default=None)
 
-    return _reduce(p, G, ranking, leaders, [ranking.key(d) for d in leaders], reducer_for)
+    return _reduce(p, ranking, reducer_for)
 
 
 def s_polynomial(f, g, ranking):
@@ -225,38 +231,29 @@ def conventional_autoreduce(F, ranking):
     return work
 
 
-def chain_criterion(p, theta, triples, seps_by_j, ranking_c, main):
+def chain_criterion(p, theta, triples, indexes, ranking_c, main):
     """Involutive analogue of the Buchberger chain criterion.
 
     True if some triple (f, ancestor, _) has a leader involutively dividing
-    ld(p) for the same function while lcm(theta, ancestor) ranks strictly
-    below ld(p) under the completion ranking.  Ancestors attached to a
-    different function never qualify.
+    ld(p), found in the cone index of its function, while lcm(theta, ancestor)
+    ranks strictly below ld(p) under the completion ranking.  Ancestors
+    attached to a different function never qualify.
     """
     lead = p.ld(main)
     key_lead = ranking_c.key(lead)
-    for t in triples:
-        fl = t.leader
-        if fl.indet != lead.indet or not in_involutive_cone(
-                lead.index, fl.index, seps_by_j[fl.indet][fl.index].multiplicative):
-            continue
-        if theta.indet != t.ancestor.indet:
-            continue
-        if ranking_c.key(theta.lcm(t.ancestor)) < key_lead:
+    index = indexes.get(lead.indet)
+    for v in index.divisors(lead.index) if index is not None else ():
+        ancestor = triples[Derivative(lead.indet, v)].ancestor
+        if theta.indet == ancestor.indet and ranking_c.key(theta.lcm(ancestor)) < key_lead:
             return True
     return False
 
 
-def _basis_of(G, opts, ancestors=None, examined=0, seps_by_j=None):
-    order = sorted(range(len(G)), key=lambda i: opts.main.key(G[i].ld(opts.main)),
-                   reverse=True)
-    elements = tuple(G[i] for i in order)
-    if seps_by_j is None:
-        _, seps_by_j, _, _ = _separation_data(elements, opts.division, opts.main)
-    leaders = [f.ld(opts.main) for f in elements]
-    seps = tuple(seps_by_j[d.indet][d.index] for d in leaders)
-    anc = tuple(ancestors[i] for i in order) if ancestors else ()
-    return InvolutiveBasis(elements, seps, opts, anc, examined)
+def _basis_of(triples, indexes, opts, examined=0, ancestors=False):
+    order = sorted(triples.values(), key=_key, reverse=True)
+    seps = tuple(indexes[t.leader.indet].separation(t.leader.index) for t in order)
+    anc = tuple(t.ancestor for t in order) if ancestors else ()
+    return InvolutiveBasis(tuple(t.poly for t in order), seps, opts, anc, examined)
 
 
 def minimal_involutive_basis(F, opts=None, trace=None):
@@ -269,7 +266,6 @@ def minimal_involutive_basis(F, opts=None, trace=None):
     """
     opts = opts or CompletionOptions()
     main, comp = opts.main, opts.completion
-    division = opts.division
     work = [f for f in F if not f.is_zero()]
     if not work:
         raise ValueError("input system is empty or all zero")
@@ -287,49 +283,48 @@ def minimal_involutive_basis(F, opts=None, trace=None):
         serial += 1
         return Triple(poly, ancestor, processed, serial, leader, main.key(leader))
 
+    # G, keyed by leader, and one cone index per function (module docstring)
+    triples, indexes = {}, defaultdict(partial(ConeIndex, opts.division))
+
+    def nonmultiplicative(t):
+        return indexes[t.leader.indet].filed[t.leader.index]
+
+    def adjoin(t):
+        triples[t.leader] = t
+        indexes[t.leader.indet].add(t.leader.index)
+
+    def adjoin_normal_form(r, leader, ancestor, processed=()):
+        """Adjoin r, the nonzero normal form of an element led by ``leader``."""
+        r = r.normalize(main)
+        lead = r.ld(main)
+        if lead != leader:
+            # a lower leader starts its own ancestry and displaces every
+            # element ranked above it back to the queue
+            ancestor, processed, key = lead, (), main.key(lead)
+            for old in [u for u in triples.values() if u.key > key]:
+                Q.append(old)
+                del triples[old.leader]
+                indexes[old.leader.indet].remove(old.leader.index)
+        adjoin(new_triple(r, ancestor, processed, lead))
+        # an adjunction only adds nonmultiplicative variables (axiom (d)), a
+        # displacement may take some away
+        for u in triples.values():
+            u.processed &= nonmultiplicative(u)
+
     lds = [f.ld(main) for f in work]
     start = min(range(len(work)), key=lambda i: (main.key(lds[i]), i))
-    T = [new_triple(work[start], lds[start], set(), lds[start])]
-    G = [work[start]]
+    adjoin(new_triple(work[start], lds[start], set(), lds[start]))
     Q = [new_triple(f, d, set(), d) for i, (f, d) in enumerate(zip(work, lds)) if i != start]
     examined = 0
-    # _reduction_data of G; set to None wherever G changes, rebuilt on demand.
-    # T[i].poly is G[i]: both grow by append and shrink together in displace.
-    data = None
-
-    def basis_data():
-        nonlocal data
-        if data is None:
-            data = _reduction_data(G, division, main, [t.leader for t in T],
-                                   [t.key for t in T])
-        return data
-
-    def displace(key_h):
-        """Move every triple with leader key above ``key_h`` back to the queue."""
-        nonlocal T, G, data
-        kept = []
-        for t in T:
-            if t.key > key_h:
-                Q.append(t)
-                G.remove(t.poly)
-                data = None
-            else:
-                kept.append(t)
-        T = kept
-        for t, sep in zip(T, basis_data()[3]):
-            t.processed &= sep.nonmultiplicative
 
     while True:
         # examine nonmultiplicative prolongations by the normal strategy, below
         # the lowest queue element
         while True:
-            seps_by_j, _, _, elem_seps = basis_data()
-            gate = None
-            if Q:
-                gate = min(t.key for t in Q)
+            gate = min((t.key for t in Q), default=None)
             best = None
-            for t, sep in zip(T, elem_seps):
-                for x in sep.nonmultiplicative - t.processed:
+            for t in triples.values():
+                for x in nonmultiplicative(t) - t.processed:
                     keys = t.prolonged.get(x)
                     if keys is None:
                         lead = t.leader.differentiate(x)
@@ -346,14 +341,14 @@ def minimal_involutive_basis(F, opts=None, trace=None):
             if examined > opts.cap:
                 raise CapExceeded(
                     f"completion exceeded {opts.cap} prolongation examinations",
-                    partial=_basis_of(G, opts, examined=examined, seps_by_j=seps_by_j))
+                    partial=_basis_of(triples, indexes, opts, examined))
             t.processed.add(x)
             p = t.poly.differentiate(x)
             skip = opts.use_criterion and chain_criterion(
-                p, t.ancestor, T, seps_by_j, comp, main)
+                p, t.ancestor, triples, indexes, comp, main)
             status = "criterion"
             if not skip:
-                r = _involutive_nf(p, G, main, basis_data())
+                r = _involutive_nf(p, triples, indexes, main)
                 if r.is_zero():
                     status = "zero"
                 elif not r.terms:
@@ -361,15 +356,7 @@ def minimal_involutive_basis(F, opts=None, trace=None):
                                                f"by {t.poly.ctx.variables[x]}")
                 else:
                     status = "added"
-                    r = r.normalize(main)
-                    G.append(r)
-                    data = None
-                    lead = r.ld(main)
-                    if lead == p.ld(main):
-                        T.append(new_triple(r, t.ancestor, set(), lead))
-                    else:
-                        T.append(new_triple(r, lead, set(), lead))
-                        displace(T[-1].key)
+                    adjoin_normal_form(r, p.ld(main), t.ancestor)
             if trace is not None:
                 trace.append({"stage": "prolongation", "leader": t.leader,
                               "variable": x, "criterion": skip, "result": status})
@@ -378,29 +365,19 @@ def minimal_involutive_basis(F, opts=None, trace=None):
         # merge the lowest queue element
         t = Q.pop(min(range(len(Q)), key=lambda i: (Q[i].key, Q[i].serial)))
         skip = opts.use_criterion and chain_criterion(
-            t.poly, t.ancestor, T, basis_data()[0], comp, main)
+            t.poly, t.ancestor, triples, indexes, comp, main)
         if trace is not None:
             trace.append({"stage": "queue", "leader": t.leader, "criterion": skip})
         if skip:
             continue
-        r = _involutive_nf(t.poly, G, main, basis_data())
+        r = _involutive_nf(t.poly, triples, indexes, main)
         if r.is_zero():
             continue
         if not r.terms:
             raise _nonzero_constant(r, f"the equation {t.poly.format(main)} = 0")
-        r = r.normalize(main)
-        G.append(r)
-        data = None
-        lead = r.ld(main)
-        if lead == t.leader:
-            T.append(new_triple(r, t.ancestor, set(), lead))
-            T[-1].processed = t.processed & basis_data()[3][-1].nonmultiplicative
-        else:
-            T.append(new_triple(r, lead, set(), lead))
-            displace(T[-1].key)
+        adjoin_normal_form(r, t.leader, t.ancestor, t.processed)
 
-    ancestors = {id(t.poly): t.ancestor for t in T}
-    return _basis_of(G, opts, [ancestors[id(g)] for g in G], examined, basis_data()[0])
+    return _basis_of(triples, indexes, opts, examined, ancestors=True)
 
 
 def basis_from(elements, opts=None):
@@ -412,7 +389,8 @@ def basis_from(elements, opts=None):
     leaders = [f.ld(opts.main) for f in work]
     if len(set(leaders)) != len(leaders):
         raise ValueError("leading derivatives are not pairwise distinct")
-    return _basis_of(work, opts)
+    triples = _by_leader(work, opts.main)
+    return _basis_of(triples, _cone_indexes(triples, opts.division), opts)
 
 
 def verify_involutive(basis):
@@ -433,9 +411,11 @@ def verify_partial_involutive(basis, vartheta):
 
 def _prolongations_reduce(basis, wanted):
     """All nonmultiplicative prolongations whose leader is ``wanted`` reduce to 0."""
-    G = list(basis.elements)
     main = basis.options.main
-    data = _reduction_data(G, basis.options.division, main)
-    return all(_involutive_nf(f.differentiate(x), G, main, data).is_zero()
-               for f, sep in zip(G, data[3]) for x in sep.nonmultiplicative
-               if wanted(f.ld(main).differentiate(x)))
+    triples = _by_leader(basis.elements, main)
+    indexes = _cone_indexes(triples, basis.options.division)
+    leaders = [f.ld(main) for f in basis.elements]
+    return all(_involutive_nf(f.differentiate(x), triples, indexes, main).is_zero()
+               for f, lead in zip(basis.elements, leaders)
+               for x in indexes[lead.indet].filed[lead.index]
+               if wanted(lead.differentiate(x)))

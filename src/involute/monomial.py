@@ -42,9 +42,6 @@ class MultiIndex(tuple):
     def degree(self):
         return sum(self)
 
-    def deg(self, i):
-        return self[i]
-
     def is_one(self):
         return not any(self)
 
@@ -173,11 +170,8 @@ def _multiplicative(U, kind):
 
 def separations(U, kind):
     """Multiplicative-variable map for every element of U under the division."""
-    U = _check_set(U)
-    if not U:
-        return {}
-    allv = frozenset(range(len(U[0])))
-    return {u: Separation(frozenset(m), allv - m) for u, m in _multiplicative(U, kind).items()}
+    index = ConeIndex(kind, U)
+    return {u: index.separation(u) for u in index.tips}
 
 
 def separation(u, U, kind):
@@ -210,45 +204,83 @@ def involutive_divides(u, w, U, kind, seps=None):
 
 
 class ConeIndex:
-    """Involutive divisor search over a monomial set.
+    """Involutive divisor search over a monomial set that changes in place.
 
-    w lies in the cone of v iff the two agree on v's nonmultiplicative
-    variables and w >= v on the others.  Tips are grouped by their set of
-    nonmultiplicative variables, and inside a group a dict maps the exponents
-    on those variables to the tips, so a query makes one lookup per group and
-    compares the multiplicative exponents of the few tips found.  This is the
+    The index owns its division and its lex-sorted tips, and keeps every tip
+    filed under its nonmultiplicative variables in the current set.  w lies in
+    the cone of v iff the two agree on v's nonmultiplicative variables and
+    w >= v on the others.  Tips are grouped by their set of nonmultiplicative
+    variables, and inside a group a dict maps the exponents on those
+    variables to the tips, so a query makes one lookup per group and compares
+    the multiplicative exponents of the few tips found.  This is the
     Janet-tree search (Gerdt, Blinkov, Yanovich, CASC 2001) for any division
     given by separations.
     """
 
-    __slots__ = ("groups", "filed")
+    __slots__ = ("kind", "tips", "groups", "filed")
 
-    def __init__(self, U=(), seps=None):
+    def __init__(self, kind, U=()):
         # nonmultiplicative set -> (that set, getter of the exponents on it,
         # {exponents: tips}, multiplicative positions); tip -> its group's set
+        self.kind = kind
+        self.tips = _check_set(U)
         self.groups = {}
         self.filed = {}
-        for v in U:
-            self.file(v, seps[v].nonmultiplicative)
+        self._refile(self.tips)
 
-    def file(self, v, nonmultiplicative):
-        """File tip v under its nonmultiplicative variables, moving it if it was
-        filed under others; returns the variables new to its nonmultiplicative set."""
-        nonmult = frozenset(nonmultiplicative)
-        old = self.filed.get(v)
-        if old == nonmult:
-            return frozenset()
-        if old is not None:
-            _, exponents, table, _ = self.groups[old]
-            table[exponents(v)].remove(v)
-        if nonmult not in self.groups:
-            mult = tuple(i for i in range(len(v)) if i not in nonmult)
-            self.groups[nonmult] = (nonmult, _exponents_on(sorted(nonmult)), {}, mult)
-        # the group's own copy of the set is shared by all its tips
-        nonmult, exponents, table, _ = self.groups[nonmult]
-        table.setdefault(exponents(v), []).append(v)
-        self.filed[v] = nonmult
-        return nonmult if old is None else nonmult - old
+    def add(self, v):
+        """Adjoin tip v; returns (tip, variables new to its nonmultiplicative
+        set) for v and for every tip whose separation the adjunction changed."""
+        bisect.insort(self.tips, v)
+        # Pommaret separations are local, so only v itself is filed
+        return self._refile([v] if self.kind is Division.POMMARET else self.tips)
+
+    def remove(self, v):
+        """Drop tip v and re-file the tips whose separation that changes."""
+        del self.tips[bisect.bisect_left(self.tips, v)]
+        self._unfile(v)
+        if self.kind is not Division.POMMARET:
+            self._refile(self.tips)
+
+    def separation(self, v):
+        """The separation of tip v in the current set."""
+        nonmult = self.filed[v]
+        return Separation(frozenset(range(len(v))) - nonmult, nonmult)
+
+    def _refile(self, tips):
+        # file each of tips under its nonmultiplicative set, moving a tip whose
+        # set changed; returns (tip, variables new to its set) per changed tip
+        changed = []
+        if not tips:
+            return changed
+        allv = frozenset(range(len(tips[0])))
+        for v, mult in _multiplicative(tips, self.kind).items():
+            nonmult, old = allv - mult, self.filed.get(v)
+            if nonmult == old:
+                continue
+            if old is not None:
+                self._unfile(v)
+            if nonmult not in self.groups:
+                self.groups[nonmult] = (nonmult, _exponents_on(sorted(nonmult)), {},
+                                        tuple(sorted(mult)))
+            # the group's own copy of the set is shared by all its tips
+            nonmult, exponents, table, _ = self.groups[nonmult]
+            table.setdefault(exponents(v), []).append(v)
+            self.filed[v] = nonmult
+            new = nonmult if old is None else nonmult - old
+            if new:
+                changed.append((v, new))
+        return changed
+
+    def _unfile(self, v):
+        nonmult = self.filed.pop(v)
+        _, exponents, table, _ = self.groups[nonmult]
+        key = exponents(v)
+        table[key].remove(v)
+        if not table[key]:
+            del table[key]
+            if not table:
+                del self.groups[nonmult]
 
     def divisors(self, w, skip=None):
         """Yield the tips, other than ``skip``, whose involutive cone contains w."""
@@ -292,13 +324,12 @@ def autoreduce(U, kind):
     Discards, smallest first in lexicographic order, any element lying in the
     involutive cone of another element, until none remains.
     """
-    U = _check_set(U)
+    index = ConeIndex(kind, U)
     while True:
-        index = ConeIndex(U, separations(U, kind))
-        victims = [u for u in U if index.covers(u, skip=u)]
+        victims = [u for u in index.tips if index.covers(u, skip=u)]
         if not victims:
-            return tuple(U)
-        U.remove(min(victims))
+            return tuple(index.tips)
+        index.remove(min(victims))
 
 
 def complete(U, kind, completion_order="grlex", cap=10000):
@@ -321,10 +352,9 @@ def complete(U, kind, completion_order="grlex", cap=10000):
         raise ValueError("empty monomial set")
     order_key = (completion_order if callable(completion_order)
                  else monomial_sort_key(completion_order))
-    allv = frozenset(range(len(U[0])))
     # kept sorted, so the lowest candidate is at the front
     queue = sorted((order_key(u), False, u) for u in U)
-    basis, index = [], ConeIndex()
+    index = ConeIndex(kind)
     examined = 0
     while queue:
         _, prolonged, w = queue.pop(0)
@@ -332,32 +362,24 @@ def complete(U, kind, completion_order="grlex", cap=10000):
             examined += 1
             if examined > cap:
                 raise CapExceeded(f"completion exceeded {cap} prolongation examinations",
-                                  partial=tuple(basis))
+                                  partial=tuple(index.tips))
         if index.covers(w):
             continue
-        bisect.insort(basis, w)
         # an adjunction only shrinks the other multiplicative sets (axiom (d)),
-        # so each variable that file() reports is queued once; Pommaret
-        # separations are local, so only w itself is filed
-        for v, mult in _multiplicative([w] if kind is Division.POMMARET else basis,
-                                       kind).items():
-            for i in index.file(v, allv - mult):
+        # so each variable that add() reports is queued once
+        for v, new in index.add(w):
+            for i in new:
                 p = v.prolongation(i)
                 bisect.insort(queue, (order_key(p), True, p))
-    return tuple(basis)
+    return tuple(index.tips)
 
 
 def is_involutive(U, kind):
     """Autoreduced and locally complete: the involutive cones partition the ideal."""
-    U = _check_set(U)
-    if not U:
-        return True
-    seps = separations(U, kind)
-    index = ConeIndex(U, seps)
-    if any(index.covers(u, skip=u) for u in U):
+    index = ConeIndex(kind, U)
+    if any(index.covers(u, skip=u) for u in index.tips):
         return False
-    return all(index.covers(u[:i] + (u[i] + 1,) + u[i + 1:])
-               for u in U for i in seps[u].nonmultiplicative)
+    return all(index.covers(u.prolongation(i)) for u in index.tips for i in index.filed[u])
 
 
 def in_cone(w, U):
@@ -410,8 +432,7 @@ class ComplementaryDecomposition:
         w = w if isinstance(w, MultiIndex) else MultiIndex(w)
         if w in self.finite_part:
             return True
-        return any(v.divides(w) and (w / v).support() <= mult
-                   for v, mult in self.generators)
+        return any(in_involutive_cone(w, v, mult) for v, mult in self.generators)
 
 
 def _split_decompose(us, k, front):

@@ -312,11 +312,10 @@ def _coeffs_in(p, v):
     out = {}
     for e, c in p.terms.items():
         d = e[v]
-        e2 = list(e)
-        e2[v] = 0
-        coeff = out.setdefault(d, {})
-        coeff[tuple(e2)] = coeff.get(tuple(e2), Fraction(0)) + c
-    return {d: MultivarPolynomial(p.nvars, t) for d, t in out.items()}
+        # e is e2 with d restored at v, so distinct terms give distinct keys
+        e2 = e[:v] + (0,) + e[v + 1:]
+        out.setdefault(d, {})[e2] = c
+    return {d: p._raw(t) for d, t in out.items()}
 
 
 def _content_in(p, v):

@@ -320,8 +320,8 @@ class _LeadSubstituter:
                 return idx
         return None
 
-    def reduce(self, p, max_rounds=200):
-        for _ in range(max_rounds):
+    def reduce(self, p):
+        for _ in range(200):  # passes before the leads are taken to be circular
             mapping = {}
             for sym in p.symbols():
                 idx = self._match(sym)

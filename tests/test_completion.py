@@ -308,34 +308,34 @@ class TestPartialInvolutivity:
 
 class TestChainCriterionDirect:
     def _setup(self, division=Division.JANET):
-        from involute.completion import Triple, _separation_data
+        from involute.completion import Triple, _cone_indexes
         pf, eqs = system(JANET3_BASIS)
         G = [f.normalize(GRL) for f in eqs]
-        _, seps_by_j, _, _ = _separation_data(G, division, GRL)
-        triples = [Triple(f, f.ld(GRL), set(), i, f.ld(GRL)) for i, f in enumerate(G)]
-        return G, triples, seps_by_j
+        triples = {f.ld(GRL): Triple(f, f.ld(GRL), set(), i, f.ld(GRL))
+                   for i, f in enumerate(G)}
+        return G, triples, _cone_indexes(triples, division)
 
     def test_empty_triples(self):
         from involute import chain_criterion
         pf, eqs = system(JANET3_TEXT)
         f = eqs[0].normalize(GRL)
-        assert not chain_criterion(f, f.ld(GRL), [], {}, GRL, GRL)
+        assert not chain_criterion(f, f.ld(GRL), {}, {}, GRL, GRL)
 
     def test_lcm_of_equal_ancestors(self):
         # an element whose leader equals another's leader with ancestor equal
         # to theta fires exactly when theta ranks below the leader
         from involute import chain_criterion
-        G, triples, seps = self._setup()
+        G, triples, indexes = self._setup()
         f = G[0]  # any basis element; probe its own leader with a low theta
         low = G[-1].ld(GRL)
         probe = f
-        fired = chain_criterion(probe, low, triples, seps, GRL, GRL)
+        fired = chain_criterion(probe, low, triples, indexes, GRL, GRL)
         assert fired == (GRL.compare(low.lcm(f.ld(GRL)) if low.indet == f.ld(GRL).indet
                          else low, f.ld(GRL)) < 0)
 
     def test_different_functions_never_fire(self):
         from involute import chain_criterion
-        from involute.completion import Triple, _separation_data
+        from involute.completion import Triple, _cone_indexes
         pf = None
         _, eqs = system("""
             vars: x1 x2
@@ -344,11 +344,11 @@ class TestChainCriterionDirect:
             eq: D[v,{1,0}]
         """)
         G = [f.normalize(GRL) for f in eqs]
-        _, seps_by_j, _, _ = _separation_data(G, Division.JANET, GRL)
-        triples = [Triple(G[1], G[1].ld(GRL), set(), 0, G[1].ld(GRL))]
+        triples = {G[1].ld(GRL): Triple(G[1], G[1].ld(GRL), set(), 0, G[1].ld(GRL))}
         probe = G[1].prolong((0, 1))
         # ancestor theta belongs to the other function: must not fire
-        assert not chain_criterion(probe, G[0].ld(GRL), triples, seps_by_j, GRL, GRL)
+        assert not chain_criterion(probe, G[0].ld(GRL), triples,
+                                   _cone_indexes(triples, Division.JANET), GRL, GRL)
 
 
 class TestChainCriterionLeaders:
@@ -418,35 +418,42 @@ class TestProlongationKeyMemo:
 
 
 class TestSeparationCache:
-    """The completion loop recomputes separations only when the basis changes."""
+    """The completion loop re-files separations only when the basis changes,
+    in place through its cone indexes, and never calls ``separations()``."""
 
     @pytest.mark.parametrize("text, division", [
         ((PROBLEMS / "janet3.pde").read_text(), Division.JANET),
         (JANET3_TEXT, Division.LEX_INDUCED),
     ])
     def test_separations_once_per_basis_change(self, monkeypatch, text, division):
-        from involute import completion
+        from involute import monomial
         pf, eqs = system(text)
         opts = CompletionOptions(division=division, main=pf.ranking())
         plain = minimal_involutive_basis(eqs, opts)
 
-        calls = []
-        real = completion.separations
+        passes, calls = [], []
+        real_pass, real = monomial._multiplicative, monomial.separations
+
+        def counting_pass(U, kind):
+            passes.append(kind)
+            return real_pass(U, kind)
 
         def counting(U, kind):
             calls.append(kind)
             return real(U, kind)
 
-        monkeypatch.setattr(completion, "separations", counting)
+        monkeypatch.setattr(monomial, "_multiplicative", counting_pass)
+        monkeypatch.setattr(monomial, "separations", counting)
         trace = []
         basis = minimal_involutive_basis(eqs, opts, trace=trace)
         # G grows by at most one element per added prolongation and per queue
-        # merge not skipped by the criterion
+        # merge not skipped by the criterion, and an element leaves it at most
+        # once per time it came in; each change is one separation pass
         changes = sum(1 for e in trace
                       if e.get("result") == "added"
                       or (e["stage"] == "queue" and not e["criterion"]))
-        functions = pf.context().m
-        assert 1 <= len(calls) <= functions * (1 + changes)
+        assert not calls
+        assert 1 <= len(passes) <= 2 * (1 + changes)
         assert basis.elements == plain.elements
         assert basis.separations == plain.separations
         assert basis.prolongations_examined == plain.prolongations_examined

@@ -101,16 +101,17 @@ def test_separations_match_definitions(U):
 
 
 def grown_index(tips, kind):
-    """A cone index filled one tip at a time, re-filing the tips whose
-    separation each addition changes, as ``complete`` fills its index."""
-    index, filed = ConeIndex(), {}
-    for k in range(len(tips)):
+    """A cone index filled one tip at a time through ``add``, as ``complete``
+    fills its index, checking what each addition reports as changed."""
+    index = ConeIndex(kind)
+    for k, u in enumerate(tips):
+        before = dict(index.filed)
+        changed = dict(index.add(u))
         for v, sep in separations(tips[:k + 1], kind).items():
-            before = filed.get(v, frozenset())
+            old = before.get(v, frozenset())
             # axiom (d): adding a tip only shrinks the others' multiplicative sets
-            assert before <= sep.nonmultiplicative
-            assert index.file(v, sep.nonmultiplicative) == sep.nonmultiplicative - before
-            filed[v] = sep.nonmultiplicative
+            assert old <= sep.nonmultiplicative
+            assert changed.get(v, frozenset()) == sep.nonmultiplicative - old
     return index
 
 
@@ -125,7 +126,7 @@ def test_cone_index_matches_brute_force(U, data):
         tips = list(seps)
         # the grown index files the tips in a drawn order, so re-files come in any order
         order = tips if data is None else data.draw(st.permutations(tips))
-        indexes = [ConeIndex(tips, seps), grown_index(order, kind)]
+        indexes = [ConeIndex(kind, tips), grown_index(order, kind)]
 
         def check(w, skip=None):
             want = [v for v in tips
@@ -143,6 +144,36 @@ def test_cone_index_matches_brute_force(U, data):
             check(u)
             for i in range(n):
                 check(u[:i] + (u[i] + 1,) + u[i + 1:])
+
+
+@st.composite
+def toggle_runs(draw):
+    n = draw(st.integers(1, 4))
+    # few distinct monomials, so that runs revisit tips and remove them
+    return draw(st.lists(st.tuples(*[st.integers(0, 2)] * n), min_size=1, max_size=16))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(toggle_runs())
+def test_cone_index_add_and_remove_keep_separations(run):
+    # each step adds a monomial that is not a tip and removes one that is
+    n = len(run[0])
+    for kind in Division:
+        index, tips = ConeIndex(kind), set()
+        for u in map(MultiIndex, run):
+            if u in tips:
+                tips.remove(u)
+                index.remove(u)
+            else:
+                tips.add(u)
+                index.add(u)
+            assert index.tips == sorted(tips)
+            seps = separations(tips, kind)
+            assert index.filed == {v: sep.nonmultiplicative for v, sep in seps.items()}
+            queries = set(tips) | {v.prolongation(i) for v in tips for i in range(n)}
+            for w in queries:
+                want = [v for v in tips if in_involutive_cone(w, v, seps[v].multiplicative)]
+                assert sorted(index.divisors(w)) == sorted(want)
 
 
 class TestInvolutiveDivides:
