@@ -6,12 +6,12 @@ ancestor, processed-variables) keyed by leading derivative, and one
 separations as elements come and go and finds involutive divisors.  Leaders
 in G are pairwise distinct: an adjoined normal form's leader lies in no cone,
 and every leader lies in its own.  Elements of a queue Q are merged in
-lowest-leader first; before each merge, the
-nonmultiplicative prolongations whose leaders rank below it are examined
-lowest first under the completion ranking, with a chain criterion to skip
-prolongations that cannot contribute.  Every element whose leader exceeds a
-newly found lower leader is displaced back into the queue, which keeps the
-final basis minimal.
+lowest-leader first; before each merge, the nonmultiplicative prolongations
+whose leaders rank below it are examined lowest first under the completion
+ranking, with a chain criterion to skip prolongations that cannot
+contribute.  Every element whose leader exceeds a newly found lower leader
+is displaced back into the queue, in one re-filing of each index it touches,
+which keeps the final basis minimal.
 """
 
 from __future__ import annotations
@@ -289,14 +289,15 @@ def minimal_involutive_basis(F, opts=None, trace=None):
     def nonmultiplicative(t):
         return indexes[t.leader.indet].filed[t.leader.index]
 
-    def adjoin(t):
+    def adjoin(t, drop=()):
         triples[t.leader] = t
-        indexes[t.leader.indet].add(t.leader.index)
+        indexes[t.leader.indet].add(t.leader.index, drop)
 
     def adjoin_normal_form(r, leader, ancestor, processed=()):
         """Adjoin r, the nonzero normal form of an element led by ``leader``."""
         r = r.normalize(main)
         lead = r.ld(main)
+        dropped = defaultdict(list)
         if lead != leader:
             # a lower leader starts its own ancestry and displaces every
             # element ranked above it back to the queue
@@ -304,8 +305,11 @@ def minimal_involutive_basis(F, opts=None, trace=None):
             for old in [u for u in triples.values() if u.key > key]:
                 Q.append(old)
                 del triples[old.leader]
-                indexes[old.leader.indet].remove(old.leader.index)
-        adjoin(new_triple(r, ancestor, processed, lead))
+                dropped[old.leader.indet].append(old.leader.index)
+        # each index a displacement touches is re-filed once
+        adjoin(new_triple(r, ancestor, processed, lead), dropped.pop(lead.indet, ()))
+        for j, tips in dropped.items():
+            indexes[j].remove(*tips)
         # an adjunction only adds nonmultiplicative variables (axiom (d)), a
         # displacement may take some away
         for u in triples.values():
@@ -414,8 +418,7 @@ def _prolongations_reduce(basis, wanted):
     main = basis.options.main
     triples = _by_leader(basis.elements, main)
     indexes = _cone_indexes(triples, basis.options.division)
-    leaders = [f.ld(main) for f in basis.elements]
-    return all(_involutive_nf(f.differentiate(x), triples, indexes, main).is_zero()
-               for f, lead in zip(basis.elements, leaders)
-               for x in indexes[lead.indet].filed[lead.index]
-               if wanted(lead.differentiate(x)))
+    return all(_involutive_nf(t.poly.differentiate(x), triples, indexes, main).is_zero()
+               for t in triples.values()
+               for x in indexes[t.leader.indet].filed[t.leader.index]
+               if wanted(t.leader.differentiate(x)))

@@ -228,19 +228,27 @@ class ConeIndex:
         self.filed = {}
         self._refile(self.tips)
 
-    def add(self, v):
-        """Adjoin tip v; returns (tip, variables new to its nonmultiplicative
-        set) for v and for every tip whose separation the adjunction changed."""
+    def add(self, v, drop=()):
+        """Adjoin tip v, after dropping the tips in ``drop``, in one re-filing
+        pass; returns (tip, variables new to its nonmultiplicative set) for v
+        and for every tip whose separation that changed."""
+        for u in drop:
+            self._drop(u)
         bisect.insort(self.tips, v)
         # Pommaret separations are local, so only v itself is filed
         return self._refile([v] if self.kind is Division.POMMARET else self.tips)
 
-    def remove(self, v):
-        """Drop tip v and re-file the tips whose separation that changes."""
-        del self.tips[bisect.bisect_left(self.tips, v)]
-        self._unfile(v)
+    def remove(self, *vs):
+        """Drop tips vs and re-file, in one pass, the tips whose separation
+        that changes."""
+        for v in vs:
+            self._drop(v)
         if self.kind is not Division.POMMARET:
             self._refile(self.tips)
+
+    def _drop(self, v):
+        del self.tips[bisect.bisect_left(self.tips, v)]
+        self._unfile(v)
 
     def separation(self, v):
         """The separation of tip v in the current set."""
@@ -302,20 +310,10 @@ def _exponents_on(positions):
 
 
 def _cones_intersect(u, su, v, sv):
-    # minimal common element exists iff the forced exponents are consistent
-    for i in range(len(u)):
-        in_u = i in su.multiplicative
-        in_v = i in sv.multiplicative
-        if not in_u and not in_v:
-            if u[i] != v[i]:
-                return False
-        elif in_u and not in_v:
-            if v[i] < u[i]:
-                return False
-        elif in_v and not in_u:
-            if u[i] < v[i]:
-                return False
-    return True
+    # the cones meet iff they share their least candidate, lcm(u, v)
+    w = u.lcm(v)
+    return (in_involutive_cone(w, u, su.multiplicative)
+            and in_involutive_cone(w, v, sv.multiplicative))
 
 
 def autoreduce(U, kind):
@@ -622,15 +620,14 @@ def axioms_check(U, kind, degree_margin=3):
                 if not seps[v].multiplicative <= seps[u].multiplicative:
                     report.append(f"(c) violated for {u.format()} <| {v.format()}")
 
-    others = [u for u in U]
     if len(U) <= 6:
         subsets = []
         for r in range(1, len(U) + 1):
-            subsets.extend(itertools.combinations(others, r))
+            subsets.extend(itertools.combinations(U, r))
     else:
         import random
         rng = random.Random(1729)
-        subsets = [tuple(rng.sample(others, rng.randint(1, len(U))))
+        subsets = [tuple(rng.sample(U, rng.randint(1, len(U))))
                    for _ in range(50)]
     for sub in subsets:
         sub = _check_set(sub)

@@ -447,13 +447,13 @@ class TestSeparationCache:
         trace = []
         basis = minimal_involutive_basis(eqs, opts, trace=trace)
         # G grows by at most one element per added prolongation and per queue
-        # merge not skipped by the criterion, and an element leaves it at most
-        # once per time it came in; each change is one separation pass
+        # merge not skipped by the criterion; each such change, with the
+        # displacement it causes, is one separation pass per function
         changes = sum(1 for e in trace
                       if e.get("result") == "added"
                       or (e["stage"] == "queue" and not e["criterion"]))
         assert not calls
-        assert 1 <= len(passes) <= 2 * (1 + changes)
+        assert 1 <= len(passes) <= pf.context().m * (1 + changes)
         assert basis.elements == plain.elements
         assert basis.separations == plain.separations
         assert basis.prolongations_examined == plain.prolongations_examined

@@ -176,6 +176,29 @@ def test_cone_index_add_and_remove_keep_separations(run):
                 assert sorted(index.divisors(w)) == sorted(want)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(toggle_runs(), st.data())
+def test_cone_index_drops_several_tips_at_once(run, data):
+    # remove(*vs) and add(v, drop) file the tips as an index built afresh does
+    tips = sorted(set(map(MultiIndex, run)))
+    drop = data.draw(st.lists(st.sampled_from(tips), unique=True))
+    kept = [u for u in tips if u not in drop]
+    v = MultiIndex(data.draw(st.tuples(*[st.integers(0, 3)] * len(tips[0]))))
+    for kind in Division:
+        index = ConeIndex(kind, tips)
+        index.remove(*drop)
+        assert index.tips == kept
+        assert index.filed == ConeIndex(kind, kept).filed
+        if v not in kept:
+            index = ConeIndex(kind, tips)
+            index.add(v, drop)
+            fresh = ConeIndex(kind, kept + [v])
+            assert index.tips == fresh.tips
+            assert index.filed == fresh.filed
+            for w in fresh.tips:
+                assert sorted(index.divisors(w)) == sorted(fresh.divisors(w))
+
+
 class TestInvolutiveDivides:
     def test_nonmultiplicative_direction(self):
         assert not involutive_divides(mi(1, 1, 0), mi(2, 1, 0), EX1, Division.JANET)
