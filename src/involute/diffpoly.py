@@ -71,7 +71,9 @@ class Derivative(NamedTuple):
         return f"D[{name},{{{','.join(str(e) for e in self.index)}}}]"
 
 
+SCHEMES = ("lex", "grlex", "degrevlex")  # names of the multiindex orders
 ORDERLY_SCHEMES = ("grlex", "degrevlex")
+TIEBREAKS = ("term", "indet")
 
 
 @dataclass(frozen=True)
@@ -91,9 +93,9 @@ class Ranking:
     indeterminate_order: tuple = None
 
     def __post_init__(self):
-        if self.scheme not in ("lex", "grlex", "degrevlex"):
+        if self.scheme not in SCHEMES:
             raise ValueError(f"unknown ranking scheme {self.scheme!r}")
-        if self.tiebreak not in ("term", "indet"):
+        if self.tiebreak not in TIEBREAKS:
             raise ValueError(f"unknown tiebreak {self.tiebreak!r}")
 
     @property

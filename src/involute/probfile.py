@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .diffpoly import Context, Derivative, LinearDiffPoly, Ranking
+from .diffpoly import SCHEMES, TIEBREAKS, Context, Derivative, LinearDiffPoly, Ranking
 from .monomial import MultiIndex
 from .scalars import RationalFunction
 from .symmetry import DiffPolynomial, SolvedEquation, SymmetryProblem
@@ -215,8 +215,19 @@ class ProblemFile:
         scheme = scheme or self.completion_scheme
         return Ranking(scheme, self.tiebreak) if scheme else None
 
-    def _index(self, eq):
-        return _multiindex_of(eq, self.variables)
+    def monomials(self):
+        """The multiindices of equations that are bare derivatives of one function."""
+        out = []
+        for eq in self.equations:
+            if eq.rhs is not None or eq.lhs[0] != "deriv":
+                raise ProblemError("expected a bare derivative", eq.line)
+            _, fname, _, col = eq.lhs
+            if fname not in self.functions:
+                raise ProblemError(f"unknown function {fname!r}", eq.line, col)
+            if fname != self.equations[0].lhs[1]:
+                raise ProblemError(f"second function {fname!r} in a monomial set", eq.line, col)
+            out.append(_deriv_index(eq.lhs, self.variables, eq.line))
+        return out
 
     def linear_system(self):
         ctx = self.context()
@@ -285,11 +296,11 @@ def parse_problem(text):
         elif key == "funcs":
             functions = tuple(value.split())
         elif key == "ranking":
-            scheme = value
+            scheme = _known(value, SCHEMES, "ranking", lineno)
         elif key == "tiebreak":
-            tiebreak = value
+            tiebreak = _known(value, TIEBREAKS, "tiebreak", lineno)
         elif key in ("completion-ranking", "completion_ranking"):
-            completion_scheme = value
+            completion_scheme = _known(value, SCHEMES, "completion ranking", lineno)
         elif key == "detvars":
             detvars = tuple(value.split())
         elif key in ("eq", "solve"):
@@ -306,12 +317,14 @@ def parse_problem(text):
         raise ProblemError("variable and function names must be unique")
     if not equations:
         raise ProblemError("no equations")
-    if scheme not in ("lex", "grlex", "degrevlex"):
-        raise ProblemError(f"unknown ranking {scheme!r}")
-    if tiebreak not in ("term", "indet"):
-        raise ProblemError(f"unknown tiebreak {tiebreak!r}")
     return ProblemFile(variables, functions, scheme, tiebreak,
                        completion_scheme, detvars, tuple(equations))
+
+
+def _known(value, names, key, line):
+    if value not in names:
+        raise ProblemError(f"unknown {key} {value!r}", line)
+    return value
 
 
 def _deriv_index(node, variables, line):
@@ -384,12 +397,6 @@ def _build_linear(node, ctx, line):
             raise ProblemError("power of a derivative expression is not linear", line)
         return LinearDiffPoly(ctx, const=a.const ** node[2])
     raise ProblemError(f"unsupported syntax node {kind!r}", line)
-
-
-def _multiindex_of(eq, variables):
-    if eq.rhs is not None or eq.lhs[0] != "deriv":
-        raise ProblemError("expected a bare derivative", eq.line)
-    return _deriv_index(eq.lhs, variables, eq.line)
 
 
 def _build_diff(node, variables, functions, line):

@@ -112,6 +112,13 @@ class TestParsing:
         with pytest.raises(ProblemError, match="line"):
             parse_problem("vars: x\nfuncs: y\neq: D[y,\n")
 
+    @pytest.mark.parametrize("key, what", [("ranking", "ranking"), ("tiebreak", "tiebreak"),
+                                           ("completion-ranking", "completion ranking")])
+    def test_ranking_names_are_checked_on_their_line(self, key, what):
+        with pytest.raises(ProblemError) as exc:
+            parse_problem(f"vars: x\nfuncs: y\n{key}: foo\neq: D[y,x]\n")
+        assert str(exc.value) == f"unknown {what} 'foo' (line 3)"
+
 
 class TestRoundTrip:
     @pytest.mark.parametrize("name", ["janet3.pde", "fourvar.pde", "lewy.pde"])
@@ -127,6 +134,13 @@ class TestRoundTrip:
         text2 = format_problem(reparsed.context(), reparsed.ranking(),
                                reparsed.linear_system())
         assert text == text2
+
+
+ROOT = PROBLEMS.parent
+README_BLOCK = (ROOT / "README.md").read_text(encoding="utf-8") \
+    .split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+README_COMMANDS = [ln.split()[1:] for ln in README_BLOCK.splitlines()
+                   if ln.startswith("involute ")]
 
 
 def run_cli(capsys, *argv):
@@ -243,6 +257,34 @@ class TestCli:
         assert code == 3
         assert err == f"inconsistent system: {message}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["complete", "janet3.pde", "--division", "nope"], "invalid choice: 'nope'"),
+        (["complete", "janet3.pde", "--cap", "x"], "invalid int value: 'x'"),
+        (["ivp", "janet3.pde", "--trace"], "unrecognized arguments: --trace"),
+        (["verify", "janet3.pde", "--cap", "5"], "unrecognized arguments: --cap 5"),
+        (["monomial", "example1.pde", "--ranking", "lex"], "unrecognized arguments: --ranking"),
+    ])
+    def test_usage_error_exit_code(self, capsys, argv, message):
+        # a flag the subcommand does not read is a usage error, like a malformed one
+        code, out, err = run_cli(capsys, argv[0], str(PROBLEMS / argv[1]), *argv[2:])
+        assert (code, out) == (1, "")
+        assert err.startswith("usage: involute ") and message in err
+
+    def test_help_exit_code(self, capsys):
+        code, out, err = run_cli(capsys, "monomial", "--help")
+        assert (code, err) == (0, "")
+        assert "--action" in out and "--ranking" not in out
+
+    @pytest.mark.parametrize("funcs, message", [
+        ("y", "unknown function 'q' (line 3, column 3)"),
+        ("y q", "second function 'y' in a monomial set (line 4, column 3)"),
+    ])
+    def test_monomial_input_names_one_function(self, tmp_path, capsys, funcs, message):
+        f = tmp_path / "two.pde"
+        f.write_text(f"vars: x1 x2\nfuncs: {funcs}\neq: D[q,{{1,0}}]\neq: D[y,{{0,1}}]\n")
+        code, out, err = run_cli(capsys, "monomial", str(f), "--action", "complete")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "complete", "nope.pde")
         assert code == 1
@@ -327,3 +369,13 @@ class TestMoreCli:
         assert code == 0
         doc = json.loads(out)
         assert doc["polynomial"] == ["12"]
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+def test_readme_command_runs(argv, capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    assert main(argv) == 0
+
+
+def test_readme_lists_commands():
+    assert len(README_COMMANDS) >= 6

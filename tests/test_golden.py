@@ -1,7 +1,7 @@
 """Golden-output pins: the SHA-256 of ``involute`` stdout on fixed inputs.
 
-Each command runs through ``cli.main`` in process; ``complete`` prints JSON,
-from which the ``timing_seconds`` line is dropped.  A change meant to keep
+Each command runs through ``cli.main`` in process; the ``timing_seconds``
+line of ``complete --json`` is dropped.  A change meant to keep
 every output byte-identical keeps these digests; a change meant to alter an
 output updates its digest and says why.
 """
@@ -124,6 +124,68 @@ PINS = {
         "ca6e07db6fcf972cbf928b8b8810476deeab9c8d422349f728da41c0d7d0883f",
     "symmetry perfbench/inputs/euler2d.pde":
         "ceedd51152c0142c620b20b2d48eb0e31b14ad3199284db25393aa3a4d090793",
+    "ivp problems/example1.pde --division janet --json":
+        "aca6073a7e063134167658024051557c731bc82d3d342236e7554229b5579b45",
+    "hilbert problems/example1.pde --division janet --json":
+        "1cbfae32a64818dcbca34e28088cf0e3cecbaede4d02d72e8eb778e744a4ce6e",
+    "verify problems/example1.pde --division janet --json":
+        "8f45ad41595161a4eeeb1276fdfde151b3aaa2fb62af5714693f1a6d5aacc043",
+    "ivp problems/fourvar.pde --division janet --json":
+        "133c339d9144d2a8d254354cdf7a56b327922e48364e34ebfc53fb899b2aacd5",
+    "hilbert problems/fourvar.pde --division janet --json":
+        "23c81b5bb9600b42af828f050273a0da7a124752ec7751867d72b151dbf1d275",
+    "verify problems/fourvar.pde --division janet --json":
+        "368292439c875f45f7ac09e0e030cbc0c3ec6d66720eef8120f700099d7a5bb8",
+    "ivp problems/janet3.pde --division janet --json":
+        "8dde4389a1c521345a1f39b50aad3edabc1d9f21038d9a736080fc4814c9dc8f",
+    "hilbert problems/janet3.pde --division janet --json":
+        "fbd937180f3c9eab39a613a9f403c356b4c36ee1094c6971faef136b4fc2b44a",
+    "verify problems/janet3.pde --division janet --json":
+        "368292439c875f45f7ac09e0e030cbc0c3ec6d66720eef8120f700099d7a5bb8",
+    "ivp problems/lewy.pde --division janet --json":
+        "f3ed3303c72856d03d7bb3cc3cf37a7ebc8b9766418732169833c68e6461a3cc",
+    "hilbert problems/lewy.pde --division janet --json":
+        "3188f1507975ba4b3cf2ad58e50848a5db0aeb3468859eaa3e99f27110e07a63",
+    "verify problems/lewy.pde --division janet --json":
+        "70df694c522bd93f7c75a02a10533bb7ea3eab2b7921d14b87f4dc87074b00a9",
+    "symmetry problems/diffusion.pde --json":
+        "b07e529c4756bc824f62adf84c22ea270dc0eaecf7867f21ae152939d112451d",
+    "symmetry problems/harrydym.pde --json":
+        "33fe983edadf75b0299f64f28db16bfb974dacdff4da5fea9347d7d5f8cb8488",
+    "symmetry problems/transport.pde --json":
+        "a4d5143aee4e3cd6501af4666ed917ad446debf87bbd12fc459f7ba9f1d5bdfb",
+    "monomial problems/example1.pde --action separations":
+        "90f821dcc65047908c0584d6a145da1c125535b7c9e11c0beb227ee060354944",
+    "monomial problems/example1.pde --action separations --json":
+        "5cd152b7a8a08a5e50f1783ad58d75672a8c2231172df72cb54866852e897b26",
+    "monomial problems/example1.pde --action complete":
+        "3c8be34a6af51ff2804469e367d4bedbe8edb6512fe057d68a5f076f97f49ffc",
+    "monomial problems/example1.pde --action complete --json":
+        "53fe5b5f22c1e9ee4d5f8677e6e53fa9ce2c1511891432be3f0499f4aea295b6",
+    "monomial problems/example1.pde --action axioms":
+        "ed6f6fd7b9fd3435b5c4206e5cd0f31d88c0f841433518f1d8bb169abaa038db",
+    "monomial problems/example1.pde --action axioms --json":
+        "2f0fbfbd065d988b9739096ec2e0770b40f89ebbfc256b3cc5772bf332806b12",
+    "monomial problems/pommaret_basis.pde --action separations":
+        "6d0406df26f7482f2182e5826b7c1ac49ddf9a6ee9d3a2c6cba782eac1097185",
+    "monomial problems/pommaret_basis.pde --action separations --json":
+        "ff4ea91fc3e1b25f8de7a26918122c7a3baf3871b95706b30e17ede61c0563eb",
+    "monomial problems/pommaret_basis.pde --action complete":
+        "14577c897c6cf04464e0c16f4c8761fead6e4d082621726010b49c87a1411893",
+    "monomial problems/pommaret_basis.pde --action complete --json":
+        "032ae89efdd8a0aceed84351121aed0b21a802798bb925ff1d2717831cb90a2a",
+    "monomial problems/pommaret_basis.pde --action decompose":
+        "599485d37967225571c5c1cf30c9e93762882c9884dde92086c270f0a1d9e50c",
+    "monomial problems/pommaret_basis.pde --action decompose --json":
+        "6c0c9b68e3f57086f16da9ad469022d387e88cbe6dd64e0a8d53bc7f7eaf428a",
+    "monomial problems/pommaret_basis.pde --action cartan":
+        "c95f9fa173fa4a38f234f0636068e7fdaf67ef5ce61d5ba46976557f3b47b866",
+    "monomial problems/pommaret_basis.pde --action cartan --json":
+        "c47b3a111073eafdee587508e7aa051f7f7bca62f7893b9806038d234b6ae3d4",
+    "monomial problems/pommaret_basis.pde --action axioms":
+        "ed6f6fd7b9fd3435b5c4206e5cd0f31d88c0f841433518f1d8bb169abaa038db",
+    "monomial problems/pommaret_basis.pde --action axioms --json":
+        "2f0fbfbd065d988b9739096ec2e0770b40f89ebbfc256b3cc5772bf332806b12",
 }
 
 
@@ -137,3 +199,18 @@ def test_stdout_digest(command, capsys):
     out = "".join(line for line in out.splitlines(True)
                   if not line.lstrip().startswith('"timing_seconds"'))
     assert hashlib.sha256(out.encode()).hexdigest() == PINS[command]
+
+
+REFUSALS = {
+    "monomial problems/example1.pde --action decompose": "error: set is not janet-involutive\n",
+    "monomial problems/example1.pde --action cartan": "error: set is not pommaret-involutive\n",
+}
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("command", list(REFUSALS))
+def test_refusal(command, json_flag, capsys):
+    argv = command.split() + json_flag
+    argv[1] = str(ROOT / argv[1])
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", REFUSALS[command])
