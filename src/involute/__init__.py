@@ -11,7 +11,7 @@ from .monomial import (CapExceeded, CartanCharacters, ComplementaryDecomposition
                        complete, in_cone, involutive_divides, is_involutive,
                        monomials_of_degree, monomials_up_to, separation,
                        separations)
-from .scalars import MultivarPolynomial, RationalFunction, arith, partial_derivative
+from .scalars import MultivarPolynomial, RationalFunction
 from .diffpoly import Context, Derivative, LinearDiffPoly, Ranking
 from .completion import (CompletionOptions, InconsistentSystem, InvolutiveBasis, basis_from,
                          chain_criterion, conventional_autoreduce,
@@ -20,13 +20,10 @@ from .completion import (CompletionOptions, InconsistentSystem, InvolutiveBasis,
                          s_polynomial, verify_involutive,
                          verify_partial_involutive)
 from .analysis import (HilbertData, IVPEntry, IVPSpec, SolutionDimension,
-                       classify, complementary_set, hilbert_data,
-                       hilbert_function, hilbert_polynomial, ivp_spec,
-                       solution_dimension)
+                       complementary_set, hilbert_data, ivp_spec, solution_dimension)
 from .symmetry import (DiffPolynomial, SolvedEquation, SymmetryProblem,
                        VectorFieldAnsatz, apply_prolonged_field,
-                       determining_system, symmetry_dimension, total_derivative,
-                       zeta)
+                       determining_system, symmetry_dimension)
 from .probfile import ProblemError, ProblemFile, format_problem, parse_problem
 
 __version__ = "0.1.0"

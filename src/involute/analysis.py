@@ -1,7 +1,7 @@
 """Solution-structure analysis of an involutive basis.
 
-Classifies derivatives as principal or parametric, derives well-posed
-initial data from the complementary decomposition, and evaluates the Hilbert
+Decomposes the parametric derivatives into disjoint cones, derives
+well-posed initial data from that decomposition, and evaluates the Hilbert
 function and Hilbert polynomial of the differential ideal.  All of it
 requires an orderly main ranking, which is what ties counting by order to
 the leading-monomial data.
@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .monomial import complementary_decomposition, in_cone
+from .monomial import complementary_decomposition
 from .diffpoly import Derivative
 from .scalars import MultivarPolynomial
 
@@ -27,13 +27,6 @@ def _comb(a, b):
 def _require_orderly(basis):
     if not basis.options.main.is_orderly:
         raise ValueError("an orderly main ranking is required")
-
-
-def classify(theta, basis):
-    """'principal' if theta is a derivative of some leading derivative."""
-    sets = basis.monomial_sets()
-    us = sets.get(theta.indet, ())
-    return "principal" if in_cone(theta.index, us) else "parametric"
 
 
 def complementary_set(basis):
@@ -164,14 +157,6 @@ def hilbert_data(basis):
         else:
             break
     return HilbertData(ctx.n, ctx.m, mus, hp, stab)
-
-
-def hilbert_function(basis, s):
-    return hilbert_data(basis).hf(s)
-
-
-def hilbert_polynomial(basis):
-    return hilbert_data(basis).hp
 
 
 @dataclass(frozen=True)

@@ -109,7 +109,11 @@ def cmd_complete(problem, args):
     basis = minimal_involutive_basis(system, opts, trace=trace)
     elapsed = time.monotonic() - t0
     lines, blob = _basis(basis, ctx)
-    lines.extend(f"trace: {entry}" for entry in trace or ())
+    trace = [dict(entry, leader=entry["leader"].format(ctx)) for entry in trace or ()]
+    for entry in trace:
+        if "variable" in entry:  # a prolongation names its variable
+            entry["variable"] = ctx.variables[entry["variable"]]
+        lines.append(f"trace: {json.dumps(entry)}")
     lines.append(f"prolongations examined: {basis.prolongations_examined}; {elapsed:.3f}s")
     return lines, {"options": {"division": opts.division.value,
                                "ranking": opts.main.describe(),
@@ -118,7 +122,7 @@ def cmd_complete(problem, args):
                    "variables": list(ctx.variables), "functions": list(ctx.functions),
                    "basis": blob,
                    "prolongations_examined": basis.prolongations_examined,
-                   "timing_seconds": elapsed}
+                   "timing_seconds": elapsed, **({"trace": trace} if args.trace else {})}
 
 
 def cmd_verify(problem, args):
@@ -196,7 +200,7 @@ def cmd_symmetry(problem, args):
 
 
 def cmd_monomial(problem, args):
-    kind = _division(args)
+    kind = Division(args.division or "pommaret") if args.action == "cartan" else _division(args)
     U = problem.monomials()
     names = problem.variables
     doc = {"action": args.action, "division": kind.value}
@@ -219,6 +223,9 @@ def cmd_monomial(problem, args):
         dec = complementary_decomposition(U, kind, n=len(names))
         lines, doc["generators"] = _generators(dec.entries(), names)
     elif args.action == "cartan":
+        if kind is not Division.POMMARET:
+            raise ValueError("Cartan characters count the cones of a Pommaret basis; "
+                             f"--division {kind.value} does not apply")
         ch = cartan_characters(U, n=len(names))
         lines = [f"degree q = {ch.q}; characters: "
                  + ", ".join(f"sigma^{i+1}={v}" for i, v in enumerate(ch.sigma))]

@@ -36,12 +36,6 @@ class Context:
     def m(self):
         return len(self.functions)
 
-    def variable_index(self, name):
-        return self.variables.index(name)
-
-    def function_index(self, name):
-        return self.functions.index(name)
-
 
 class Derivative(NamedTuple):
     """A derivative of the ``indet``-th dependent function."""
@@ -82,15 +76,12 @@ class Ranking:
 
     ``scheme`` orders the multiindices (grlex and degrevlex are orderly);
     ``tiebreak`` decides whether the function priority is consulted before or
-    after the multiindex comparison ('indet' or 'term').  ``variable_order``
-    and ``indeterminate_order`` are permutations listing positions from the
-    highest priority down; None means the context order.
+    after the multiindex comparison ('indet' or 'term').  Variables and
+    functions rank in the order of the context, first = highest.
     """
 
     scheme: str = "grlex"
     tiebreak: str = "term"
-    variable_order: tuple = None
-    indeterminate_order: tuple = None
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -102,37 +93,18 @@ class Ranking:
     def is_orderly(self):
         return self.scheme in ORDERLY_SCHEMES
 
-    def _term_key(self, alpha):
-        order = self.variable_order if self.variable_order is not None else range(len(alpha))
-        if self.scheme == "degrevlex":
-            return tuple(-alpha[v] for v in reversed(list(order)))
-        return tuple(alpha[v] for v in order)
-
-    def _indet_key(self, j):
-        if self.indeterminate_order is None:
-            return -j
-        return -self.indeterminate_order.index(j)
-
     def key(self, d):
         """Sort key; bigger key means higher-ranked derivative."""
-        term = self._term_key(d.index)
-        indet = self._indet_key(d.indet)
-        tie = (term, indet) if self.tiebreak == "term" else (indet, term)
-        if self.is_orderly:
-            return (d.order,) + tie
-        return tie
+        term = tuple(-e for e in reversed(d.index)) if self.scheme == "degrevlex" else d.index
+        tie = (term, -d.indet) if self.tiebreak == "term" else (-d.indet, term)
+        return (sum(d.index),) + tie if self.scheme in ORDERLY_SCHEMES else tie
 
     def compare(self, a, b):
         ka, kb = self.key(a), self.key(b)
         return (ka > kb) - (ka < kb)
 
     def describe(self):
-        parts = [self.scheme, f"tiebreak={self.tiebreak}"]
-        if self.variable_order is not None:
-            parts.append(f"variables={self.variable_order}")
-        if self.indeterminate_order is not None:
-            parts.append(f"functions={self.indeterminate_order}")
-        return ", ".join(parts)
+        return f"{self.scheme}, tiebreak={self.tiebreak}"
 
 
 class LinearDiffPoly:

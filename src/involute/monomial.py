@@ -414,23 +414,14 @@ class ComplementaryDecomposition:
     generators: tuple
     nvars: int
 
-    def is_finite(self):
-        return all(not mult for _, mult in self.generators)
-
     def monomials(self):
-        if not self.is_finite():
+        if any(mult for _, mult in self.generators):
             raise ValueError("complement is infinite")
         return tuple(sorted(set(self.finite_part) | {v for v, _ in self.generators}))
 
     def entries(self):
         """Uniform view: every finite-part element as a multiplier-free cone."""
         return tuple((v, frozenset()) for v in self.finite_part) + tuple(self.generators)
-
-    def contains(self, w):
-        w = w if isinstance(w, MultiIndex) else MultiIndex(w)
-        if w in self.finite_part:
-            return True
-        return any(in_involutive_cone(w, v, mult) for v, mult in self.generators)
 
 
 def _split_decompose(us, k, front):
@@ -557,10 +548,6 @@ class CartanCharacters:
 
     q: int
     sigma: tuple
-
-    def __getitem__(self, i):
-        """sigma_q^i with i in 1..n."""
-        return self.sigma[i - 1]
 
 
 def cartan_characters(U, n=None):

@@ -17,9 +17,11 @@ Derivatives are written ``D[y,{a,b,c}]`` (multiindex) or ``D[y,x1,x1,x3]``
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .diffpoly import SCHEMES, TIEBREAKS, Context, Derivative, LinearDiffPoly, Ranking
 from .monomial import MultiIndex
@@ -114,7 +116,7 @@ class _Parser:
     def parse_power(self):
         base = self.parse_atom()
         if self.at_op("^"):
-            tok = self.next()
+            self.next()
             exp = self.next()
             if exp[0] != "int":
                 raise ProblemError("exponent must be a nonnegative integer",
@@ -230,19 +232,19 @@ class ProblemFile:
         return out
 
     def linear_system(self):
-        ctx = self.context()
+        domain = _LinearDomain(self.context())
         out = []
         for eq in self.equations:
-            lhs = _build_linear(eq.lhs, ctx, eq.line)
+            lhs = _evaluate(eq.lhs, domain, self.variables, self.functions, eq.line)
             if eq.rhs is not None:
-                lhs = lhs - _build_linear(eq.rhs, ctx, eq.line)
+                lhs = lhs - _evaluate(eq.rhs, domain, self.variables, self.functions, eq.line)
             if lhs.is_zero():
                 raise ProblemError("equation reduces to 0 = 0", eq.line)
             out.append(lhs)
         return out
 
     def symmetry_problem(self):
-        n, m = len(self.variables), len(self.functions)
+        jets = _JetDomain(len(self.variables), len(self.functions))
         eqs = []
         for eq in self.equations:
             if eq.rhs is None:
@@ -251,13 +253,12 @@ class ProblemFile:
             if eq.lhs[0] != "deriv":
                 raise ProblemError("left side must be a single derivative", eq.line)
             alpha = _deriv_index(eq.lhs, self.variables, eq.line)
-            fname = eq.lhs[1]
-            if fname not in self.functions:
-                raise ProblemError(f"unknown function {fname!r}", eq.line)
-            j = self.functions.index(fname)
-            rhs = _build_diff(eq.rhs, self.variables, self.functions, eq.line)
+            if eq.lhs[1] not in self.functions:
+                raise ProblemError(f"unknown function {eq.lhs[1]!r}", eq.line)
+            lead = (self.functions.index(eq.lhs[1]), alpha)
+            rhs = _evaluate(eq.rhs, jets, self.variables, self.functions, eq.line)
             try:
-                eqs.append(SolvedEquation((j, alpha), rhs))
+                eqs.append(SolvedEquation(lead, rhs))
             except ValueError as exc:
                 raise ProblemError(str(exc), eq.line) from exc
         det_order = None
@@ -346,97 +347,87 @@ def _deriv_index(node, variables, line):
     return MultiIndex(alpha)
 
 
-def _build_linear(node, ctx, line):
-    kind = node[0]
-    if kind == "num":
-        return LinearDiffPoly(ctx, const=RationalFunction.const(ctx.n, node[1]))
-    if kind == "name":
-        name = node[1]
-        if name in ctx.variables:
-            return LinearDiffPoly(
-                ctx, const=RationalFunction.variable(ctx.n, ctx.variable_index(name)))
-        if name in ctx.functions:
-            d = Derivative(ctx.function_index(name), MultiIndex.unit(ctx.n))
-            return LinearDiffPoly.from_derivative(ctx, d)
-        raise ProblemError(f"unknown identifier {name!r}", line, node[2])
-    if kind == "deriv":
-        fname = node[1]
-        if fname not in ctx.functions:
-            raise ProblemError(f"unknown function {fname!r}", line, node[3])
-        alpha = _deriv_index(node, ctx.variables, line)
-        return LinearDiffPoly.from_derivative(
-            ctx, Derivative(ctx.function_index(fname), alpha))
-    if kind == "neg":
-        return -_build_linear(node[1], ctx, line)
-    if kind in ("add", "sub"):
-        a = _build_linear(node[1], ctx, line)
-        b = _build_linear(node[2], ctx, line)
-        return a + b if kind == "add" else a - b
-    if kind == "mul":
-        a = _build_linear(node[1], ctx, line)
-        b = _build_linear(node[2], ctx, line)
+class _LinearDomain:
+    """Linear differential polynomials: derivatives are never multiplied."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+
+    def number(self, c):
+        return LinearDiffPoly(self.ctx, const=RationalFunction.const(self.ctx.n, c))
+
+    def variable(self, i):
+        return LinearDiffPoly(self.ctx, const=RationalFunction.variable(self.ctx.n, i))
+
+    def derivative(self, j, alpha):
+        return LinearDiffPoly.from_derivative(self.ctx, Derivative(j, alpha))
+
+    def mul(self, a, b):
         if a.terms and b.terms:
-            raise ProblemError("product of two derivative expressions is not linear",
-                               line)
+            raise ValueError("product of two derivative expressions is not linear")
+        return b.scale(a.const) if b.terms else a.scale(b.const)
+
+    def div(self, a, b):
         if b.terms:
-            a, b = b, a
-        return a.scale(b.const)
-    if kind == "div":
-        a = _build_linear(node[1], ctx, line)
-        b = _build_linear(node[2], ctx, line)
-        if b.terms:
-            raise ProblemError("division by a derivative expression", line)
+            raise ValueError("division by a derivative expression")
         if b.const.is_zero():
-            raise ProblemError("division by zero", line)
+            raise ZeroDivisionError("division by zero")
         return a.scale(b.const.inverse())
-    if kind == "pow":
-        a = _build_linear(node[1], ctx, line)
-        if node[2] == 1:
-            return a
-        if a.terms:
-            raise ProblemError("power of a derivative expression is not linear", line)
-        return LinearDiffPoly(ctx, const=a.const ** node[2])
-    raise ProblemError(f"unsupported syntax node {kind!r}", line)
+
+    def pow(self, a, k):
+        if a.terms and k != 1:
+            raise ValueError("power of a derivative expression is not linear")
+        return a if k == 1 else LinearDiffPoly(self.ctx, const=a.const ** k)
 
 
-def _build_diff(node, variables, functions, line):
-    n, m = len(variables), len(functions)
+class _JetDomain:
+    """Polynomials in variables, functions and derivatives; division by numbers only."""
+
+    mul = staticmethod(operator.mul)
+    pow = staticmethod(operator.pow)
+
+    def __init__(self, n, m):
+        self.number = partial(DiffPolynomial.const, n, m)
+        self.variable = partial(DiffPolynomial.var, n, m)
+        self.derivative = partial(DiffPolynomial.deriv, n, m)
+
+    def div(self, a, b):
+        if b.is_zero():
+            raise ZeroDivisionError("division by zero")
+        if set(b.terms) != {()}:
+            raise ValueError("division only by numeric constants here")
+        return a.scale(1 / b.terms[()])
+
+
+def _evaluate(node, domain, variables, functions, line):
+    """The value in ``domain`` of a tree from ``parse_expression``.
+
+    The walk resolves names and puts the line, and the column where the tree
+    keeps one, on every error; ``domain`` builds the leaves and applies
+    ``* / ^`` as its methods ``mul``, ``div`` and ``pow``.
+    """
     kind = node[0]
     if kind == "num":
-        return DiffPolynomial.const(n, m, node[1])
-    if kind == "name":
-        name = node[1]
-        if name in variables:
-            return DiffPolynomial.var(n, m, variables.index(name))
-        if name in functions:
-            return DiffPolynomial.func(n, m, functions.index(name))
-        raise ProblemError(f"unknown identifier {name!r}", line, node[2])
-    if kind == "deriv":
-        fname = node[1]
-        if fname not in functions:
-            raise ProblemError(f"unknown function {fname!r}", line, node[3])
-        alpha = _deriv_index(node, variables, line)
-        return DiffPolynomial.deriv(n, m, functions.index(fname), alpha)
+        return domain.number(node[1])
+    if kind == "name" and node[1] in variables:
+        return domain.variable(variables.index(node[1]))
+    if kind in ("name", "deriv"):
+        if node[1] not in functions:
+            what = "identifier" if kind == "name" else "function"
+            raise ProblemError(f"unknown {what} {node[1]!r}", line, node[-1])
+        alpha = (_deriv_index(node, variables, line) if kind == "deriv"
+                 else MultiIndex.unit(len(variables)))
+        return domain.derivative(functions.index(node[1]), alpha)
+    a = _evaluate(node[1], domain, variables, functions, line)
     if kind == "neg":
-        return -_build_diff(node[1], variables, functions, line)
+        return -a
+    b = node[2] if kind == "pow" else _evaluate(node[2], domain, variables, functions, line)
     if kind in ("add", "sub"):
-        a = _build_diff(node[1], variables, functions, line)
-        b = _build_diff(node[2], variables, functions, line)
         return a + b if kind == "add" else a - b
-    if kind == "mul":
-        return (_build_diff(node[1], variables, functions, line)
-                * _build_diff(node[2], variables, functions, line))
-    if kind == "div":
-        a = _build_diff(node[1], variables, functions, line)
-        b = _build_diff(node[2], variables, functions, line)
-        if b.is_zero():
-            raise ProblemError("division by zero", line)
-        if set(b.terms) != {()}:
-            raise ProblemError("division only by numeric constants here", line)
-        return a.scale(1 / b.terms[()])
-    if kind == "pow":
-        return _build_diff(node[1], variables, functions, line) ** node[2]
-    raise ProblemError(f"unsupported syntax node {kind!r}", line)
+    try:
+        return getattr(domain, kind)(a, b)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ProblemError(str(exc), line) from exc
 
 
 def format_problem(ctx, ranking, equations, completion_scheme=None):

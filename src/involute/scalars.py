@@ -539,21 +539,3 @@ class RationalFunction:
     def __repr__(self):
         names = [f"x{i+1}" for i in range(self.nvars)]
         return f"RationalFunction({self.format(names)})"
-
-
-def arith(a, b, op):
-    """Field operation dispatch: op in {'add','sub','mul','div'}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown operation {op!r}")
-
-
-def partial_derivative(a, i):
-    """Derivation operator d/dx_i applied to a rational function."""
-    return a.partial(i)

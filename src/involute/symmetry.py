@@ -193,10 +193,6 @@ class DiffPolynomial(SparsePolynomial):
         return f"DiffPolynomial({self.format()})"
 
 
-def total_derivative(p, i):
-    return p.total_derivative(i)
-
-
 class VectorFieldAnsatz:
     """Point-symmetry generator with unknown coefficients xi_i(x,y), eta_j(x,y)."""
 
@@ -236,10 +232,6 @@ class VectorFieldAnsatz:
                      * self.xi(q).total_derivative(i))
         self._zeta[key] = z
         return z
-
-
-def zeta(ansatz, j, path):
-    return ansatz.zeta(j, path)
 
 
 def apply_prolonged_field(f, ansatz, q):

@@ -3,8 +3,7 @@ from fractions import Fraction
 import pytest
 
 from involute import (CompletionOptions, Derivative, Division, MultiIndex,
-                      Ranking, classify, complementary_set, hilbert_data,
-                      hilbert_function, hilbert_polynomial, ivp_spec,
+                      Ranking, complementary_set, hilbert_data, in_cone, ivp_spec,
                       minimal_involutive_basis, solution_dimension)
 from involute.analysis import HilbertData, _ascending, _binomial_poly
 from conftest import hf_bruteforce, load_problem, mi, system
@@ -16,6 +15,12 @@ def completed(name, division=Division.JANET):
     pf = load_problem(name)
     opts = CompletionOptions(division=division, main=pf.ranking())
     return pf, minimal_involutive_basis(pf.linear_system(), opts)
+
+
+def classify(theta, basis):
+    """'principal' if theta is a derivative of some leading derivative."""
+    us = basis.monomial_sets().get(theta.indet, ())
+    return "principal" if in_cone(theta.index, us) else "parametric"
 
 
 class TestClassify:
@@ -122,8 +127,8 @@ class TestHilbert:
         for s in range(6, 11):
             assert data.hf(s) == 12
         assert data.hp == (Fraction(12),)
-        assert hilbert_polynomial(basis) == (Fraction(12),)
-        assert hilbert_function(basis, 8) == 12
+        assert hilbert_data(basis).hp == (Fraction(12),)
+        assert hilbert_data(basis).hf(8) == 12
 
     def test_formula_matches_bruteforce(self):
         for name in ("janet3.pde", "fourvar.pde", "lewy.pde"):

@@ -83,6 +83,26 @@ class TestParsing:
                 eq: 1/D[y,x]
             """)
 
+    @pytest.mark.parametrize("key, expression, message, col", [
+        ("eq", "D[y,x]*D[y,x]", "product of two derivative expressions is not linear", None),
+        ("eq", "y/D[y,x]", "division by a derivative expression", None),
+        ("eq", "y/(x-x)", "division by zero", None),
+        ("solve", "D[y,x] = y/0", "division by zero", None),
+        ("eq", "D[y,x]^2", "power of a derivative expression is not linear", None),
+        ("solve", "D[y,x] = y/x", "division only by numeric constants here", None),
+        ("eq", "D[y,t] + D[q,x]", "unknown function 'q'", 12),
+        ("solve", "D[y,t] = D[q,x]", "unknown function 'q'", 12),
+        ("eq", "D[y,t] - z", "unknown identifier 'z'", 10),
+        ("solve", "D[y,t] = x + z", "unknown identifier 'z'", 14),
+    ])
+    def test_evaluation_errors_carry_line_and_column(self, key, expression, message, col):
+        pf = parse_problem(f"vars: t x\nfuncs: y\n{key}: {expression}\n")
+        with pytest.raises(ProblemError) as info:
+            pf.linear_system() if key == "eq" else pf.symmetry_problem()
+        where = "line 3" + (f", column {col}" if col else "")
+        assert (str(info.value), info.value.line, info.value.col) == (
+            f"{message} ({where})", 3, col)
+
     def test_power_of_a_coefficient_is_the_repeated_product(self):
         base = "(x1/(x1+1))"
         for k in range(5):
@@ -229,6 +249,21 @@ class TestCli:
                                "--action", "cartan", "--division", "pommaret")
         assert code == 1  # example set is not pommaret-involutive
 
+    @pytest.mark.parametrize("division", ["janet", "lexinduced"])
+    def test_monomial_cartan_refuses_other_divisions(self, capsys, division):
+        code, out, err = run_cli(capsys, "monomial", str(PROBLEMS / "pommaret_basis.pde"),
+                                 "--action", "cartan", "--division", division)
+        assert (code, out) == (1, "")
+        assert err == ("error: Cartan characters count the cones of a Pommaret basis; "
+                       f"--division {division} does not apply\n")
+
+    @pytest.mark.parametrize("flags", [[], ["--division", "pommaret"]])
+    def test_monomial_cartan_reports_pommaret(self, capsys, flags):
+        code, out, _ = run_cli(capsys, "monomial", str(PROBLEMS / "pommaret_basis.pde"),
+                               "--action", "cartan", "--json", *flags)
+        assert code == 0
+        assert json.loads(out)["division"] == "pommaret"
+
     def test_input_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.pde"
         bad.write_text("vars: x\nfuncs: y\neq: D[y,{1,0}]\n")
@@ -294,6 +329,19 @@ class TestCli:
                                "--trace")
         assert code == 0
         assert "trace:" in out
+
+    def test_trace_text_and_json_list_the_same_entries(self, capsys):
+        path = str(PROBLEMS / "janet3.pde")
+        _, out, _ = run_cli(capsys, "complete", path, "--trace")
+        text = [json.loads(ln[len("trace: "):]) for ln in out.splitlines()
+                if ln.startswith("trace: ")]
+        _, out, _ = run_cli(capsys, "complete", path, "--trace", "--json")
+        assert json.loads(out)["trace"] == text
+        assert {e["stage"] for e in text} == {"queue", "prolongation"}
+        assert text[1] == {"stage": "prolongation", "leader": "D[y,{0,2,0}]",
+                           "variable": "x1", "criterion": False, "result": "added"}
+        _, out, _ = run_cli(capsys, "complete", path, "--json")
+        assert "trace" not in json.loads(out)
 
 
 class TestMoreCli:
@@ -379,3 +427,11 @@ def test_readme_command_runs(argv, capsys, monkeypatch):
 
 def test_readme_lists_commands():
     assert len(README_COMMANDS) >= 6
+
+
+def test_readme_library_example_runs(capsys, monkeypatch):
+    block = (ROOT / "README.md").read_text(encoding="utf-8") \
+        .split("## Library", 1)[1].split("```python", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(ROOT)
+    exec(compile(block, "README.md", "exec"), {})
+    assert "12" in capsys.readouterr().out.splitlines()

@@ -113,6 +113,16 @@ class TestNormalForm:
                                     Division.JANET, GRL)
         assert conventional_normal_form(nf, list(basis.elements), GRL) == nf
 
+    @pytest.mark.parametrize("division, want", [
+        (Division.POMMARET, "y"), (Division.LEX_INDUCED, "y"), (Division.JANET, "0")])
+    def test_the_divisor_with_the_lowest_leader_reduces(self, division, want):
+        # D[y,x] and D[y,{2}] both divide D[y,{3}] involutively, except under
+        # Janet, whose cones do not overlap; reducing by D[y,x] - y first ends
+        # at y, reducing by D[y,{2}] first ends at 0
+        _, G = system("vars: x\nfuncs: y\neq: D[y,x] - y\neq: D[y,{2}]")
+        _, (p,) = system("vars: x\nfuncs: y\neq: D[y,{3}]")
+        assert involutive_normal_form(p, G, division, GRL).format(GRL) == want
+
 
 class TestJanetExample:
     @pytest.mark.parametrize("division", [Division.JANET, Division.POMMARET])

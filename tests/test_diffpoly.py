@@ -178,17 +178,17 @@ class TestLeadingData:
 
 
 class TestRankingPermutations:
-    def test_variable_order_override(self):
-        # reversing the variable priority flips the lex tie
-        a, b = D(0, 1, 0, 0), D(0, 0, 0, 1)
-        assert Ranking("grlex").compare(a, b) > 0
-        assert Ranking("grlex", variable_order=(2, 1, 0)).compare(a, b) < 0
-
-    def test_indeterminate_order_override(self):
-        ctx = Context(("x",), ("f", "g"))
-        a, b = Derivative(0, mi(1)), Derivative(1, mi(1))
-        assert Ranking("grlex").compare(a, b) > 0
-        assert Ranking("grlex", indeterminate_order=(1, 0)).compare(a, b) < 0
+    @pytest.mark.parametrize("decl, eq, leader", [
+        ("vars: x1 x2 x3\nfuncs: y", "D[y,x1] + D[y,x3]", "D[y,x1]"),
+        ("vars: x3 x2 x1\nfuncs: y", "D[y,x1] + D[y,x3]", "D[y,x3]"),
+        ("vars: x\nfuncs: y g", "D[y,x] + D[g,x]", "D[y,x]"),
+        ("vars: x\nfuncs: g y", "D[y,x] + D[g,x]", "D[g,x]"),
+    ])
+    def test_declaration_order_is_the_priority(self, decl, eq, leader):
+        # the order of vars: and funcs: permutes the priorities of a ranking
+        pf, (f,) = system(f"{decl}\neq: {eq}")
+        _, (want,) = system(f"{decl}\neq: {leader}")
+        assert f.ld(pf.ranking()) == want.ld(pf.ranking())
 
     def test_invalid_scheme(self):
         import pytest as _pytest

@@ -181,7 +181,7 @@ PINS = {
     "monomial problems/pommaret_basis.pde --action cartan":
         "c95f9fa173fa4a38f234f0636068e7fdaf67ef5ce61d5ba46976557f3b47b866",
     "monomial problems/pommaret_basis.pde --action cartan --json":
-        "c47b3a111073eafdee587508e7aa051f7f7bca62f7893b9806038d234b6ae3d4",
+        "f534d5bfc164d69c63e0bfa90eef7b883837020aba27d8f43797f90fc48eb251",
     "monomial problems/pommaret_basis.pde --action axioms":
         "ed6f6fd7b9fd3435b5c4206e5cd0f31d88c0f841433518f1d8bb169abaa038db",
     "monomial problems/pommaret_basis.pde --action axioms --json":
