@@ -14,8 +14,7 @@ from .monomial import (CapExceeded, CartanCharacters, ComplementaryDecomposition
 from .scalars import MultivarPolynomial, RationalFunction
 from .diffpoly import Context, Derivative, LinearDiffPoly, Ranking
 from .completion import (CompletionOptions, InconsistentSystem, InvolutiveBasis, basis_from,
-                         chain_criterion, conventional_autoreduce,
-                         conventional_normal_form, groebner_oracle,
+                         chain_criterion, conventional_normal_form, groebner_oracle,
                          involutive_normal_form, minimal_involutive_basis,
                          s_polynomial, verify_involutive,
                          verify_partial_involutive)

@@ -35,7 +35,6 @@ FLAGS = (  # (flag, subcommands that read it, argparse keywords)
     ("--completion-ranking", COMPLETING, dict(choices=SCHEMES)),
     ("--cap", COMPLETING + ("monomial",), dict(type=int, default=10000)),
     ("--criterion", COMPLETING, dict(choices=["on", "off"], default="on")),
-    ("--autoreduce-input", COMPLETING, dict(action="store_true")),
     ("--json", COMPLETING + ("verify", "monomial"), dict(action="store_true")),
     ("--trace", ("complete",), dict(action="store_true")),
     ("--s", ("hilbert",), dict(type=int)),
@@ -52,8 +51,7 @@ def _options(problem, args):
     return CompletionOptions(division=_division(args),
                              main=problem.ranking(args.ranking, args.tie),
                              completion=problem.completion_ranking(args.completion_ranking),
-                             cap=args.cap, use_criterion=args.criterion == "on",
-                             autoreduce_input=args.autoreduce_input)
+                             cap=args.cap, use_criterion=args.criterion == "on")
 
 
 def _names_text(positions, names):

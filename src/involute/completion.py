@@ -29,7 +29,7 @@ __all__ = [
     "involutive_normal_form", "conventional_normal_form",
     "minimal_involutive_basis", "chain_criterion", "basis_from",
     "verify_involutive", "verify_partial_involutive",
-    "groebner_oracle", "s_polynomial", "conventional_autoreduce",
+    "groebner_oracle", "s_polynomial",
 ]
 
 
@@ -40,7 +40,6 @@ class CompletionOptions:
     completion: Ranking = None
     cap: int = 10000
     use_criterion: bool = True
-    autoreduce_input: bool = False
 
     def __post_init__(self):
         if self.cap < 1:
@@ -85,7 +84,6 @@ class InvolutiveBasis:
     elements: tuple
     separations: tuple
     options: CompletionOptions
-    ancestors: tuple = ()
     prolongations_examined: int = 0
 
     def __len__(self):
@@ -208,29 +206,6 @@ def groebner_oracle(F, ranking):
     return True
 
 
-def conventional_autoreduce(F, ranking):
-    """Mutual conventional reduction until stable; drops zeros, keeps monic."""
-    work = [f.normalize(ranking) for f in F if not f.is_zero()]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(work)):
-            rest = work[:i] + work[i + 1:]
-            r = conventional_normal_form(work[i], rest, ranking)
-            if r.is_zero():
-                work.pop(i)
-                changed = True
-                break
-            if not r.terms:
-                raise _nonzero_constant(r, f"the equation {work[i].format(ranking)} = 0")
-            r = r.normalize(ranking)
-            if r != work[i]:
-                work[i] = r
-                changed = True
-                break
-    return work
-
-
 def chain_criterion(p, theta, triples, indexes, ranking_c, main):
     """Involutive analogue of the Buchberger chain criterion.
 
@@ -249,11 +224,10 @@ def chain_criterion(p, theta, triples, indexes, ranking_c, main):
     return False
 
 
-def _basis_of(triples, indexes, opts, examined=0, ancestors=False):
+def _basis_of(triples, indexes, opts, examined=0):
     order = sorted(triples.values(), key=_key, reverse=True)
     seps = tuple(indexes[t.leader.indet].separation(t.leader.index) for t in order)
-    anc = tuple(t.ancestor for t in order) if ancestors else ()
-    return InvolutiveBasis(tuple(t.poly for t in order), seps, opts, anc, examined)
+    return InvolutiveBasis(tuple(t.poly for t in order), seps, opts, examined)
 
 
 def minimal_involutive_basis(F, opts=None, trace=None):
@@ -273,8 +247,6 @@ def minimal_involutive_basis(F, opts=None, trace=None):
         if not f.terms:
             raise _nonzero_constant(f, "an input equation")
     work = [f.normalize(main) for f in work]
-    if opts.autoreduce_input:
-        work = conventional_autoreduce(work, main)
 
     serial = 0
 
@@ -381,7 +353,7 @@ def minimal_involutive_basis(F, opts=None, trace=None):
             raise _nonzero_constant(r, f"the equation {t.poly.format(main)} = 0")
         adjoin_normal_form(r, t.leader, t.ancestor, t.processed)
 
-    return _basis_of(triples, indexes, opts, examined, ancestors=True)
+    return _basis_of(triples, indexes, opts, examined)
 
 
 def basis_from(elements, opts=None):

@@ -11,14 +11,19 @@ the equations::
     eq: D[y,{0,2,0}]
 
 Symmetry problems use solved equations instead, ``solve: D[y,t] = ...``.
-Derivatives are written ``D[y,{a,b,c}]`` (multiindex) or ``D[y,x1,x1,x3]``
-(repeated differentiation); a bare function name is the order-0 derivative.
+An expression is a Python expression, read with ``ast``, built from decimal
+integers, declared names, ``+ - * /``, ``^`` with a nonnegative integer
+exponent, parentheses and derivatives: ``D[y,{a,b,c}]`` (multiindex) or
+``D[y,x1,x1,x3]`` (repeated differentiation).  A bare function name is the
+order-0 derivative.
 """
 
 from __future__ import annotations
 
+import ast
+import keyword
 import operator
-import re
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -31,170 +36,82 @@ from .symmetry import DiffPolynomial, SolvedEquation, SymmetryProblem
 
 class ProblemError(Exception):
     def __init__(self, message, line=None, col=None):
-        where = ""
-        if line is not None:
-            where = f" (line {line}" + (f", column {col}" if col is not None else "") + ")"
-        super().__init__(message + where)
+        where = "" if col is None else f", column {col}"
+        super().__init__(message + ("" if line is None else f" (line {line}{where})"))
         self.line = line
         self.col = col
 
 
-_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)"
-                    r"|(?P<op>[-+*/^(){}\[\],=]))")
-
-
-def _tokenize(text, line):
-    pos = 0
-    out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m or m.end() == pos:
-            if text[pos:].strip():
-                raise ProblemError(f"unexpected character {text[pos]!r}", line, pos + 1)
-            break
-        if m.group("name"):
-            out.append(("name", m.group("name"), m.start("name") + 1))
-        elif m.group("int"):
-            out.append(("int", int(m.group("int")), m.start("int") + 1))
-        else:
-            out.append(("op", m.group("op"), m.start("op") + 1))
-        pos = m.end()
-    return out
-
-
-class _Parser:
-    def __init__(self, tokens, line):
-        self.tokens = tokens
-        self.line = line
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self):
-        t = self.peek()
-        if t is None:
-            raise ProblemError("unexpected end of expression", self.line)
-        self.pos += 1
-        return t
-
-    def expect_op(self, op):
-        t = self.next()
-        if t[0] != "op" or t[1] != op:
-            raise ProblemError(f"expected {op!r}, found {t[1]!r}", self.line, t[2])
-        return t
-
-    def at_op(self, *ops):
-        t = self.peek()
-        return t is not None and t[0] == "op" and t[1] in ops
-
-    def parse_expression(self):
-        node = self.parse_term()
-        while self.at_op("+", "-"):
-            op = self.next()[1]
-            rhs = self.parse_term()
-            node = ("add" if op == "+" else "sub", node, rhs)
-        return node
-
-    def parse_term(self):
-        node = self.parse_factor()
-        while self.at_op("*", "/"):
-            op = self.next()[1]
-            rhs = self.parse_factor()
-            node = ("mul" if op == "*" else "div", node, rhs)
-        return node
-
-    def parse_factor(self):
-        if self.at_op("-"):
-            self.next()
-            return ("neg", self.parse_factor())
-        if self.at_op("+"):
-            self.next()
-            return self.parse_factor()
-        return self.parse_power()
-
-    def parse_power(self):
-        base = self.parse_atom()
-        if self.at_op("^"):
-            self.next()
-            exp = self.next()
-            if exp[0] != "int":
-                raise ProblemError("exponent must be a nonnegative integer",
-                                   self.line, exp[2])
-            return ("pow", base, exp[1])
-        return base
-
-    def parse_atom(self):
-        t = self.next()
-        if t[0] == "int":
-            return ("num", Fraction(t[1]))
-        if t[0] == "op" and t[1] == "(":
-            node = self.parse_expression()
-            self.expect_op(")")
-            return node
-        if t[0] == "name":
-            if t[1] == "D" and self.at_op("["):
-                return self.parse_derivative(t)
-            return ("name", t[1], t[2])
-        raise ProblemError(f"unexpected token {t[1]!r}", self.line, t[2])
-
-    def parse_derivative(self, head):
-        self.expect_op("[")
-        fn = self.next()
-        if fn[0] != "name":
-            raise ProblemError("derivative of what? expected a function name",
-                               self.line, fn[2])
-        self.expect_op(",")
-        if self.at_op("{"):
-            self.next()
-            entries = []
-            while True:
-                e = self.next()
-                if e[0] != "int":
-                    raise ProblemError("multiindex entries must be integers",
-                                       self.line, e[2])
-                entries.append(e[1])
-                if self.at_op(","):
-                    self.next()
-                    continue
-                break
-            self.expect_op("}")
-            self.expect_op("]")
-            return ("deriv", fn[1], ("multi", entries), fn[2])
-        names = []
-        while True:
-            v = self.next()
-            if v[0] != "name":
-                raise ProblemError("expected a variable name in D[..]",
-                                   self.line, v[2])
-            names.append(v[1])
-            if self.at_op(","):
-                self.next()
-                continue
-            break
-        self.expect_op("]")
-        return ("deriv", fn[1], ("vars", names), fn[2])
-
-
 def parse_expression(text, line=0):
-    p = _Parser(_tokenize(text, line), line)
-    lhs = p.parse_expression()
-    rhs = None
-    if p.at_op("="):
-        p.next()
-        rhs = p.parse_expression()
-    t = p.peek()
-    if t is not None:
-        raise ProblemError(f"trailing input {t[1]!r}", line, t[2])
-    return lhs, rhs
+    """The ``ast`` trees of the sides of ``lhs [= rhs]``; ``rhs`` is None without ``=``.
+
+    ``^`` is read as Python's ``**`` and each node gets ``col``, its 1-based
+    column in ``text``.  What needs the text is checked here: integers are
+    decimal digits, an exponent has no parentheses, and a subscript is
+    ``D[f, x, ...]`` or ``D[f, {i, ...}]``.  The walks check the node types.
+    """
+    if "**" in text:
+        raise ProblemError("unexpected token '*'", line, text.index("**") + 2)
+    lhs, eq, rhs = text.partition("=")
+    return _parse_side(lhs, 0, line), _parse_side(rhs, len(lhs) + 1, line) if eq else None
 
 
-@dataclass
-class ParsedEquation:
-    lhs: tuple
-    rhs: tuple
-    solved: bool
-    line: int
+def _parse_side(text, offset, line):
+    stripped = text.lstrip()
+    offset += len(text) - len(stripped)
+    pieces = ["**" if c == "^" else " " if c.isspace() else c for c in stripped]
+    src = "".join(pieces)
+    # origin[k]: column in the line of the character holding byte k of src
+    origin = [offset + i + 1 for i, p in enumerate(pieces) for _ in p.encode()]
+    origin.append(offset + len(stripped) + 1)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a SyntaxWarning becomes a SyntaxError
+            tree = ast.parse(src, mode="eval").body
+    except (SyntaxError, ValueError) as exc:  # ValueError: a null byte, on Python 3.10
+        at = getattr(exc, "offset", None) or len(src) + 1
+        col = origin[min(len(src[:at - 1].encode()), len(origin) - 1)]
+        raise ProblemError(f"syntax error: {exc.args[0]}", line, col) from None
+    raw = src.encode()
+    for node in [n for n in ast.walk(tree) if isinstance(n, ast.expr)]:
+        node.col = origin[node.col_offset]
+        if _is_int(node) and not raw[node.col_offset:node.end_col_offset].isdigit():
+            raise ProblemError("syntax error: integers are written in decimal digits",
+                               line, node.col)
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) and not (
+                _is_int(node.right) and raw[:node.right.col_offset].rstrip().endswith(b"**")):
+            raise ProblemError("exponent must be a nonnegative integer", line,
+                               origin[node.right.col_offset])
+        if isinstance(node, ast.Subscript) and not _is_derivative(node, raw):
+            raise ProblemError("syntax error: expected D[f, x, ...] or D[f, {i, ...}]",
+                               line, node.col)
+    while isinstance(tree, ast.UnaryOp) and isinstance(tree.op, ast.UAdd):
+        tree = tree.operand  # a leading + is dropped: +D[y,x] is a bare derivative
+    return tree
+
+
+def _is_int(node):
+    return isinstance(node, ast.Constant) and type(node.value) is int
+
+
+def _is_derivative(node, raw):
+    """Whether ``node`` is D[f, x, ...] or D[f, {i, ...}] with no other brackets."""
+    args = node.slice.elts if isinstance(node.slice, ast.Tuple) else ()
+    if not (isinstance(node.value, ast.Name) and node.value.id == "D" and len(args) > 1
+            and _punctuated(raw, node.value.end_col_offset, args, node.end_col_offset, "[]")):
+        return False
+    if len(args) == 2 and isinstance(args[1], ast.Set):
+        entries = args[1].elts
+        return (isinstance(args[0], ast.Name) and all(map(_is_int, entries))
+                and _punctuated(raw, args[1].col_offset, entries, args[1].end_col_offset, "{}"))
+    return all(isinstance(a, ast.Name) for a in args)
+
+
+def _punctuated(raw, start, nodes, end, brackets):
+    """Whether raw[start:end] is the nodes, comma-separated inside ``brackets``."""
+    bounds = [start] + [b for n in nodes for b in (n.col_offset, n.end_col_offset)] + [end]
+    gaps = [b"".join(raw[a:b].split()).decode() for a, b in zip(bounds[::2], bounds[1::2])]
+    return gaps == [brackets[0]] + [","] * (len(nodes) - 1) + [brackets[1]]
 
 
 @dataclass
@@ -204,8 +121,8 @@ class ProblemFile:
     scheme: str = "grlex"
     tiebreak: str = "term"
     completion_scheme: str = None
-    detvars: tuple = None
-    equations: tuple = ()
+    detvars: tuple = ()
+    equations: tuple = ()  # (lhs, rhs or None, line) from parse_expression
 
     def context(self):
         return Context(self.variables, self.functions)
@@ -219,70 +136,63 @@ class ProblemFile:
 
     def monomials(self):
         """The multiindices of equations that are bare derivatives of one function."""
-        out = []
-        for eq in self.equations:
-            if eq.rhs is not None or eq.lhs[0] != "deriv":
-                raise ProblemError("expected a bare derivative", eq.line)
-            _, fname, _, col = eq.lhs
-            if fname not in self.functions:
-                raise ProblemError(f"unknown function {fname!r}", eq.line, col)
-            if fname != self.equations[0].lhs[1]:
-                raise ProblemError(f"second function {fname!r} in a monomial set", eq.line, col)
-            out.append(_deriv_index(eq.lhs, self.variables, eq.line))
+        out, first = [], None
+        for lhs, rhs, line in self.equations:
+            if rhs is not None or not isinstance(lhs, ast.Subscript):
+                raise ProblemError("expected a bare derivative", line)
+            fn = lhs.slice.elts[0]
+            if fn.id not in self.functions:
+                raise ProblemError(f"unknown function {fn.id!r}", line, fn.col)
+            first = first or fn.id
+            if fn.id != first:
+                raise ProblemError(f"second function {fn.id!r} in a monomial set", line, fn.col)
+            out.append(_deriv_index(lhs, self.variables, line))
         return out
 
     def linear_system(self):
         domain = _LinearDomain(self.context())
         out = []
-        for eq in self.equations:
-            lhs = _evaluate(eq.lhs, domain, self.variables, self.functions, eq.line)
-            if eq.rhs is not None:
-                lhs = lhs - _evaluate(eq.rhs, domain, self.variables, self.functions, eq.line)
-            if lhs.is_zero():
-                raise ProblemError("equation reduces to 0 = 0", eq.line)
-            out.append(lhs)
+        for lhs, rhs, line in self.equations:
+            f = _evaluate(lhs, domain, self.variables, self.functions, line)
+            if rhs is not None:
+                f = f - _evaluate(rhs, domain, self.variables, self.functions, line)
+            if f.is_zero():
+                raise ProblemError("equation reduces to 0 = 0", line)
+            out.append(f)
         return out
 
     def symmetry_problem(self):
         jets = _JetDomain(len(self.variables), len(self.functions))
         eqs = []
-        for eq in self.equations:
-            if eq.rhs is None:
+        for lhs, rhs, line in self.equations:
+            if rhs is None:
                 raise ProblemError("symmetry input needs solved equations "
-                                   "(solve: D[...] = rhs)", eq.line)
-            if eq.lhs[0] != "deriv":
-                raise ProblemError("left side must be a single derivative", eq.line)
-            alpha = _deriv_index(eq.lhs, self.variables, eq.line)
-            if eq.lhs[1] not in self.functions:
-                raise ProblemError(f"unknown function {eq.lhs[1]!r}", eq.line)
-            lead = (self.functions.index(eq.lhs[1]), alpha)
-            rhs = _evaluate(eq.rhs, jets, self.variables, self.functions, eq.line)
+                                   "(solve: D[...] = rhs)", line)
+            if not isinstance(lhs, ast.Subscript):
+                raise ProblemError("left side must be a single derivative", line)
+            fn = lhs.slice.elts[0]
+            alpha = _deriv_index(lhs, self.variables, line)
+            if fn.id not in self.functions:
+                raise ProblemError(f"unknown function {fn.id!r}", line, fn.col)
+            lead = (self.functions.index(fn.id), alpha)
+            rhs = _evaluate(rhs, jets, self.variables, self.functions, line)
             try:
                 eqs.append(SolvedEquation(lead, rhs))
             except ValueError as exc:
-                raise ProblemError(str(exc), eq.line) from exc
-        det_order = None
-        if self.detvars:
-            det_order = []
-            for name in self.detvars:
-                if name in self.functions:
-                    det_order.append(("y", self.functions.index(name)))
-                elif name in self.variables:
-                    det_order.append(("x", self.variables.index(name)))
-                else:
-                    raise ProblemError(f"unknown name {name!r} in detvars")
-            det_order = tuple(det_order)
+                raise ProblemError(str(exc), line) from exc
+        det_order = tuple(("y", self.functions.index(name)) if name in self.functions
+                          else ("x", self.variables.index(name))
+                          for name in self.detvars) or None
         return SymmetryProblem(self.variables, self.functions, tuple(eqs), det_order)
 
 
+_CHOICES = {"ranking": ("scheme", SCHEMES), "tiebreak": ("tiebreak", TIEBREAKS),
+            "completion-ranking": ("completion_scheme", SCHEMES),
+            "completion_ranking": ("completion_scheme", SCHEMES)}
+
+
 def parse_problem(text):
-    variables = None
-    functions = None
-    scheme = "grlex"
-    tiebreak = "term"
-    completion_scheme = None
-    detvars = None
-    equations = []
+    declared, settings, equations = {}, {}, []  # declared: key -> (names, line)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -292,23 +202,20 @@ def parse_problem(text):
         key, _, value = line.partition(":")
         key = key.strip().lower()
         value = value.strip()
-        if key == "vars":
-            variables = tuple(value.split())
-        elif key == "funcs":
-            functions = tuple(value.split())
-        elif key == "ranking":
-            scheme = _known(value, SCHEMES, "ranking", lineno)
-        elif key == "tiebreak":
-            tiebreak = _known(value, TIEBREAKS, "tiebreak", lineno)
-        elif key in ("completion-ranking", "completion_ranking"):
-            completion_scheme = _known(value, SCHEMES, "completion ranking", lineno)
-        elif key == "detvars":
-            detvars = tuple(value.split())
+        if key in ("vars", "funcs", "detvars"):
+            declared[key] = _names(value, lineno), lineno
+        elif key in _CHOICES:
+            field, choices = _CHOICES[key]
+            if value not in choices:
+                what = key.replace("-", " ").replace("_", " ")
+                raise ProblemError(f"unknown {what} {value!r}", lineno)
+            settings[field] = value
         elif key in ("eq", "solve"):
-            lhs, rhs = parse_expression(value, lineno)
-            equations.append(ParsedEquation(lhs, rhs, key == "solve", lineno))
+            equations.append((*parse_expression(value, lineno), lineno))
         else:
             raise ProblemError(f"unknown key {key!r}", lineno)
+    (variables, _), (functions, _), (detvars, detvars_line) = (
+        declared.get(key, ((), None)) for key in ("vars", "funcs", "detvars"))
     if not variables:
         raise ProblemError("missing 'vars:' declaration")
     if not functions:
@@ -318,32 +225,37 @@ def parse_problem(text):
         raise ProblemError("variable and function names must be unique")
     if not equations:
         raise ProblemError("no equations")
-    return ProblemFile(variables, functions, scheme, tiebreak,
-                       completion_scheme, detvars, tuple(equations))
+    for name in detvars:
+        if name not in names:
+            raise ProblemError(f"unknown name {name!r} in detvars", detvars_line)
+    return ProblemFile(variables, functions, detvars=detvars, equations=tuple(equations),
+                       **settings)
 
 
-def _known(value, names, key, line):
-    if value not in names:
-        raise ProblemError(f"unknown {key} {value!r}", line)
-    return value
+def _names(value, line):
+    """The names of a ``vars:``, ``funcs:`` or ``detvars:`` line: identifiers, no keywords."""
+    names = tuple(value.split())
+    for name in names:
+        if not name.isidentifier() or keyword.iskeyword(name):
+            raise ProblemError(f"invalid name {name!r}", line)
+    return names
 
 
 def _deriv_index(node, variables, line):
-    _, _, spec, col = node
+    """The multiindex of a derivative ``D[f, ...]``; errors point at ``f``."""
+    fn, *spec = node.slice.elts
     n = len(variables)
-    if spec[0] == "multi":
-        if len(spec[1]) != n:
-            raise ProblemError(f"multiindex of length {len(spec[1])} in a "
-                               f"{n}-variable problem", line, col)
-        try:
-            return MultiIndex(spec[1])
-        except ValueError as exc:
-            raise ProblemError(str(exc), line, col) from exc
+    if isinstance(spec[0], ast.Set):
+        entries = [e.value for e in spec[0].elts]
+        if len(entries) != n:
+            raise ProblemError(f"multiindex of length {len(entries)} in a "
+                               f"{n}-variable problem", line, fn.col)
+        return MultiIndex(entries)
     alpha = [0] * n
-    for name in spec[1]:
-        if name not in variables:
-            raise ProblemError(f"unknown variable {name!r} in derivative", line, col)
-        alpha[variables.index(name)] += 1
+    for v in spec:
+        if v.id not in variables:
+            raise ProblemError(f"unknown variable {v.id!r} in derivative", line, fn.col)
+        alpha[variables.index(v.id)] += 1
     return MultiIndex(alpha)
 
 
@@ -399,29 +311,38 @@ class _JetDomain:
         return a.scale(1 / b.terms[()])
 
 
+_BINARY = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "div", ast.Pow: "pow"}
+
+
 def _evaluate(node, domain, variables, functions, line):
     """The value in ``domain`` of a tree from ``parse_expression``.
 
-    The walk resolves names and puts the line, and the column where the tree
-    keeps one, on every error; ``domain`` builds the leaves and applies
-    ``* / ^`` as its methods ``mul``, ``div`` and ``pow``.
+    The walk resolves names, rejects the nodes the language lacks and puts the
+    line, and the column where the error has one, on every error; ``domain``
+    builds the leaves and applies ``* / ^`` as its methods ``mul``, ``div``, ``pow``.
     """
-    kind = node[0]
-    if kind == "num":
-        return domain.number(node[1])
-    if kind == "name" and node[1] in variables:
-        return domain.variable(variables.index(node[1]))
-    if kind in ("name", "deriv"):
-        if node[1] not in functions:
-            what = "identifier" if kind == "name" else "function"
-            raise ProblemError(f"unknown {what} {node[1]!r}", line, node[-1])
-        alpha = (_deriv_index(node, variables, line) if kind == "deriv"
-                 else MultiIndex.unit(len(variables)))
-        return domain.derivative(functions.index(node[1]), alpha)
-    a = _evaluate(node[1], domain, variables, functions, line)
-    if kind == "neg":
-        return -a
-    b = node[2] if kind == "pow" else _evaluate(node[2], domain, variables, functions, line)
+    if _is_int(node):
+        return domain.number(Fraction(node.value))
+    if isinstance(node, ast.Name) and node.id in variables:
+        return domain.variable(variables.index(node.id))
+    if isinstance(node, (ast.Name, ast.Subscript)):
+        fn = node if isinstance(node, ast.Name) else node.slice.elts[0]
+        if fn.id not in functions:
+            what = "identifier" if fn is node else "function"
+            raise ProblemError(f"unknown {what} {fn.id!r}", line, fn.col)
+        alpha = (MultiIndex.unit(len(variables)) if fn is node
+                 else _deriv_index(node, variables, line))
+        return domain.derivative(functions.index(fn.id), alpha)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        a = _evaluate(node.operand, domain, variables, functions, line)
+        return -a if isinstance(node.op, ast.USub) else a
+    kind = _BINARY.get(type(node.op)) if isinstance(node, ast.BinOp) else None
+    if kind is None:
+        raise ProblemError("syntax error: unexpected "
+                           f"{ast.unparse(node).replace('**', '^')!r}", line, node.col)
+    a = _evaluate(node.left, domain, variables, functions, line)
+    b = node.right.value if kind == "pow" else _evaluate(
+        node.right, domain, variables, functions, line)
     if kind in ("add", "sub"):
         return a + b if kind == "add" else a - b
     try:

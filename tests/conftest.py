@@ -1,3 +1,4 @@
+import signal
 import textwrap
 from pathlib import Path
 
@@ -11,9 +12,31 @@ from involute.scalars import MultivarPolynomial
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
 
 
+WALL_LIMIT_S = 60  # far above the slowest test (about 3 s)
+
+
 @pytest.fixture(scope="session")
 def problems_path():
     return PROBLEMS
+
+
+def _wall_limit_expired(signum, frame):
+    raise TimeoutError(f"test ran past its {WALL_LIMIT_S} s wall limit")
+
+
+@pytest.fixture(autouse=True)
+def wall_limit():
+    """Fail a test that stalls, instead of holding up the run (where SIGALRM exists)."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+    previous = signal.signal(signal.SIGALRM, _wall_limit_expired)
+    signal.alarm(WALL_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def load_problem(name):

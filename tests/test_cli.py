@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from involute import Ranking, parse_problem
+from involute import (Context, Derivative, LinearDiffPoly, MultiIndex, Ranking,
+                      parse_problem)
 from involute.cli import main
 from involute.probfile import ProblemError, format_problem
 from involute.scalars import RationalFunction, SparsePolynomial
@@ -131,6 +132,93 @@ class TestParsing:
     def test_syntax_error_carries_position(self):
         with pytest.raises(ProblemError, match="line"):
             parse_problem("vars: x\nfuncs: y\neq: D[y,\n")
+
+    @pytest.mark.parametrize("text, expected", [
+        ("-x^2*D[y,t]/(1+x)", lambda v, d: d("t").scale(-v("x") ** 2 / (v(1) + v("x")))),
+        ("a-b-c", lambda v, d: v("a") - v("b") - v("c")),
+        ("a/b/c", lambda v, d: v("a") / (v("b") * v("c"))),
+        ("-a*b", lambda v, d: -(v("a") * v("b"))),
+        ("+y", lambda v, d: d()),
+        ("D[y, x, x]", lambda v, d: d("x", "x")),
+        ("D[y,{0,2,0,0,0}]", lambda v, d: d("x", "x")),
+        ("x^ 2", lambda v, d: v("x") ** 2),
+        ("x\u00a0^\u30002", lambda v, d: v("x") ** 2),  # any Unicode blank separates
+    ])
+    def test_accepted_expressions(self, text, expected):
+        names = ("t", "x", "a", "b", "c")
+        ctx = Context(names, ("y",))
+
+        def variable(name):  # or a number
+            if isinstance(name, int):
+                return RationalFunction.const(len(names), name)
+            return RationalFunction.variable(len(names), names.index(name))
+
+        def derivative(*by):
+            index = MultiIndex(tuple(by.count(name) for name in names))
+            return LinearDiffPoly.from_derivative(ctx, Derivative(0, index))
+
+        value = expected(variable, derivative)
+        if isinstance(value, RationalFunction):
+            value = LinearDiffPoly(ctx, const=value)
+        (f,) = parse_problem(f"vars: {' '.join(names)}\nfuncs: y\neq: {text}\n").linear_system()
+        assert f == value
+
+    @pytest.mark.parametrize("text", [
+        "x**2", "x^y", "x^-1", "f(x)", "x.y", "y[1]", "D[y]", "D[1,x]", "D[y,{a}]", "1.5",
+        "x < y", "x % 2", "(x, y)", "0x10"])
+    def test_rejected_expressions(self, text):
+        with pytest.raises(ProblemError) as info:
+            parse_problem(f"vars: x\nfuncs: y\neq: {text}\n").linear_system()
+        assert info.value.line == 3
+
+    @pytest.mark.parametrize("text, message", [
+        ("D[y,", "syntax error: '[' was never closed (line 3, column 2)"),
+        ("x**2", "unexpected token '*' (line 3, column 3)"),
+        ("x^(2)", "exponent must be a nonnegative integer (line 3, column 4)"),
+        ("x^02", "syntax error: leading zeros in decimal integer literals are not permitted; "
+                 "use an 0o prefix for octal integers (line 3, column 3)"),
+        ("x^ 1_0", "syntax error: integers are written in decimal digits (line 3, column 4)"),
+        ("D[y,(x)]", "syntax error: expected D[f, x, ...] or D[f, {i, ...}] (line 3, column 1)"),
+        ("D[y,{0,}]", "syntax error: expected D[f, x, ...] or D[f, {i, ...}] (line 3, column 1)"),
+        ("y + x.t", "syntax error: unexpected 'x.t' (line 3, column 5)"),
+    ])
+    def test_syntax_error_wording(self, text, message):
+        with pytest.raises(ProblemError) as info:
+            parse_problem(f"vars: x t\nfuncs: y\neq: {text}\n").linear_system()
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        ("vars: x lambda\nfuncs: y\neq: y\n", "invalid name 'lambda' (line 1)"),
+        ("vars: x\nfuncs: 1y\neq: x\n", "invalid name '1y' (line 2)"),
+        ("vars: x\nfuncs: y\ndetvars: y x-1\neq: y\n", "invalid name 'x-1' (line 3)"),
+        ("vars: x\nfuncs: y\ndetvars: q x\neq: y\n", "unknown name 'q' in detvars (line 3)"),
+    ])
+    def test_declared_names_are_checked_on_their_line(self, text, message):
+        with pytest.raises(ProblemError) as info:
+            parse_problem(text)
+        assert str(info.value) == message
+
+    def test_columns_count_characters(self):
+        pf = parse_problem("vars: é t\nfuncs: y\neq: é^2 + z\n")
+        with pytest.raises(ProblemError) as info:
+            pf.linear_system()
+        assert str(info.value) == "unknown identifier 'z' (line 3, column 7)"
+        with pytest.raises(ProblemError) as info:
+            parse_problem("vars: é t\nfuncs: y\neq: é + (t\n")
+        assert str(info.value) == "syntax error: '(' was never closed (line 3, column 5)"
+
+    def test_unknown_function_on_a_solved_left_side_has_a_column(self):
+        pf = parse_problem("vars: t x\nfuncs: y\nranking: degrevlex\n"
+                           "solve: D[q,t] = D[y,x,x]\n")
+        with pytest.raises(ProblemError) as info:
+            pf.symmetry_problem()
+        assert str(info.value) == "unknown function 'q' (line 4, column 3)"
+
+    def test_leading_plus_keeps_a_bare_derivative(self):
+        pf = parse_problem("vars: x t\nfuncs: y\neq: +D[y,x,t]\neq: +(+D[y,{0,2}])\n")
+        assert pf.monomials() == [MultiIndex((1, 1)), MultiIndex((0, 2))]
+        pf = parse_problem("vars: x t\nfuncs: y\nsolve: +D[y,t] = y\n")
+        assert pf.symmetry_problem().equations[0].lead == (0, MultiIndex((0, 1)))
 
     @pytest.mark.parametrize("key, what", [("ranking", "ranking"), ("tiebreak", "tiebreak"),
                                            ("completion-ranking", "completion ranking")])
@@ -283,7 +371,6 @@ class TestCli:
 
     @pytest.mark.parametrize("flags, message", [
         ((), "the equation D[y,{1,0}] - x1 = 0 reduces to -x1 + 1 = 0"),
-        (("--autoreduce-input",), "the equation D[y,{1,0}] - 1 = 0 reduces to x1 - 1 = 0"),
     ])
     def test_inconsistent_input_equations(self, tmp_path, capsys, flags, message):
         bad = tmp_path / "inconsistent.pde"
@@ -298,6 +385,8 @@ class TestCli:
         (["ivp", "janet3.pde", "--trace"], "unrecognized arguments: --trace"),
         (["verify", "janet3.pde", "--cap", "5"], "unrecognized arguments: --cap 5"),
         (["monomial", "example1.pde", "--ranking", "lex"], "unrecognized arguments: --ranking"),
+        (["complete", "janet3.pde", "--autoreduce-input"],
+         "unrecognized arguments: --autoreduce-input"),
     ])
     def test_usage_error_exit_code(self, capsys, argv, message):
         # a flag the subcommand does not read is a usage error, like a malformed one
@@ -382,26 +471,6 @@ class TestMoreCli:
         doc = json.loads(out)
         assert doc["dimension"] == 3
         assert len(doc["basis"]) == 9
-
-    @pytest.mark.parametrize("flag, autoreduced", [((), False),
-                                                   (("--autoreduce-input",), True)])
-    def test_symmetry_autoreduce_input(self, tmp_path, capsys, monkeypatch, flag, autoreduced):
-        from involute import completion
-        kdv = tmp_path / "kdv.pde"
-        kdv.write_text("vars: t x\nfuncs: u\nranking: degrevlex\n"
-                       "solve: D[u,t] = u*D[u,x] + D[u,x,x,x]\n")
-        calls = []
-        real = completion.conventional_autoreduce
-
-        def counting(F, ranking):
-            calls.append(len(F))
-            return real(F, ranking)
-
-        monkeypatch.setattr(completion, "conventional_autoreduce", counting)
-        code, out, _ = run_cli(capsys, "symmetry", str(kdv), *flag)
-        assert code == 0
-        assert "solution space dimension: 4" in out
-        assert bool(calls) is autoreduced
 
     def test_ivp_json(self, capsys):
         code, out, _ = run_cli(capsys, "ivp", str(PROBLEMS / "fourvar.pde"),

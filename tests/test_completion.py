@@ -261,14 +261,6 @@ class TestAlgorithmProperties:
             minimal_involutive_basis(eqs, opts)
         assert len(err.value.partial.elements) >= 2
 
-    def test_autoreduce_input_flag(self):
-        pf, eqs = system(JANET3_TEXT)
-        opts = CompletionOptions(division=Division.JANET, main=GRL,
-                                 autoreduce_input=True)
-        basis = minimal_involutive_basis(eqs, opts)
-        _, want = system(JANET3_BASIS)
-        assert norm_set(basis.elements, GRL) == norm_set(want, GRL)
-
     def test_rejects_empty_input(self):
         pf, eqs = system(JANET3_TEXT)
         with pytest.raises(ValueError):
