@@ -10,8 +10,8 @@ the leading-monomial data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .monomial import complementary_decomposition
 from .diffpoly import Derivative
@@ -38,8 +38,7 @@ def complementary_set(basis):
             for j in range(basis.elements[0].ctx.m)}
 
 
-@dataclass(frozen=True)
-class IVPEntry:
+class IVPEntry(NamedTuple):
     indet: int
     derivative: Derivative
     multipliers: frozenset
@@ -47,8 +46,7 @@ class IVPEntry:
     kind: str  # 'function' or 'constant'
 
 
-@dataclass(frozen=True)
-class IVPSpec:
+class IVPSpec(NamedTuple):
     entries: tuple
 
     def format(self, ctx):
@@ -99,8 +97,7 @@ def _mu_data(basis):
     return out
 
 
-@dataclass(frozen=True)
-class HilbertData:
+class HilbertData(NamedTuple):
     """Hilbert function and polynomial of the differential ideal."""
 
     n: int
@@ -159,8 +156,7 @@ def hilbert_data(basis):
     return HilbertData(ctx.n, ctx.m, mus, hp, stab)
 
 
-@dataclass(frozen=True)
-class SolutionDimension:
+class SolutionDimension(NamedTuple):
     finite: bool
     value: int
     decompositions: dict

@@ -17,9 +17,9 @@ which keeps the final basis minimal.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from functools import partial
 from operator import attrgetter
+from typing import NamedTuple
 
 from .diffpoly import Derivative, Ranking
 from .monomial import CapExceeded, ConeIndex, Division
@@ -33,19 +33,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CompletionOptions:
-    division: Division = Division.JANET
-    main: Ranking = Ranking()
-    completion: Ranking = None
-    cap: int = 10000
-    use_criterion: bool = True
+class CompletionOptions(NamedTuple("CompletionOptions", [
+        ("division", Division), ("main", Ranking), ("completion", Ranking), ("cap", int),
+        ("use_criterion", bool)])):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.cap < 1:
+    def __new__(cls, division=Division.JANET, main=Ranking(), completion=None, cap=10000,
+                use_criterion=True):
+        if cap < 1:
             raise ValueError("cap must be at least 1")
-        if self.completion is None:
-            object.__setattr__(self, "completion", self.main)
+        return super().__new__(cls, division, main, completion or main, cap, use_criterion)
 
 
 class InconsistentSystem(ValueError):
@@ -77,14 +74,14 @@ class Triple:
         self.prolonged = {}
 
 
-@dataclass(frozen=True)
 class InvolutiveBasis:
     """Completed system: monic elements, their separations, options used."""
 
-    elements: tuple
-    separations: tuple
-    options: CompletionOptions
-    prolongations_examined: int = 0
+    __slots__ = ("elements", "separations", "options", "prolongations_examined")
+
+    def __init__(self, elements, separations, options, prolongations_examined=0):
+        self.elements, self.separations = elements, separations
+        self.options, self.prolongations_examined = options, prolongations_examined
 
     def __len__(self):
         return len(self.elements)

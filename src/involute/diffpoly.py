@@ -9,24 +9,22 @@ realized as sort keys, so the maximum key picks the leading derivative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .monomial import MultiIndex
 from .scalars import RationalFunction, signed_sum
 
 
-@dataclass(frozen=True)
-class Context:
+class Context(NamedTuple("Context", [("variables", tuple), ("functions", tuple)])):
     """Naming and dimensions shared by the polynomials of one system."""
 
-    variables: tuple
-    functions: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        names = list(self.variables) + list(self.functions)
+    def __new__(cls, variables, functions):
+        names = list(variables) + list(functions)
         if len(set(names)) != len(names):
             raise ValueError("variable and function names must be unique")
+        return super().__new__(cls, variables, functions)
 
     @property
     def n(self):
@@ -70,8 +68,7 @@ ORDERLY_SCHEMES = ("grlex", "degrevlex")
 TIEBREAKS = ("term", "indet")
 
 
-@dataclass(frozen=True)
-class Ranking:
+class Ranking(NamedTuple("Ranking", [("scheme", str), ("tiebreak", str)])):
     """Total order on derivatives, encoded as a sort key.
 
     ``scheme`` orders the multiindices (grlex and degrevlex are orderly);
@@ -80,14 +77,14 @@ class Ranking:
     functions rank in the order of the context, first = highest.
     """
 
-    scheme: str = "grlex"
-    tiebreak: str = "term"
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"unknown ranking scheme {self.scheme!r}")
-        if self.tiebreak not in TIEBREAKS:
-            raise ValueError(f"unknown tiebreak {self.tiebreak!r}")
+    def __new__(cls, scheme="grlex", tiebreak="term"):
+        if scheme not in SCHEMES:
+            raise ValueError(f"unknown ranking scheme {scheme!r}")
+        if tiebreak not in TIEBREAKS:
+            raise ValueError(f"unknown tiebreak {tiebreak!r}")
+        return super().__new__(cls, scheme, tiebreak)
 
     @property
     def is_orderly(self):

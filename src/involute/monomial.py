@@ -13,8 +13,8 @@ from __future__ import annotations
 import bisect
 import itertools
 import operator
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .scalars import power_product
 
@@ -82,8 +82,7 @@ class Division(Enum):
     LEX_INDUCED = "lexinduced"
 
 
-@dataclass(frozen=True)
-class Separation:
+class Separation(NamedTuple):
     """Partition of the variables for one element of a monomial set."""
 
     multiplicative: frozenset
@@ -402,8 +401,7 @@ def monomials_up_to(n, d):
         yield from monomials_of_degree(n, k)
 
 
-@dataclass(frozen=True)
-class ComplementaryDecomposition:
+class ComplementaryDecomposition(NamedTuple):
     """Disjoint cone decomposition of the complement of a monomial ideal.
 
     ``finite_part`` lists standalone monomials; ``generators`` pairs a cone
@@ -542,8 +540,7 @@ def complementary_decomposition(U, kind, n=None):
     raise ValueError(f"unknown division {kind!r}")
 
 
-@dataclass(frozen=True)
-class CartanCharacters:
+class CartanCharacters(NamedTuple):
     """Counts of degree-q Pommaret generators by number of multipliers."""
 
     q: int

@@ -23,10 +23,11 @@ from __future__ import annotations
 import ast
 import keyword
 import operator
+import unicodedata
 import warnings
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from typing import NamedTuple
 
 from .diffpoly import SCHEMES, TIEBREAKS, Context, Derivative, LinearDiffPoly, Ranking
 from .monomial import MultiIndex
@@ -114,8 +115,7 @@ def _punctuated(raw, start, nodes, end, brackets):
     return gaps == [brackets[0]] + [","] * (len(nodes) - 1) + [brackets[1]]
 
 
-@dataclass
-class ProblemFile:
+class ProblemFile(NamedTuple):
     variables: tuple
     functions: tuple
     scheme: str = "grlex"
@@ -238,6 +238,9 @@ def _names(value, line):
     for name in names:
         if not name.isidentifier() or keyword.iskeyword(name):
             raise ProblemError(f"invalid name {name!r}", line)
+        normal = unicodedata.normalize("NFKC", name)  # the name as ast reads it
+        if normal != name:
+            raise ProblemError(f"name {name!r} reads as {normal!r} in expressions", line)
     return names
 
 
@@ -321,6 +324,25 @@ def _evaluate(node, domain, variables, functions, line):
     line, and the column where the error has one, on every error; ``domain``
     builds the leaves and applies ``* / ^`` as its methods ``mul``, ``div``, ``pow``.
     """
+    spine = []  # a left-deep chain of binary operators, walked without recursion
+    while isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        spine.append(node)
+        node = node.left
+    value = _leaf(node, domain, variables, functions, line)
+    for node in reversed(spine):
+        kind = _BINARY[type(node.op)]
+        b = node.right.value if kind == "pow" else _evaluate(
+            node.right, domain, variables, functions, line)
+        try:
+            value = (value + b if kind == "add" else value - b if kind == "sub"
+                     else getattr(domain, kind)(value, b))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ProblemError(str(exc), line) from exc
+    return value
+
+
+def _leaf(node, domain, variables, functions, line):
+    """The value of a node that is not a binary operator of the language."""
     if _is_int(node):
         return domain.number(Fraction(node.value))
     if isinstance(node, ast.Name) and node.id in variables:
@@ -336,19 +358,8 @@ def _evaluate(node, domain, variables, functions, line):
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
         a = _evaluate(node.operand, domain, variables, functions, line)
         return -a if isinstance(node.op, ast.USub) else a
-    kind = _BINARY.get(type(node.op)) if isinstance(node, ast.BinOp) else None
-    if kind is None:
-        raise ProblemError("syntax error: unexpected "
-                           f"{ast.unparse(node).replace('**', '^')!r}", line, node.col)
-    a = _evaluate(node.left, domain, variables, functions, line)
-    b = node.right.value if kind == "pow" else _evaluate(
-        node.right, domain, variables, functions, line)
-    if kind in ("add", "sub"):
-        return a + b if kind == "add" else a - b
-    try:
-        return getattr(domain, kind)(a, b)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ProblemError(str(exc), line) from exc
+    raise ProblemError("syntax error: unexpected "
+                       f"{ast.unparse(node).replace('**', '^')!r}", line, node.col)
 
 
 def format_problem(ctx, ranking, equations, completion_scheme=None):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
-from operator import add
+from operator import add, sub
 
 
 class ExactDivisionError(ArithmeticError):
@@ -346,6 +346,12 @@ def _support(p):
     return {i for e in p.terms for i, k in enumerate(e) if k}
 
 
+def _monomial_content(p):
+    """(a, q) with p = x^a * q, where a is the componentwise minimum exponent of p."""
+    a = tuple(map(min, zip(*p.terms)))
+    return a, p._raw({tuple(map(sub, e, a)): c for e, c in p.terms.items()}) if any(a) else p
+
+
 def poly_gcd(f, g):
     """Gcd of two polynomials, normalized to primitive integer coefficients."""
     if f.is_zero():
@@ -354,6 +360,11 @@ def poly_gcd(f, g):
         return _rat_normalize(f)
     if f.is_constant() or g.is_constant() or not _support(f) & _support(g):
         return MultivarPolynomial.const(f.nvars, 1)
+    if len(f.terms) == 1 or len(g.terms) == 1:  # a monomial's divisors are monomials
+        return f._raw({tuple(map(min, zip(*f.terms, *g.terms))): Fraction(1)})
+    (a, f1), (b, g1) = _monomial_content(f), _monomial_content(g)
+    if any(a) or any(b):  # gcd(x^a*f1, x^b*g1) = x^min(a,b) * gcd(f1, g1)
+        return poly_gcd(f1, g1).mul_term(tuple(map(min, a, b)), 1)
     v = next(i for i in range(f.nvars) if f.degree_in(i) or g.degree_in(i))
     cf = _content_in(f, v)
     cg = _content_in(g, v)

@@ -12,8 +12,8 @@ form the determining system.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .analysis import solution_dimension
 from .completion import CompletionOptions, minimal_involutive_basis
@@ -260,22 +260,20 @@ def apply_prolonged_field(f, ansatz, q):
     return out
 
 
-@dataclass(frozen=True)
-class SolvedEquation:
+class SolvedEquation(NamedTuple("SolvedEquation", [("lead", tuple), ("rhs", DiffPolynomial)])):
     """lead = rhs, with the lead a derivative symbol absent from the rhs."""
 
-    lead: tuple  # (function index, multiindex)
-    rhs: DiffPolynomial
+    __slots__ = ()
 
-    def __post_init__(self):
-        j, alpha = self.lead
+    def __new__(cls, lead, rhs):  # lead: (function index, multiindex)
+        j, alpha = lead
         alpha = tuple(alpha)
         if not any(alpha):
             raise ValueError("the lead of a solved equation must have order >= 1")
-        for sym in self.rhs.symbols():
+        for sym in rhs.symbols():
             if sym[0] == "d" and sym[1] == j and all(b >= a for a, b in zip(alpha, sym[2])):
                 raise ValueError("rhs contains the lead or one of its derivatives")
-        object.__setattr__(self, "lead", (j, alpha))
+        return super().__new__(cls, (j, alpha), rhs)
 
     def residual(self):
         n, m = self.rhs.n, self.rhs.m
@@ -327,8 +325,7 @@ class _LeadSubstituter:
         raise ValueError("substitution did not reach a fixed point; circular leads?")
 
 
-@dataclass(frozen=True)
-class SymmetryProblem:
+class SymmetryProblem(NamedTuple):
     variables: tuple
     functions: tuple
     equations: tuple

@@ -192,6 +192,9 @@ class TestParsing:
         ("vars: x\nfuncs: 1y\neq: x\n", "invalid name '1y' (line 2)"),
         ("vars: x\nfuncs: y\ndetvars: y x-1\neq: y\n", "invalid name 'x-1' (line 3)"),
         ("vars: x\nfuncs: y\ndetvars: q x\neq: y\n", "unknown name 'q' in detvars (line 3)"),
+        # ast reads the identifier \ufb01 (the fi ligature) as fi
+        ("vars: x \ufb01\nfuncs: y\neq: D[y,x] - \ufb01\n",
+         "name '\ufb01' reads as 'fi' in expressions (line 1)"),
     ])
     def test_declared_names_are_checked_on_their_line(self, text, message):
         with pytest.raises(ProblemError) as info:
@@ -351,6 +354,13 @@ class TestCli:
                                "--action", "cartan", "--json", *flags)
         assert code == 0
         assert json.loads(out)["division"] == "pommaret"
+
+    def test_long_sum_is_evaluated_without_recursion(self, tmp_path, capsys):
+        long = tmp_path / "long.pde"
+        long.write_text("vars: x\nfuncs: y\neq: D[y,x] + " + "+".join(["x"] * 1500) + "\n")
+        code, out, err = run_cli(capsys, "complete", str(long))
+        assert (code, err) == (0, "")
+        assert "\n  D[y,{1}] + 1500*x = 0\n" in out
 
     def test_input_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.pde"

@@ -1,3 +1,4 @@
+import math
 import operator
 import random
 from fractions import Fraction
@@ -293,3 +294,31 @@ class TestSharedDenominatorFactor:
         num, den = sympy.fraction(sympy.cancel(want))
         assert sympy.expand(to_sympy(got.num) * den - num * to_sympy(got.den)) == 0
         assert sympy.cancel(to_sympy(got.den) / den).is_number
+
+
+@st.composite
+def monomial_factored_pairs(draw):
+    """c*x^a*f and c*x^b*g: unshared monomial factors and a common factor c.
+
+    c is 1, a monomial, a polynomial or both; a one-term cofactor with c = 1
+    gives a single-term operand.
+    """
+    nvars = draw(st.integers(2, 3))
+    monomials = st.tuples(*[st.integers(0, 2)] * nvars).map(lambda e: P(nvars, {e: 1}))
+    one = st.just(P(nvars, {(0,) * nvars: 1}))
+    common = draw(one | monomials) * draw(one | polys(nvars))
+    cofactors = [draw(polys(nvars, size=draw(st.integers(1, 2)))) for _ in range(2)]
+    return tuple(common * draw(monomials) * f for f in cofactors)
+
+
+class TestMonomialContent:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(monomial_factored_pairs())
+    def test_gcd_against_sympy(self, pair):
+        sympy = pytest.importorskip("sympy")
+        to_sympy = sympy_converter(sympy)
+        got = poly_gcd(*pair)
+        assert sympy.cancel(to_sympy(got) / sympy.gcd(*map(to_sympy, pair))).is_number
+        coeffs = got.terms.values()
+        assert all(c.denominator == 1 for c in coeffs) and got.leading()[1] > 0
+        assert math.gcd(*(c.numerator for c in coeffs)) == 1

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from involute import (CompletionOptions, Division, Ranking,
+from involute import (CompletionOptions, Context, Division, MultiIndex, Ranking,
                       conventional_normal_form, minimal_involutive_basis,
                       solution_dimension, symmetry_dimension,
                       verify_involutive)
@@ -225,6 +225,27 @@ class TestSolvedEquation:
         s = dp(2, 1)
         with pytest.raises(ValueError):
             SolvedEquation((0, (0, 0)), s["y"](0))
+
+
+def test_records_validate_and_normalize_their_fields():
+    s = dp(2, 1)
+    invalid = [
+        (lambda: Ranking("bogus"), "unknown ranking scheme 'bogus'"),
+        (lambda: Ranking("grlex", "x"), "unknown tiebreak 'x'"),
+        (lambda: Context(("x",), ("x",)), "variable and function names must be unique"),
+        (lambda: CompletionOptions(cap=0), "cap must be at least 1"),
+        (lambda: SolvedEquation((0, (0, 0)), s["y"](0)),
+         "the lead of a solved equation must have order >= 1"),
+        (lambda: SolvedEquation((0, (1, 0)), s["d"](0, 1, 1)),
+         "rhs contains the lead or one of its derivatives"),
+    ]
+    for make, message in invalid:
+        with pytest.raises(ValueError) as info:
+            make()
+        assert str(info.value) == message
+    assert CompletionOptions(main=DRL).completion == DRL
+    assert SolvedEquation((0, [1, 0]), s["x"](1)).lead == (0, (1, 0))
+    assert type(SolvedEquation((0, MultiIndex((1, 0))), s["x"](1)).lead[1]) is tuple
 
 
 class TestDeterminingSystems:
