@@ -6,11 +6,11 @@ solution-structure analysis, and Lie symmetry determining systems.
 """
 
 from .monomial import (CapExceeded, CartanCharacters, ComplementaryDecomposition,
-                       Division, MultiIndex, Separation, autoreduce,
+                       Division, MultiIndex, NoFiniteBasis, Separation, autoreduce,
                        axioms_check, cartan_characters, complementary_decomposition,
                        complete, in_cone, involutive_divides, is_involutive,
-                       monomials_of_degree, monomials_up_to, separation,
-                       separations)
+                       monomials_of_degree, monomials_up_to, quasi_stability_witness,
+                       separation, separations)
 from .scalars import MultivarPolynomial, RationalFunction
 from .diffpoly import Context, Derivative, LinearDiffPoly, Ranking
 from .completion import (CompletionOptions, InconsistentSystem, InvolutiveBasis, basis_from,

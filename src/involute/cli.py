@@ -5,8 +5,10 @@ lists each option with the subcommands that read it, and a subcommand
 accepts no other.  ``main`` parses the problem file once, and each ``cmd_*``
 returns its report as text lines and as a JSON document; ``main`` prints
 one of the two, the document under ``--json``.
-Exit codes: 0 success, 1 input or usage error, 2 prolongation cap exceeded,
-3 inconsistent system (an equation or a prolongation reduces to 0 = c).
+Exit codes: 0 success, 1 input or usage error, 2 prolongation cap exceeded
+or, under Pommaret division, no finite basis (a leading ideal that is not
+quasi-stable, so any cap would be exceeded), 3 inconsistent system (an
+equation or a prolongation reduces to 0 = c).
 """
 
 from __future__ import annotations

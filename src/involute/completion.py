@@ -22,10 +22,11 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .diffpoly import Derivative, Ranking
-from .monomial import CapExceeded, ConeIndex, Division
+from .monomial import CapExceeded, ConeIndex, Division, NoFiniteBasis, quasi_stability_witness
 
 __all__ = [
-    "CompletionOptions", "InvolutiveBasis", "Triple", "CapExceeded", "InconsistentSystem",
+    "CompletionOptions", "InvolutiveBasis", "Triple", "CapExceeded", "NoFiniteBasis",
+    "InconsistentSystem",
     "involutive_normal_form", "conventional_normal_form",
     "minimal_involutive_basis", "chain_criterion", "basis_from",
     "verify_involutive", "verify_partial_involutive",
@@ -43,6 +44,10 @@ class CompletionOptions(NamedTuple("CompletionOptions", [
         if cap < 1:
             raise ValueError("cap must be at least 1")
         return super().__new__(cls, division, main, completion or main, cap, use_criterion)
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through here: keep the checks of __new__
+        return cls(*fields)
 
 
 class InconsistentSystem(ValueError):
@@ -227,13 +232,38 @@ def _basis_of(triples, indexes, opts, examined=0):
     return InvolutiveBasis(tuple(t.poly for t in order), seps, opts, examined)
 
 
+def _check_pommaret_finite(F, opts):
+    """Raise NoFiniteBasis if the system has no finite Pommaret basis.
+
+    The leaders of any involutive basis generate the leading ideal of each
+    function, which depends on the ranking only; the Janet basis, which
+    always exists, gives them.  If its completion caps, nothing is decided.
+    """
+    try:
+        janet = minimal_involutive_basis(F, opts._replace(division=Division.JANET))
+    except CapExceeded:
+        return
+    ctx = janet.elements[0].ctx
+    for j, leaders in sorted(janet.monomial_sets().items()):
+        witness = quasi_stability_witness(leaders)
+        if witness is not None:
+            raise NoFiniteBasis(
+                f"no finite Pommaret basis, so any cap is exceeded: the leaders of "
+                f"{ctx.functions[j]} are not quasi-stable (witness "
+                f"{Derivative(j, witness).format(ctx)})", partial=janet)
+
+
 def minimal_involutive_basis(F, opts=None, trace=None):
     """Complete a finite system to its minimal involutive basis.
 
     Raises CapExceeded (with the partial basis attached) once the number of
-    examined nonmultiplicative prolongations passes ``opts.cap``; Pommaret
-    division is not noetherian, so that outcome is expected for inputs with
-    no finite Pommaret basis.
+    examined nonmultiplicative prolongations passes ``opts.cap``.  Pommaret
+    division is not noetherian: under it the system is first completed,
+    untraced, under Janet division with the same rankings and cap, and
+    NoFiniteBasis, a CapExceeded with that Janet basis attached, is raised
+    at once if the leaders of some function are not quasi-stable.  If the
+    Janet completion caps, the Pommaret loop runs to the cap.
+    ``prolongations_examined`` counts the Pommaret loop alone.
     """
     opts = opts or CompletionOptions()
     main, comp = opts.main, opts.completion
@@ -244,6 +274,8 @@ def minimal_involutive_basis(F, opts=None, trace=None):
         if not f.terms:
             raise _nonzero_constant(f, "an input equation")
     work = [f.normalize(main) for f in work]
+    if opts.division is Division.POMMARET:
+        _check_pommaret_finite(work, opts)
 
     serial = 0
 

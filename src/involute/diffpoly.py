@@ -26,6 +26,10 @@ class Context(NamedTuple("Context", [("variables", tuple), ("functions", tuple)]
             raise ValueError("variable and function names must be unique")
         return super().__new__(cls, variables, functions)
 
+    @classmethod
+    def _make(cls, fields):  # _replace builds through here: keep the checks of __new__
+        return cls(*fields)
+
     @property
     def n(self):
         return len(self.variables)
@@ -85,6 +89,10 @@ class Ranking(NamedTuple("Ranking", [("scheme", str), ("tiebreak", str)])):
         if tiebreak not in TIEBREAKS:
             raise ValueError(f"unknown tiebreak {tiebreak!r}")
         return super().__new__(cls, scheme, tiebreak)
+
+    @classmethod
+    def _make(cls, fields):  # _replace builds through here: keep the checks of __new__
+        return cls(*fields)
 
     @property
     def is_orderly(self):

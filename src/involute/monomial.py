@@ -101,6 +101,11 @@ class CapExceeded(RuntimeError):
         self.partial = partial
 
 
+class NoFiniteBasis(CapExceeded):
+    """No finite Pommaret basis exists, so any cap would be exceeded; the
+    Janet basis is attached as the partial result."""
+
+
 def monomial_sort_key(scheme="grlex"):
     """Key function realizing an admissible ordering (max = greatest)."""
     if scheme == "lex":
@@ -341,12 +346,30 @@ def complete(U, kind, completion_order="grlex", cap=10000):
     already covers are dropped, so the result is the unique minimal
     involutive basis.  Raises CapExceeded, with the partial basis attached,
     once more than ``cap`` distinct prolongations have been examined.
+
+    Under Pommaret division a set that is not quasi-stable raises
+    NoFiniteBasis at once, with its Janet basis under the same order and cap
+    as the partial basis; if that Janet completion caps, the Pommaret loop
+    runs to the cap as for any other set.
     """
     if cap < 1:
         raise ValueError("cap must be at least 1")
     U = _check_set(U)
     if not U:
         raise ValueError("empty monomial set")
+    if kind is Division.POMMARET:
+        # U generates the ideal of its Janet leaders, so U itself decides;
+        # the Janet basis is built only to be the partial result
+        witness = quasi_stability_witness(U)
+        if witness is not None:
+            try:
+                janet = complete(U, Division.JANET, completion_order, cap)
+            except CapExceeded:
+                pass
+            else:
+                raise NoFiniteBasis(f"no finite Pommaret basis, so any cap is exceeded: "
+                                    f"the set is not quasi-stable (witness {witness.format()})",
+                                    partial=janet)
     order_key = (completion_order if callable(completion_order)
                  else monomial_sort_key(completion_order))
     # kept sorted, so the lowest candidate is at the front
@@ -369,6 +392,36 @@ def complete(U, kind, completion_order="grlex", cap=10000):
                 p = v.prolongation(i)
                 bisect.insort(queue, (order_key(p), True, p))
     return tuple(index.tips)
+
+
+def quasi_stability_witness(U):
+    """A minimal generator of (U) showing that the ideal is not quasi-stable,
+    or None if it is.
+
+    (U) has a finite Pommaret basis iff it is quasi-stable (Seiler,
+    *Involution*, 2010, ch. 5).  Here the last variable is always
+    multiplicative, and (U) is quasi-stable iff for every minimal generator
+    t, every j with t_j > 0 and every i < j, x_i^s * t / x_j^(t_j) lies in
+    (U) for some s; s, the largest exponent of x_i among the generators,
+    is enough.
+    """
+    gens = []
+    for u in sorted(_check_set(U), key=sum):
+        if not in_cone(u, gens):
+            gens.append(u)
+    gens.sort()
+    n = len(gens[0]) if gens else 0
+    top = [max(g[i] for g in gens) for i in range(n)]
+    for t in gens:
+        for j in range(1, n):
+            if t[j]:
+                for i in range(j):
+                    w = list(t)
+                    w[i] += top[i]
+                    w[j] = 0
+                    if not in_cone(w, gens):
+                        return t
+    return None
 
 
 def is_involutive(U, kind):

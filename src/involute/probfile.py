@@ -356,8 +356,12 @@ def _leaf(node, domain, variables, functions, line):
                  else _deriv_index(node, variables, line))
         return domain.derivative(functions.index(fn.id), alpha)
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-        a = _evaluate(node.operand, domain, variables, functions, line)
-        return -a if isinstance(node.op, ast.USub) else a
+        negate = False  # a chain of signs, counted without recursion
+        while isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+            negate ^= isinstance(node.op, ast.USub)
+            node = node.operand
+        a = _evaluate(node, domain, variables, functions, line)
+        return -a if negate else a
     raise ProblemError("syntax error: unexpected "
                        f"{ast.unparse(node).replace('**', '^')!r}", line, node.col)
 

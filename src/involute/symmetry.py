@@ -275,6 +275,10 @@ class SolvedEquation(NamedTuple("SolvedEquation", [("lead", tuple), ("rhs", Diff
                 raise ValueError("rhs contains the lead or one of its derivatives")
         return super().__new__(cls, (j, alpha), rhs)
 
+    @classmethod
+    def _make(cls, fields):  # _replace builds through here: keep the checks of __new__
+        return cls(*fields)
+
     def residual(self):
         n, m = self.rhs.n, self.rhs.m
         return DiffPolynomial.deriv(n, m, *self.lead) - self.rhs

@@ -1,3 +1,4 @@
+import heapq
 import signal
 import textwrap
 from pathlib import Path
@@ -84,6 +85,33 @@ def complete_bruteforce(U, completed, kind, extra_degree=3):
             if not involutive_divisors_bruteforce(u * w, completed, kind):
                 return False
     return True
+
+
+def pommaret_completion_bruteforce(U, cap):
+    """The Pommaret completion of U, or None once it passes ``cap`` elements.
+
+    Plain enumeration, lowest degree first: a candidate is adjoined unless an
+    element v = w[:k] + (c, 0, ..., 0) with 0 < c <= w[k] is there (the
+    Pommaret divisors of w), and then its nonmultiplicative prolongations,
+    by the variables before its last nonzero exponent, become candidates.
+    """
+    n = len(U[0])
+    zero = (0,) * n
+    basis = set()
+    heap = [(sum(u), tuple(u)) for u in set(U)]
+    heapq.heapify(heap)
+    while heap:
+        _, w = heapq.heappop(heap)
+        if zero in basis or any(w[:k] + (c,) + zero[k + 1:] in basis
+                                for k in range(n) for c in range(1, w[k] + 1)):
+            continue
+        basis.add(w)
+        if len(basis) > cap:
+            return None
+        for i in range(max((k for k, e in enumerate(w) if e), default=0)):
+            p = w[:i] + (w[i] + 1,) + w[i + 1:]
+            heapq.heappush(heap, (sum(p), p))
+    return basis
 
 
 def decomposition_exact_bruteforce(U, dec, extra_degree=3):

@@ -362,6 +362,24 @@ class TestCli:
         assert (code, err) == (0, "")
         assert "\n  D[y,{1}] + 1500*x = 0\n" in out
 
+    @pytest.mark.parametrize("signs, term", [(1500, "+ x"), (1501, "- x")])
+    def test_long_sign_chain_is_evaluated_without_recursion(self, tmp_path, capsys,
+                                                           signs, term):
+        long = tmp_path / "signs.pde"
+        long.write_text("vars: x\nfuncs: y\neq: D[y,x] + " + "-" * signs + "x\n")
+        code, out, err = run_cli(capsys, "complete", str(long))
+        assert (code, err) == (0, "")
+        assert f"\n  D[y,{{1}}] {term} = 0\n" in out
+
+    def test_pommaret_without_finite_basis_exits_at_once(self, capsys):
+        # example1 has no finite Pommaret basis; the default cap of 10000 used
+        # to take minutes to run out
+        code, out, err = run_cli(capsys, "complete", str(PROBLEMS / "example1.pde"),
+                                 "--division", "pommaret")
+        assert (code, out) == (2, "")
+        assert err.startswith("cap exceeded: no finite Pommaret basis")
+        assert err.endswith("(witness D[y,{1,0,2}])\n")
+
     def test_input_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.pde"
         bad.write_text("vars: x\nfuncs: y\neq: D[y,{1,0}]\n")

@@ -390,8 +390,12 @@ class TestProlongationKeyMemo:
         import sys
         from collections import Counter
         from involute import Derivative, completion
-        pf, eqs = system((PROBLEMS / "example1.pde").read_text())
-        opts = CompletionOptions(division=Division.POMMARET, main=pf.ranking(), cap=300)
+        # the seed-7 recipe set (4,5,5): its lex-induced completion examines
+        # 141 prolongations, so a cap of 100 stops the loop midway
+        pf, eqs = system("vars: x1 x2 x3 x4\nfuncs: y\n" + "".join(
+            "eq: D[y,{%s}]\n" % ",".join(map(str, u))
+            for u in [(1, 0, 0, 3), (3, 0, 1, 0), (4, 3, 0, 4), (0, 1, 5, 5), (4, 0, 4, 4)]))
+        opts = CompletionOptions(division=Division.LEX_INDUCED, main=pf.ranking(), cap=100)
         with pytest.raises(CapExceeded) as plain:
             minimal_involutive_basis(eqs, opts)
 
@@ -416,7 +420,7 @@ class TestProlongationKeyMemo:
         assert all(k <= made[d] for (d, _), k in derived.items())
         got, want = counted.value.partial, plain.value.partial
         assert got.elements == want.elements
-        assert got.prolongations_examined == want.prolongations_examined == 301
+        assert got.prolongations_examined == want.prolongations_examined == opts.cap + 1
 
 
 class TestSeparationCache:

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from involute import (CapExceeded, CompletionOptions, Division, MultiIndex,
-                      Ranking, autoreduce, axioms_check, cartan_characters,
+                      NoFiniteBasis, Ranking, autoreduce, axioms_check, cartan_characters,
                       complementary_decomposition, complete, in_cone,
                       involutive_divides, is_involutive,
-                      minimal_involutive_basis, monomials_up_to, separation,
-                      separations)
+                      minimal_involutive_basis, monomials_up_to,
+                      quasi_stability_witness, separation, separations)
 from involute.monomial import ConeIndex, in_involutive_cone
 from conftest import (complete_bruteforce, cones_pairwise_disjoint_bruteforce,
-                      decomposition_exact_bruteforce, mi, system)
+                      decomposition_exact_bruteforce, mi, pommaret_completion_bruteforce,
+                      system)
 
 EX1 = (mi(2, 0, 1), mi(1, 1, 0), mi(1, 0, 2))
 
@@ -261,6 +262,26 @@ class TestComplete:
                 assert is_involutive(res, kind)
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.tuples(*[st.integers(0, 4)] * n), min_size=1, max_size=4)))
+@example([(2, 0, 1), (1, 1, 0), (1, 0, 2)])
+@example([(0, 0)])
+def test_quasi_stability_decides_pommaret_finiteness(U):
+    # a finite Pommaret completion of sets this small had at most 13 elements
+    # in 2 300 random sets tried, so a cap of 300 separates the two cases
+    brute = pommaret_completion_bruteforce(U, 300)
+    witness = quasi_stability_witness(U)
+    assert (witness is None) == (brute is not None)
+    if brute is not None:
+        assert set(complete(U, Division.POMMARET)) == brute
+    else:
+        assert witness in U
+        with pytest.raises(NoFiniteBasis) as err:
+            complete(U, Division.POMMARET)
+        assert err.value.partial == complete(U, Division.JANET)
+
+
 RECIPE_CLASSES = ((3, 4, 5), (4, 5, 5), (5, 6, 5), (6, 6, 5), (6, 8, 6))
 
 
@@ -372,9 +393,9 @@ def _digest(V):
 
 class TestCompleteRecipePins:
     """``complete`` on the recipe sets: sizes and digests of the lex-sorted
-    minimal bases, and of the partial bases once 2000 distinct Pommaret
-    prolongations are examined; ``TestAgreementWithDifferentialEngine``
-    checks the same sets against the differential engine."""
+    minimal bases, and the Pommaret verdict on the first two sets, which have
+    no finite Pommaret basis; ``TestAgreementWithDifferentialEngine`` checks
+    the same sets against the differential engine."""
 
     @pytest.mark.parametrize("k, kind, size, digest", [
         (0, Division.JANET, 4, "63a2016d45b5d898"),
@@ -389,15 +410,13 @@ class TestCompleteRecipePins:
         assert (len(res), _digest(res)) == (size, digest)
         assert is_involutive(res, kind)
 
-    @pytest.mark.parametrize("k, size, digest", [
-        (0, 1004, "687c9812445dfb19"),
-        (1, 818, "3f732142eee9b378"),
-    ])
-    def test_pommaret_cap_partial(self, k, size, digest):
-        with pytest.raises(CapExceeded) as err:
-            complete(_recipe_sets()[k], Division.POMMARET, cap=2000)
-        partial = err.value.partial
-        assert (len(partial), _digest(partial)) == (size, digest)
+    @pytest.mark.parametrize("k, witness", [(0, "x1^2*x2*x3^3"), (1, "x2*x3^5*x4^5")])
+    def test_pommaret_cap_partial(self, k, witness):
+        U = _recipe_sets()[k]
+        with pytest.raises(NoFiniteBasis) as err:
+            complete(U, Division.POMMARET, cap=2000)
+        assert str(err.value).endswith(f"(witness {witness})")
+        assert err.value.partial == complete(U, Division.JANET, cap=2000)
 
 
 class TestComplementaryDecomposition:

@@ -248,6 +248,30 @@ def test_records_validate_and_normalize_their_fields():
     assert type(SolvedEquation((0, MultiIndex((1, 0))), s["x"](1)).lead[1]) is tuple
 
 
+def test_replace_keeps_the_checks_of_the_constructor():
+    s = dp(2, 1)
+    eq = SolvedEquation((0, (1, 0)), s["x"](1))
+    invalid = [
+        (lambda: Ranking()._replace(scheme="bogus"), lambda: Ranking("bogus")),
+        (lambda: Ranking()._replace(tiebreak="x"), lambda: Ranking("grlex", "x")),
+        (lambda: Context(("x",), ("y",))._replace(functions=("x",)),
+         lambda: Context(("x",), ("x",))),
+        (lambda: CompletionOptions()._replace(cap=0), lambda: CompletionOptions(cap=0)),
+        (lambda: eq._replace(lead=(0, (0, 0))), lambda: SolvedEquation((0, (0, 0)), s["x"](1))),
+        (lambda: eq._replace(rhs=s["d"](0, 1, 1)),
+         lambda: SolvedEquation((0, (1, 0)), s["d"](0, 1, 1))),
+    ]
+    for replace, construct in invalid:
+        with pytest.raises(ValueError) as want:
+            construct()
+        with pytest.raises(ValueError) as got:
+            replace()
+        assert str(got.value) == str(want.value)
+    assert eq._replace(lead=(0, [0, 1])).lead == (0, (0, 1))
+    opts = CompletionOptions(main=DRL)._replace(division=Division.POMMARET)
+    assert (opts.division, opts.completion) == (Division.POMMARET, DRL)
+
+
 class TestDeterminingSystems:
     def test_linear_homogeneous(self):
         pf = load_problem("diffusion.pde")
