@@ -9,13 +9,18 @@ and every leader lies in its own.  Elements of a queue Q are merged in
 lowest-leader first; before each merge, the nonmultiplicative prolongations
 whose leaders rank below it are examined lowest first under the completion
 ranking, with a chain criterion to skip prolongations that cannot
-contribute.  Every element whose leader exceeds a newly found lower leader
-is displaced back into the queue, in one re-filing of each index it touches,
-which keeps the final basis minimal.
+contribute.  They come from one sorted list of candidates, fed with the
+variables each re-filing of a cone index makes nonmultiplicative; an entry
+whose triple has left G, or whose variable has turned multiplicative or been
+processed, is dropped when reached.  Every element whose leader exceeds a
+newly found lower leader is displaced back into the queue, in one re-filing
+of each index it touches, which keeps the final basis minimal.
+``monomial.complete`` is this routine on the equations D[y, u] = 0.
 """
 
 from __future__ import annotations
 
+import bisect
 from collections import defaultdict
 from functools import partial
 from operator import attrgetter
@@ -62,12 +67,10 @@ class Triple:
     """Basis element with its prolongation ancestor and processed variables.
 
     ``leader`` is the element's leading derivative and ``key`` its sort key
-    under the main ranking, fixed when the triple is made.  ``prolonged``
-    maps a variable x to the main and completion keys of the leader's
-    derivative by x, filled by the completion loop on first use.
+    under the main ranking, fixed when the triple is made.
     """
 
-    __slots__ = ("poly", "ancestor", "processed", "serial", "leader", "key", "prolonged")
+    __slots__ = ("poly", "ancestor", "processed", "serial", "leader", "key")
 
     def __init__(self, poly, ancestor, processed, serial, leader, key=None):
         self.poly = poly
@@ -76,7 +79,6 @@ class Triple:
         self.serial = serial
         self.leader = leader
         self.key = key
-        self.prolonged = {}
 
 
 class InvolutiveBasis:
@@ -286,13 +288,20 @@ def minimal_involutive_basis(F, opts=None, trace=None):
 
     # G, keyed by leader, and one cone index per function (module docstring)
     triples, indexes = {}, defaultdict(partial(ConeIndex, opts.division))
-
-    def nonmultiplicative(t):
-        return indexes[t.leader.indet].filed[t.leader.index]
+    # the nonmultiplicative prolongations, sorted lowest first under the
+    # completion ranking: (completion key, serial, x, main key, leader)
+    candidates = []
 
     def adjoin(t, drop=()):
         triples[t.leader] = t
-        indexes[t.leader.indet].add(t.leader.index, drop)
+        for v, new in indexes[t.leader.indet].add(t.leader.index, drop):
+            u = triples[Derivative(t.leader.indet, v)]
+            if u is not t:
+                # x was multiplicative for u since u last processed it
+                u.processed -= new
+            for x in new - u.processed:
+                lead = u.leader.differentiate(x)
+                bisect.insort(candidates, (comp.key(lead), u.serial, x, main.key(lead), u.leader))
 
     def adjoin_normal_form(r, leader, ancestor, processed=()):
         """Adjoin r, the nonzero normal form of an element led by ``leader``."""
@@ -311,10 +320,24 @@ def minimal_involutive_basis(F, opts=None, trace=None):
         adjoin(new_triple(r, ancestor, processed, lead), dropped.pop(lead.indet, ()))
         for j, tips in dropped.items():
             indexes[j].remove(*tips)
-        # an adjunction only adds nonmultiplicative variables (axiom (d)), a
-        # displacement may take some away
-        for u in triples.values():
-            u.processed &= nonmultiplicative(u)
+
+    def next_candidate(gate):
+        """The lowest unprocessed nonmultiplicative prolongation led below
+        ``gate`` (any, if None), as (triple, x), or None; stale entries
+        met on the way are dropped."""
+        i = 0
+        while i < len(candidates):
+            _, made, x, key, leader = candidates[i]
+            t = triples.get(leader)
+            if (t is None or t.serial != made or x in t.processed
+                    or x not in indexes[leader.indet].filed[leader.index]):
+                del candidates[i]
+            elif gate is None or key < gate:
+                del candidates[i]
+                return t, x
+            else:
+                i += 1
+        return None
 
     lds = [f.ld(main) for f in work]
     start = min(range(len(work)), key=lambda i: (main.key(lds[i]), i))
@@ -325,23 +348,8 @@ def minimal_involutive_basis(F, opts=None, trace=None):
     while True:
         # examine nonmultiplicative prolongations by the normal strategy, below
         # the lowest queue element
-        while True:
-            gate = min((t.key for t in Q), default=None)
-            best = None
-            for t in triples.values():
-                for x in nonmultiplicative(t) - t.processed:
-                    keys = t.prolonged.get(x)
-                    if keys is None:
-                        lead = t.leader.differentiate(x)
-                        keys = t.prolonged[x] = (main.key(lead), comp.key(lead))
-                    if gate is not None and not keys[0] < gate:
-                        continue
-                    cand_key = (keys[1], t.serial, x)
-                    if best is None or cand_key < best[0]:
-                        best = (cand_key, t, x)
-            if best is None:
-                break
-            _, t, x = best
+        while (best := next_candidate(min((t.key for t in Q), default=None))) is not None:
+            t, x = best
             examined += 1
             if examined > opts.cap:
                 raise CapExceeded(

@@ -50,7 +50,7 @@ class Derivative(NamedTuple):
         return self.index.degree
 
     def differentiate(self, i):
-        return Derivative(self.indet, self.index * MultiIndex.variable(len(self.index), i))
+        return Derivative(self.indet, self.index.prolongation(i))
 
     def prolong(self, beta):
         return Derivative(self.indet, self.index * beta)
@@ -198,7 +198,6 @@ class LinearDiffPoly:
     def differentiate(self, i):
         """Apply d/dx_i: product rule on each coefficient-times-derivative term."""
         terms = {}
-        e_i = MultiIndex.variable(self.ctx.n, i)
 
         def acc(d, c):
             if c.is_zero():
@@ -212,7 +211,7 @@ class LinearDiffPoly:
 
         for d, c in self.terms.items():
             acc(d, c.partial(i))
-            acc(d.prolong(e_i), c)
+            acc(d.differentiate(i), c)
         return self._raw(terms, self.const.partial(i))
 
     def prolong(self, beta):

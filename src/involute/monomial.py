@@ -5,7 +5,9 @@ highest variable of the fixed order.  The three divisions (Janet, Pommaret,
 lexicographically induced) all arise from a partition of the variables into
 multiplicative and nonmultiplicative ones per element of a finite set, so the
 involutive cone of an element is the monoid generated by its multiplicative
-variables.
+variables.  ``complete`` has no loop of its own: it runs
+``completion.minimal_involutive_basis`` on the equations D[y, u] = 0, where
+every involutive normal form is 0 or the monomial itself.
 """
 
 from __future__ import annotations
@@ -32,12 +34,6 @@ class MultiIndex(tuple):
     def unit(cls, n):
         return cls((0,) * n)
 
-    @classmethod
-    def variable(cls, n, i, power=1):
-        e = [0] * n
-        e[i] = power
-        return cls(e)
-
     @property
     def degree(self):
         return sum(self)
@@ -46,7 +42,8 @@ class MultiIndex(tuple):
         return not any(self)
 
     def __mul__(self, other):
-        return MultiIndex(a + b for a, b in zip(self, other))
+        # a sum of nonnegative exponents needs no check
+        return tuple.__new__(MultiIndex, map(operator.add, self, other))
 
     def prolongation(self, i):
         """x_i * self, built without re-validating the exponents."""
@@ -62,7 +59,7 @@ class MultiIndex(tuple):
         return len(self) == len(other) and all(a <= b for a, b in zip(self, other))
 
     def lcm(self, other):
-        return MultiIndex(max(a, b) for a, b in zip(self, other))
+        return tuple.__new__(MultiIndex, map(max, self, other))
 
     def support(self):
         return frozenset(i for i, e in enumerate(self) if e)
@@ -104,17 +101,6 @@ class CapExceeded(RuntimeError):
 class NoFiniteBasis(CapExceeded):
     """No finite Pommaret basis exists, so any cap would be exceeded; the
     Janet basis is attached as the partial result."""
-
-
-def monomial_sort_key(scheme="grlex"):
-    """Key function realizing an admissible ordering (max = greatest)."""
-    if scheme == "lex":
-        return tuple
-    if scheme == "grlex":
-        return lambda u: (sum(u), tuple(u))
-    if scheme == "degrevlex":
-        return lambda u: (sum(u), tuple(-e for e in reversed(u)))
-    raise ValueError(f"unknown monomial ordering {scheme!r}")
 
 
 def _check_set(U):
@@ -335,63 +321,27 @@ def autoreduce(U, kind):
 
 
 def complete(U, kind, completion_order="grlex", cap=10000):
-    """Minimal involutive basis of the monomial ideal generated by U.
-
-    This is ``completion.minimal_involutive_basis`` on leaders alone: the
-    involutive normal form of a monomial is 0 or the monomial itself.  One
-    sorted queue yields the candidates, the input monomials and the
-    nonmultiplicative prolongations of the basis, lowest first under
-    ``completion_order`` and an input before a prolongation of the same rank;
-    a candidate without an involutive divisor is adjoined.  Inputs the basis
-    already covers are dropped, so the result is the unique minimal
-    involutive basis.  Raises CapExceeded, with the partial basis attached,
-    once more than ``cap`` distinct prolongations have been examined.
-
-    Under Pommaret division a set that is not quasi-stable raises
-    NoFiniteBasis at once, with its Janet basis under the same order and cap
-    as the partial basis; if that Janet completion caps, the Pommaret loop
-    runs to the cap as for any other set.
+    """Minimal involutive basis of the monomial ideal generated by U, as a
+    lex-sorted tuple: ``completion.minimal_involutive_basis`` on the
+    equations D[y, u] = 0, u in U, under the ranking ``completion_order``
+    ('lex', 'grlex' or 'degrevlex').  A CapExceeded, NoFiniteBasis included,
+    carries the lex-sorted leaders of its partial basis as ``partial``.
     """
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
+    from .completion import CompletionOptions, minimal_involutive_basis
+    from .diffpoly import Context, Derivative, LinearDiffPoly, Ranking
+
+    opts = CompletionOptions(division=kind, main=Ranking(completion_order), cap=cap)
     U = _check_set(U)
     if not U:
         raise ValueError("empty monomial set")
-    if kind is Division.POMMARET:
-        # U generates the ideal of its Janet leaders, so U itself decides;
-        # the Janet basis is built only to be the partial result
-        witness = quasi_stability_witness(U)
-        if witness is not None:
-            try:
-                janet = complete(U, Division.JANET, completion_order, cap)
-            except CapExceeded:
-                pass
-            else:
-                raise NoFiniteBasis(f"no finite Pommaret basis, so any cap is exceeded: "
-                                    f"the set is not quasi-stable (witness {witness.format()})",
-                                    partial=janet)
-    order_key = (completion_order if callable(completion_order)
-                 else monomial_sort_key(completion_order))
-    # kept sorted, so the lowest candidate is at the front
-    queue = sorted((order_key(u), False, u) for u in U)
-    index = ConeIndex(kind)
-    examined = 0
-    while queue:
-        _, prolonged, w = queue.pop(0)
-        if prolonged:
-            examined += 1
-            if examined > cap:
-                raise CapExceeded(f"completion exceeded {cap} prolongation examinations",
-                                  partial=tuple(index.tips))
-        if index.covers(w):
-            continue
-        # an adjunction only shrinks the other multiplicative sets (axiom (d)),
-        # so each variable that add() reports is queued once
-        for v, new in index.add(w):
-            for i in new:
-                p = v.prolongation(i)
-                bisect.insort(queue, (order_key(p), True, p))
-    return tuple(index.tips)
+    ctx = Context(tuple(f"x{i + 1}" for i in range(len(U[0]))), ("y",))
+    try:
+        basis = minimal_involutive_basis(
+            [LinearDiffPoly.from_derivative(ctx, Derivative(0, u)) for u in U], opts)
+    except CapExceeded as exc:
+        exc.partial = exc.partial.monomial_sets()[0]
+        raise
+    return basis.monomial_sets()[0]
 
 
 def quasi_stability_witness(U):

@@ -138,15 +138,14 @@ class ProblemFile(NamedTuple):
         """The multiindices of equations that are bare derivatives of one function."""
         out, first = [], None
         for lhs, rhs, line in self.equations:
-            if rhs is not None or not isinstance(lhs, ast.Subscript):
+            if rhs is not None or not (isinstance(lhs, ast.Subscript) or isinstance(
+                    lhs, ast.Name) and lhs.id not in self.variables):
                 raise ProblemError("expected a bare derivative", line)
-            fn = lhs.slice.elts[0]
-            if fn.id not in self.functions:
-                raise ProblemError(f"unknown function {fn.id!r}", line, fn.col)
+            fn, alpha = _derivative(lhs, self.variables, self.functions, line)
             first = first or fn.id
             if fn.id != first:
                 raise ProblemError(f"second function {fn.id!r} in a monomial set", line, fn.col)
-            out.append(_deriv_index(lhs, self.variables, line))
+            out.append(alpha)
         return out
 
     def linear_system(self):
@@ -242,6 +241,18 @@ def _names(value, line):
         if normal != name:
             raise ProblemError(f"name {name!r} reads as {normal!r} in expressions", line)
     return names
+
+
+def _derivative(node, variables, functions, line):
+    """The function's name node and the multiindex of a derivative: a bare
+    function name (order 0) or ``D[f, ...]``."""
+    fn = node if isinstance(node, ast.Name) else node.slice.elts[0]
+    if fn.id not in functions:
+        what = "identifier" if fn is node else "function"
+        raise ProblemError(f"unknown {what} {fn.id!r}", line, fn.col)
+    if fn is node:
+        return fn, MultiIndex.unit(len(variables))
+    return fn, _deriv_index(node, variables, line)
 
 
 def _deriv_index(node, variables, line):
@@ -348,12 +359,7 @@ def _leaf(node, domain, variables, functions, line):
     if isinstance(node, ast.Name) and node.id in variables:
         return domain.variable(variables.index(node.id))
     if isinstance(node, (ast.Name, ast.Subscript)):
-        fn = node if isinstance(node, ast.Name) else node.slice.elts[0]
-        if fn.id not in functions:
-            what = "identifier" if fn is node else "function"
-            raise ProblemError(f"unknown {what} {fn.id!r}", line, fn.col)
-        alpha = (MultiIndex.unit(len(variables)) if fn is node
-                 else _deriv_index(node, variables, line))
+        fn, alpha = _derivative(node, variables, functions, line)
         return domain.derivative(functions.index(fn.id), alpha)
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
         negate = False  # a chain of signs, counted without recursion

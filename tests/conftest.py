@@ -59,8 +59,8 @@ def mi(*exps):
 
 # -- independent oracles -----------------------------------------------------
 
-def involutive_divisors_bruteforce(w, U, kind):
-    seps = separations(U, kind)
+def involutive_divisors_bruteforce(w, U, kind, seps=None):
+    seps = seps if seps is not None else separations(U, kind)
     return [u for u in U if involutive_divides(u, w, U, kind, seps)]
 
 
@@ -80,9 +80,10 @@ def complete_bruteforce(U, completed, kind, extra_degree=3):
     """Every multiple of U up to the bound has an involutive divisor."""
     n = len(U[0])
     bound = max(u.degree for u in completed) + extra_degree
+    seps = separations(completed, kind)
     for u in U:
         for w in monomials_up_to(n, bound - u.degree):
-            if not involutive_divisors_bruteforce(u * w, completed, kind):
+            if not involutive_divisors_bruteforce(u * w, completed, kind, seps):
                 return False
     return True
 

@@ -380,6 +380,20 @@ class TestCli:
         assert err.startswith("cap exceeded: no finite Pommaret basis")
         assert err.endswith("(witness D[y,{1,0,2}])\n")
 
+    def test_monomial_pommaret_verdict_names_the_function(self, capsys):
+        code, out, err = run_cli(capsys, "monomial", str(PROBLEMS / "example1.pde"),
+                                 "--action", "complete", "--division", "pommaret")
+        assert (code, out) == (2, "")
+        assert err == ("cap exceeded: no finite Pommaret basis, so any cap is exceeded: "
+                       "the leaders of y are not quasi-stable (witness D[y,{1,0,2}])\n")
+
+    @pytest.mark.parametrize("eq", ["y", "D[y,{0,0}]"])
+    def test_monomial_bare_function_name_is_order_zero(self, tmp_path, capsys, eq):
+        f = tmp_path / "one.pde"
+        f.write_text(f"vars: x1 x2\nfuncs: y\neq: {eq}\n")
+        code, out, err = run_cli(capsys, "monomial", str(f), "--action", "complete")
+        assert (code, out, err) == (0, "completed set: 1\nadded: -\n", "")
+
     def test_input_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.pde"
         bad.write_text("vars: x\nfuncs: y\neq: D[y,{1,0}]\n")

@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from involute import (CapExceeded, CompletionOptions, Division, Ranking,
@@ -5,6 +8,7 @@ from involute import (CapExceeded, CompletionOptions, Division, Ranking,
                       involutive_normal_form, minimal_involutive_basis,
                       s_polynomial, verify_involutive,
                       verify_partial_involutive)
+from involute.symmetry import determining_system
 from conftest import PROBLEMS, load_problem, norm_set, system
 
 
@@ -385,8 +389,9 @@ class TestChainCriterionLeaders:
 
 class TestProlongationKeyMemo:
     def test_scan_derives_each_prolongation_leader_once(self, monkeypatch):
-        # the candidate scan keeps each triple's prolongation keys, so the
-        # leader of (triple, x) is derived at most once per triple made
+        # the leader of (triple, x) is derived when x turns nonmultiplicative
+        # for the triple and its candidate is queued, not on each examination;
+        # on this input that is at most once per triple made
         import sys
         from collections import Counter
         from involute import Derivative, completion
@@ -421,6 +426,50 @@ class TestProlongationKeyMemo:
         got, want = counted.value.partial, plain.value.partial
         assert got.elements == want.elements
         assert got.prolongations_examined == want.prolongations_examined == opts.cap + 1
+
+
+def _trace_pin(eqs, ctx, opts):
+    """(trace length, prolongations examined, digest of the trace entries)."""
+    trace = []
+    basis = minimal_involutive_basis(eqs, opts, trace=trace)
+    text = json.dumps([dict(e, leader=e["leader"].format(ctx)) for e in trace])
+    return len(trace), basis.prolongations_examined, hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+class TestTracePins:
+    """The order in which the loop examines prolongations and merges queue
+    elements.  Every input displaces elements back to the queue, and the
+    completion ranking differs from the main one, so the gate (only
+    prolongations ranked below the lowest queue element) picks out of order."""
+
+    @pytest.mark.parametrize("name, division, pin", [
+        ("janet3.pde", Division.JANET, (27, 18, "b42ce7d5003642e0")),
+        ("janet3.pde", Division.POMMARET, (19, 10, "92cabaa0b7d6a02b")),
+        ("janet3.pde", Division.LEX_INDUCED, (28, 16, "164f485098b013e6")),
+    ])
+    def test_janet3_lex_main_grlex_completion(self, name, division, pin):
+        pf = load_problem(name)
+        opts = CompletionOptions(division=division, main=Ranking("lex"), completion=GRL)
+        assert _trace_pin(pf.linear_system(), pf.context(), opts) == pin
+
+    @pytest.mark.parametrize("division, pin", [
+        (Division.JANET, (7, 4, "5bcf149ef47b8571")),
+        (Division.POMMARET, (6, 3, "7e5b186c5603e777")),
+        (Division.LEX_INDUCED, (6, 3, "9d54ed90052bddfa")),
+    ])
+    def test_fourvar_grlex_main_lex_completion(self, division, pin):
+        pf = load_problem("fourvar.pde")
+        opts = CompletionOptions(division=division, main=GRL, completion=Ranking("lex"))
+        assert _trace_pin(pf.linear_system(), pf.context(), opts) == pin
+
+    @pytest.mark.parametrize("completion, pin", [
+        (None, (93, 19, "a1e02e869caa6b6b")),
+        (Ranking("lex"), (104, 28, "d96fef4463fcac0d")),
+    ])
+    def test_diffusion_determining_system(self, completion, pin):
+        ctx, eqs = determining_system(load_problem("diffusion.pde").symmetry_problem())
+        opts = CompletionOptions(main=GRL, completion=completion)
+        assert _trace_pin(eqs, ctx, opts) == pin
 
 
 class TestSeparationCache:

@@ -12,8 +12,8 @@ from involute import (CapExceeded, CompletionOptions, Division, MultiIndex,
                       quasi_stability_witness, separation, separations)
 from involute.monomial import ConeIndex, in_involutive_cone
 from conftest import (complete_bruteforce, cones_pairwise_disjoint_bruteforce,
-                      decomposition_exact_bruteforce, mi, pommaret_completion_bruteforce,
-                      system)
+                      decomposition_exact_bruteforce, involutive_divisors_bruteforce, mi,
+                      pommaret_completion_bruteforce, system)
 
 EX1 = (mi(2, 0, 1), mi(1, 1, 0), mi(1, 0, 2))
 
@@ -293,26 +293,14 @@ def _recipe_sets(count=4):
             for n, size, dmax in RECIPE_CLASSES[:count]]
 
 
-def _differential(U, kind, cap, scheme="grlex"):
-    """(finished, lex-sorted leaders, prolongations examined) of
-    ``minimal_involutive_basis`` on the equations D[y, u] = 0, u in U."""
+def _examined(U, kind, scheme="grlex"):
+    """Prolongations examined by ``minimal_involutive_basis``, which
+    ``complete`` runs, on the equations D[y, u] = 0, u in U."""
     _, eqs = system("vars: " + " ".join(f"x{i + 1}" for i in range(len(U[0])))
                     + "\nfuncs: y\n"
                     + "".join("eq: D[y,{%s}]\n" % ",".join(map(str, u)) for u in U))
-    opts = CompletionOptions(division=kind, main=Ranking(scheme), cap=cap)
-    try:
-        basis, finished = minimal_involutive_basis(eqs, opts), True
-    except CapExceeded as err:
-        basis, finished = err.partial, False
-    leaders = tuple(sorted(d.index for d in basis.leading()))
-    return finished, leaders, basis.prolongations_examined
-
-
-def _monomial(U, kind, cap, scheme="grlex"):
-    try:
-        return True, complete(U, kind, scheme, cap=cap)
-    except CapExceeded as err:
-        return False, err.partial
+    opts = CompletionOptions(division=kind, main=Ranking(scheme))
+    return minimal_involutive_basis(eqs, opts).prolongations_examined
 
 
 def _random_sets(count, seed):
@@ -323,32 +311,51 @@ def _random_sets(count, seed):
                for _ in range(rng.randint(1, 5))]
 
 
-def assert_engines_agree(U, kind, cap, scheme="grlex"):
-    """``complete`` is ``minimal_involutive_basis`` on leaders alone: the same
-    basis, the same verdict under the cap, the same partial basis when capped,
-    and a cap that counts the same prolongations."""
-    finished, leaders, examined = _differential(U, kind, cap, scheme)
-    assert _monomial(U, kind, cap, scheme) == (finished, leaders)
-    if finished:
-        assert is_involutive(leaders, kind)
-        assert complete(U, kind, scheme, cap=max(examined, 1)) == leaders
-        if examined > 1:
-            with pytest.raises(CapExceeded):
-                complete(U, kind, scheme, cap=examined - 1)
+def assert_complete_meets_oracles(U, kind, cap, scheme="grlex"):
+    """``complete`` against the independent oracles: a finished basis lies in
+    (U), is involutive and, in at most 4 variables, gives every multiple of
+    U an involutive divisor up to 3 degrees past the basis; under Pommaret
+    it is the enumerated completion, and the set has a finite one iff
+    ``complete`` finishes.  A capped run keeps a partial basis inside (U).
+    The cap counts examined prolongations: ``cap = examined`` finishes and
+    one less raises."""
+    try:
+        res, finished = complete(U, kind, scheme, cap=cap), True
+    except CapExceeded as err:
+        res, finished = err.partial, False
+    assert list(res) == sorted(set(res))
+    assert all(in_cone(v, U) for v in res)
+    if kind is Division.POMMARET:
+        brute = pommaret_completion_bruteforce(U, 300)
+        assert finished == (brute is not None)
+        assert not finished or set(res) == brute
+    if not finished:
+        return
+    assert is_involutive(res, kind)
+    if len(U[0]) <= 4:
+        assert complete_bruteforce(U, list(res), kind)
+    examined = _examined(U, kind, scheme)
+    assert complete(U, kind, scheme, cap=max(examined, 1)) == res
+    if examined > 1:
+        with pytest.raises(CapExceeded):
+            complete(U, kind, scheme, cap=examined - 1)
 
 
 class TestAgreementWithDifferentialEngine:
+    """``complete`` is ``minimal_involutive_basis`` on leaders; these check
+    its answers against the oracles of ``assert_complete_meets_oracles``."""
+
     @pytest.mark.parametrize("kind", list(Division))
     def test_recipe_sets(self, kind):
         cap = 200 if kind is Division.POMMARET else 10000
         for U in _recipe_sets():
-            assert_engines_agree(U, kind, cap)
+            assert_complete_meets_oracles(U, kind, cap)
 
     @pytest.mark.parametrize("kind", list(Division))
     @pytest.mark.parametrize("scheme, count", [("grlex", 36), ("degrevlex", 12), ("lex", 12)])
     def test_random_sets(self, kind, scheme, count):
         for U in _random_sets(count, 67):
-            assert_engines_agree(U, kind, 80, scheme)
+            assert_complete_meets_oracles(U, kind, 80, scheme)
 
     @pytest.mark.parametrize("kind, scheme, U, size", [
         (Division.LEX_INDUCED, "grlex",
@@ -356,35 +363,39 @@ class TestAgreementWithDifferentialEngine:
         (Division.POMMARET, "lex", [(3, 4), (2, 3), (3, 2), (0, 2), (4, 0)], 5),
     ])
     def test_queue_waits_for_lower_prolongations(self, kind, scheme, U, size):
-        # the differential loop used to merge a queue element before the
-        # prolongations ranked below it, and kept one element too many here
+        # the loop used to merge a queue element before the prolongations
+        # ranked below it, and kept one element too many here
         U = [MultiIndex(u) for u in U]
-        finished, leaders, _ = _differential(U, kind, 300, scheme)
-        assert finished and len(leaders) == size
-        assert_engines_agree(U, kind, 300, scheme)
+        assert len(complete(U, kind, scheme, cap=300)) == size
+        assert_complete_meets_oracles(U, kind, 300, scheme)
 
     def test_cap_counts_distinct_prolongations(self):
         U = _recipe_sets()[1]
-        assert _differential(U, Division.LEX_INDUCED, 10000)[2] == 141
+        assert _examined(U, Division.LEX_INDUCED) == 141
         assert len(complete(U, Division.LEX_INDUCED, cap=141)) == 66
         with pytest.raises(CapExceeded, match="^completion exceeded 140 prolongation"):
             complete(U, Division.LEX_INDUCED, cap=140)
 
 
 class TestExcludedRecipeSetsFinish:
-    """Sets the re-scanning loop abandoned at the default cap."""
+    """Sets a re-scanning loop abandoned at the default cap: the minimal
+    basis has a unique size, and the result is an involutive set inside (U)
+    in whose cones every element of U lies."""
+
+    def _check(self, k, kind, size):
+        U = _recipe_sets(5)[k]
+        res = complete(U, kind)
+        assert len(res) == size
+        assert is_involutive(res, kind)
+        assert all(in_cone(v, U) for v in res)
+        seps = separations(res, kind)
+        assert all(involutive_divisors_bruteforce(u, res, kind, seps) for u in U)
 
     def test_janet_6_8_6(self):
-        U = _recipe_sets(5)[4]
-        res = complete(U, Division.JANET)
-        assert len(res) == 388
-        assert _differential(U, Division.JANET, 10000)[:2] == (True, res)
+        self._check(4, Division.JANET, 388)
 
     def test_lex_induced_5_6_5(self):
-        U = _recipe_sets()[2]
-        res = complete(U, Division.LEX_INDUCED)
-        assert len(res) == 195
-        assert _differential(U, Division.LEX_INDUCED, 10000)[:2] == (True, res)
+        self._check(2, Division.LEX_INDUCED, 195)
 
 
 def _digest(V):
@@ -395,7 +406,7 @@ class TestCompleteRecipePins:
     """``complete`` on the recipe sets: sizes and digests of the lex-sorted
     minimal bases, and the Pommaret verdict on the first two sets, which have
     no finite Pommaret basis; ``TestAgreementWithDifferentialEngine`` checks
-    the same sets against the differential engine."""
+    the same sets against the oracles."""
 
     @pytest.mark.parametrize("k, kind, size, digest", [
         (0, Division.JANET, 4, "63a2016d45b5d898"),
@@ -410,12 +421,13 @@ class TestCompleteRecipePins:
         assert (len(res), _digest(res)) == (size, digest)
         assert is_involutive(res, kind)
 
-    @pytest.mark.parametrize("k, witness", [(0, "x1^2*x2*x3^3"), (1, "x2*x3^5*x4^5")])
+    @pytest.mark.parametrize("k, witness", [(0, "D[y,{2,1,3}]"), (1, "D[y,{0,1,5,5}]")])
     def test_pommaret_cap_partial(self, k, witness):
         U = _recipe_sets()[k]
         with pytest.raises(NoFiniteBasis) as err:
             complete(U, Division.POMMARET, cap=2000)
-        assert str(err.value).endswith(f"(witness {witness})")
+        assert str(err.value).endswith(f"the leaders of y are not quasi-stable "
+                                       f"(witness {witness})")
         assert err.value.partial == complete(U, Division.JANET, cap=2000)
 
 
