@@ -421,6 +421,28 @@ class TestCli:
         assert code == 3
         assert err == f"inconsistent system: {message}\n"
 
+    @pytest.mark.parametrize("equations, division, message", [
+        ("x2*D[y,x1] = 1; D[y,x2] = x1", "janet",
+         "the prolongation of D[y,{0,1}] - x1 = 0 by x1 reduces to (-x2^2 - 1)/x2^2 = 0"),
+        ("x2*D[y,x1] = 1; D[y,x2] = x1", "lexinduced",
+         "the prolongation of D[y,{1,0}] + (-1)/x2 = 0 by x2 reduces to (x2^2 + 1)/x2^2 = 0"),
+        ("x1*D[y,x1] = 1; D[y,x1] = x2", "janet",
+         "the equation D[y,{1,0}] - x2 = 0 reduces to (-x1*x2 + 1)/x1 = 0"),
+        ("D[y,x1] = 1; x2*D[y,x2] = x1", "pommaret",
+         "the prolongation of D[y,{0,1}] + (-x1)/x2 = 0 by x1 reduces to (-1)/x2 = 0"),
+        ("D[y,x1] = 1; x2*D[y,x2] = x1", "lexinduced",
+         "the prolongation of D[y,{1,0}] - 1 = 0 by x2 reduces to 1/x2 = 0"),
+    ])
+    def test_inconsistency_with_nonconstant_leading_coefficients(
+            self, tmp_path, capsys, equations, division, message):
+        # the reducers' leading coefficients are not constants, yet the message
+        # gives the exact rational constant and the monic element
+        bad = tmp_path / "inconsistent.pde"
+        bad.write_text("vars: x1 x2\nfuncs: y\n"
+                       + "".join(f"eq: {e}\n" for e in equations.split("; ")))
+        code, out, err = run_cli(capsys, "complete", str(bad), "--division", division)
+        assert (code, out, err) == (3, "", f"inconsistent system: {message}\n")
+
     @pytest.mark.parametrize("argv, message", [
         (["complete", "janet3.pde", "--division", "nope"], "invalid choice: 'nope'"),
         (["complete", "janet3.pde", "--cap", "x"], "invalid int value: 'x'"),

@@ -154,6 +154,28 @@ PINS = {
         "33fe983edadf75b0299f64f28db16bfb974dacdff4da5fea9347d7d5f8cb8488",
     "symmetry problems/transport.pde --json":
         "a4d5143aee4e3cd6501af4666ed917ad446debf87bbd12fc459f7ba9f1d5bdfb",
+    "symmetry perfbench/inputs/harrydym.pde --json":
+        "33fe983edadf75b0299f64f28db16bfb974dacdff4da5fea9347d7d5f8cb8488",
+    "symmetry perfbench/inputs/diffusion.pde --json":
+        "b07e529c4756bc824f62adf84c22ea270dc0eaecf7867f21ae152939d112451d",
+    "symmetry perfbench/inputs/transport.pde --json":
+        "a4d5143aee4e3cd6501af4666ed917ad446debf87bbd12fc459f7ba9f1d5bdfb",
+    "symmetry perfbench/inputs/kdv.pde --json":
+        "ba87b8f73088d2e828d07112c40cbe8ea08d7a62cc35070d18440e01d7a0de3c",
+    "symmetry perfbench/inputs/burgers.pde --json":
+        "4d934dbe04d8d3a02925ba38257131c4ad4002870940c5109492667343a3b40f",
+    "symmetry perfbench/inputs/heat.pde --json":
+        "4c4d0c2aa9516e1dc829680ef63b506445db07e9e931509a07fa3b3da089b2c3",
+    "symmetry perfbench/inputs/nls.pde --json":
+        "6d748ba381c6934a6d1d438fbf5f617dadcb70ee5711db73773caa1002106d01",
+    "symmetry perfbench/inputs/zk.pde --json":
+        "fbf710074ef6469be387f8e321bfbc2e2e4a866f497522b852ba864a47eb37dc",
+    "symmetry perfbench/inputs/kp.pde --json":
+        "295761da1d44e76d55c9896b8a6e1e03ae8d02fcf58bda71fa4086c08b7a05b8",
+    "symmetry perfbench/inputs/boussinesq.pde --json":
+        "f0bd4c4997065c4be6f30e86dc4754409b417abd000b2a14d9f6129952ea7bf6",
+    "symmetry perfbench/inputs/euler2d.pde --json":
+        "f9f7677e2c5396f5dad373654e813592f3705913bfd82f865a2f1f09f2d4fd4c",
     "monomial problems/example1.pde --action separations":
         "90f821dcc65047908c0584d6a145da1c125535b7c9e11c0beb227ee060354944",
     "monomial problems/example1.pde --action separations --json":
