@@ -16,6 +16,9 @@ processed, is dropped when reached.  Every element whose leader exceeds a
 newly found lower leader is displaced back into the queue, in one re-filing
 of each index it touches, which keeps the final basis minimal.
 ``monomial.complete`` is this routine on the equations D[y, u] = 0.
+It works over Z[x], on primitive elements (polynomial coefficients of content 1),
+by pseudo-division (Geddes, Czapor and Labahn, 1992, ch. 7); monic elements over
+Q(x) are built only for the basis, InconsistentSystem and the public normal forms.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from typing import NamedTuple
 
 from .diffpoly import Derivative, Ranking
 from .monomial import CapExceeded, ConeIndex, Division, NoFiniteBasis, quasi_stability_witness
+from .scalars import RationalFunction, content, poly_gcd
 
 __all__ = [
     "CompletionOptions", "InvolutiveBasis", "Triple", "CapExceeded", "NoFiniteBasis",
@@ -97,11 +101,7 @@ class InvolutiveBasis:
         return [f.ld(self.options.main) for f in self.elements]
 
     def monomial_sets(self):
-        out = {}
-        for f in self.elements:
-            d = f.ld(self.options.main)
-            out.setdefault(d.indet, []).append(d.index)
-        return {j: tuple(sorted(us)) for j, us in out.items()}
+        return _leader_sets(self.leading())
 
     def format(self):
         return "\n".join(f.format(self.options.main) for f in self.elements)
@@ -110,39 +110,85 @@ class InvolutiveBasis:
 _key = attrgetter("key")
 
 
+def _leader_sets(leaders):
+    """The sorted multiindices of the derivatives ``leaders``, by function."""
+    out = {}
+    for d in leaders:
+        out.setdefault(d.indet, []).append(d.index)
+    return {j: tuple(sorted(us)) for j, us in out.items()}
+
+
 def _by_leader(polys, ranking):
-    """Triples of ``polys`` keyed by leader; the first of any that share one."""
+    """Triples of the primitive elements of ``polys`` keyed by leader; the
+    first of any that share one."""
     triples = {}
     for i, f in enumerate(polys):
         lead = f.ld(ranking)
         if lead not in triples:
+            f = _primitive(_cleared(f)[1], lead)
             triples[lead] = Triple(f, lead, (), i, lead, ranking.key(lead))
     return triples
 
 
 def _cone_indexes(leaders, division):
     """One cone index per function over the multiindices of its leaders."""
-    tips = {}
-    for d in leaders:
-        tips.setdefault(d.indet, []).append(d.index)
-    return {j: ConeIndex(division, us) for j, us in tips.items()}
+    return {j: ConeIndex(division, us) for j, us in _leader_sets(leaders).items()}
+
+
+def _cleared(f):
+    """(L, L*f) for the lcm L of the denominators of f's coefficients."""
+    lcm = f.const.den  # 1 or the denominator of a nonzero constant
+    for c in f.terms.values():
+        if not c.den.is_one():
+            lcm = c.den if lcm.is_one() else lcm * c.den.divexact(poly_gcd(lcm, c.den))
+
+    def clear(c):
+        return c.num if lcm.is_one() else c.num * lcm.divexact(c.den)
+
+    return lcm, f._raw({d: clear(c) for d, c in f.terms.items()}, clear(f.const))
+
+
+def _primitive(h, lead):
+    """h, with polynomial coefficients and leader ``lead``, divided by their
+    content and signed so that the leading coefficient's leading term is positive."""
+    g = content([c for c in (*h.terms.values(), h.const) if c])
+    if h.terms[lead].leading()[1] < 0:
+        g = -g
+    if g.is_one():
+        return h
+    return h._raw({d: c.divexact(g) for d, c in h.terms.items()}, h.const.divexact(g))
+
+
+def _over(h, m):
+    """h / m, for a polynomial m, with rational-function coefficients."""
+    return h._raw({d: RationalFunction(c, m) for d, c in h.terms.items()},
+                  RationalFunction(h.const, m))
 
 
 def _reduce(p, ranking, reducer_for):
-    """Generic full reduction loop; ``reducer_for`` gives the triple that
-    reduces a derivative, or None."""
-    h = p
+    """Full reduction of p over Z[x]; ``reducer_for`` gives the triple that
+    reduces a derivative, or None.  Returns (h, m): h is m*p minus prolongations
+    of reducers, for m the product of the pseudo-division multipliers."""
+    h, m = p, p.const._one()
     while h.terms:
         for d, a in h.sorted_terms(ranking):
             t = reducer_for(d)
             if t is not None:
                 break
         else:
-            return h
+            break
         f, lead = t.poly, t.leader
         lc = f.terms[lead]
-        h = h.sub_scaled(f.prolong(d.index / lead.index), a if lc.is_one() else a / lc)
-    return h
+        theta_f = f.prolong(d.index / lead.index)
+        if lc.is_one():
+            h = h.sub_scaled(theta_f, a)
+        else:  # h <- (lc/g)*h - (a/g)*theta_f, g = gcd(lc, a)
+            g = poly_gcd(lc, a)
+            if not g.is_one():
+                lc, a = lc.divexact(g), a.divexact(g)
+            h = h.scale(lc).sub_scaled(theta_f, a)
+            m = m * lc
+    return h, m
 
 
 def _involutive_nf(p, triples, indexes, ranking):
@@ -165,25 +211,23 @@ def involutive_normal_form(p, G, division, ranking):
     No term of the result lies in the involutive cone of any leading
     derivative of G; of two elements with one leader, the first reduces.
     """
-    G = list(G)
-    if not G:
-        return p
     triples = _by_leader(G, ranking)
-    return _involutive_nf(p, triples, _cone_indexes(triples, division), ranking)
+    lcm, q = _cleared(p)
+    h, m = _involutive_nf(q, triples, _cone_indexes(triples, division), ranking)
+    return _over(h, lcm * m)
 
 
 def conventional_normal_form(p, G, ranking):
     """Ordinary (non-involutive) full normal form; the independent reducer."""
-    G = list(G)
-    if not G:
-        return p
     triples = _by_leader(G, ranking).values()
 
     def reducer_for(term):
         return min((t for t in triples if t.leader.indet == term.indet
                     and t.leader.index.divides(term.index)), key=_key, default=None)
 
-    return _reduce(p, ranking, reducer_for)
+    lcm, q = _cleared(p)
+    h, m = _reduce(q, ranking, reducer_for)
+    return _over(h, lcm * m)
 
 
 def s_polynomial(f, g, ranking):
@@ -231,7 +275,8 @@ def chain_criterion(p, theta, triples, indexes, ranking_c, main):
 def _basis_of(triples, indexes, opts, examined=0):
     order = sorted(triples.values(), key=_key, reverse=True)
     seps = tuple(indexes[t.leader.indet].separation(t.leader.index) for t in order)
-    return InvolutiveBasis(tuple(t.poly for t in order), seps, opts, examined)
+    return InvolutiveBasis(tuple(_over(t.poly, t.poly.terms[t.leader]) for t in order), seps,
+                          opts, examined)
 
 
 def _check_pommaret_finite(F, opts):
@@ -240,7 +285,13 @@ def _check_pommaret_finite(F, opts):
     The leaders of any involutive basis generate the leading ideal of each
     function, which depends on the ranking only; the Janet basis, which
     always exists, gives them.  If its completion caps, nothing is decided.
+    If every input is one derivative, so is every normal form: the input
+    leaders decide, and only a failure needs the Janet basis.
     """
+    if all(len(f.terms) == 1 and f.const.is_zero() for f in F) and all(
+            quasi_stability_witness(us) is None
+            for us in _leader_sets(f.ld(opts.main) for f in F).values()):
+        return
     try:
         janet = minimal_involutive_basis(F, opts._replace(division=Division.JANET))
     except CapExceeded:
@@ -263,8 +314,9 @@ def minimal_involutive_basis(F, opts=None, trace=None):
     division is not noetherian: under it the system is first completed,
     untraced, under Janet division with the same rankings and cap, and
     NoFiniteBasis, a CapExceeded with that Janet basis attached, is raised
-    at once if the leaders of some function are not quasi-stable.  If the
-    Janet completion caps, the Pommaret loop runs to the cap.
+    at once if the leaders of some function are not quasi-stable (quasi-stable
+    single derivatives skip it).  If the Janet completion caps, the Pommaret
+    loop runs to the cap.
     ``prolongations_examined`` counts the Pommaret loop alone.
     """
     opts = opts or CompletionOptions()
@@ -275,7 +327,6 @@ def minimal_involutive_basis(F, opts=None, trace=None):
     for f in work:
         if not f.terms:
             raise _nonzero_constant(f, "an input equation")
-    work = [f.normalize(main) for f in work]
     if opts.division is Division.POMMARET:
         _check_pommaret_finite(work, opts)
 
@@ -303,10 +354,15 @@ def minimal_involutive_basis(F, opts=None, trace=None):
                 lead = u.leader.differentiate(x)
                 bisect.insort(candidates, (comp.key(lead), u.serial, x, main.key(lead), u.leader))
 
+    def inconsistent(r, m, t, what):
+        """The error for r, m from reducing lc*f plus a multiple of f, f = t.poly/lc."""
+        lc = t.poly.terms[t.leader]
+        return _nonzero_constant(_over(r, lc * m), what.format(_over(t.poly, lc).format(main)))
+
     def adjoin_normal_form(r, leader, ancestor, processed=()):
         """Adjoin r, the nonzero normal form of an element led by ``leader``."""
-        r = r.normalize(main)
         lead = r.ld(main)
+        r = _primitive(r, lead)
         dropped = defaultdict(list)
         if lead != leader:
             # a lower leader starts its own ancestry and displaces every
@@ -340,6 +396,7 @@ def minimal_involutive_basis(F, opts=None, trace=None):
         return None
 
     lds = [f.ld(main) for f in work]
+    work = [_primitive(_cleared(f)[1], d) for f, d in zip(work, lds)]
     start = min(range(len(work)), key=lambda i: (main.key(lds[i]), i))
     adjoin(new_triple(work[start], lds[start], set(), lds[start]))
     Q = [new_triple(f, d, set(), d) for i, (f, d) in enumerate(zip(work, lds)) if i != start]
@@ -361,12 +418,12 @@ def minimal_involutive_basis(F, opts=None, trace=None):
                 p, t.ancestor, triples, indexes, comp, main)
             status = "criterion"
             if not skip:
-                r = _involutive_nf(p, triples, indexes, main)
+                r, m = _involutive_nf(p, triples, indexes, main)
                 if r.is_zero():
                     status = "zero"
                 elif not r.terms:
-                    raise _nonzero_constant(r, f"the prolongation of {t.poly.format(main)} = 0 "
-                                               f"by {t.poly.ctx.variables[x]}")
+                    raise inconsistent(r, m, t, "the prolongation of {} = 0 by "
+                                                + t.poly.ctx.variables[x])
                 else:
                     status = "added"
                     adjoin_normal_form(r, p.ld(main), t.ancestor)
@@ -383,11 +440,11 @@ def minimal_involutive_basis(F, opts=None, trace=None):
             trace.append({"stage": "queue", "leader": t.leader, "criterion": skip})
         if skip:
             continue
-        r = _involutive_nf(t.poly, triples, indexes, main)
+        r, m = _involutive_nf(t.poly, triples, indexes, main)
         if r.is_zero():
             continue
         if not r.terms:
-            raise _nonzero_constant(r, f"the equation {t.poly.format(main)} = 0")
+            raise inconsistent(r, m, t, "the equation {} = 0")
         adjoin_normal_form(r, t.leader, t.ancestor, t.processed)
 
     return _basis_of(triples, indexes, opts, examined)
@@ -427,7 +484,7 @@ def _prolongations_reduce(basis, wanted):
     main = basis.options.main
     triples = _by_leader(basis.elements, main)
     indexes = _cone_indexes(triples, basis.options.division)
-    return all(_involutive_nf(t.poly.differentiate(x), triples, indexes, main).is_zero()
+    return all(_involutive_nf(t.poly.differentiate(x), triples, indexes, main)[0].is_zero()
                for t in triples.values()
                for x in indexes[t.leader.indet].filed[t.leader.index]
                if wanted(t.leader.differentiate(x)))

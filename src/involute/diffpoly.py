@@ -1,10 +1,11 @@
 """Derivatives, rankings and linear differential polynomials.
 
 A linear differential polynomial is a finite sum  c0 + sum c_k * D_k  where
-the c's are rational functions of the independent variables and each D_k is a
-derivative of one of the dependent functions (order 0 included).  Rankings
-are total orders on derivatives compatible with differentiation; they are
-realized as sort keys, so the maximum key picks the leading derivative.
+the c's are rational functions of the independent variables (polynomials, in
+the fraction-free completion loop) and each D_k is a derivative of one of the
+dependent functions (order 0 included).  Rankings are total orders on
+derivatives compatible with differentiation; they are realized as sort keys,
+so the maximum key picks the leading derivative.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ class Ranking(NamedTuple("Ranking", [("scheme", str), ("tiebreak", str)])):
 
 
 class LinearDiffPoly:
-    """Linear differential polynomial over the rational-function field."""
+    """Linear differential polynomial; coefficients are RationalFunction or MultivarPolynomial."""
 
     __slots__ = ("ctx", "const", "terms")
 

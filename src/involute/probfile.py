@@ -322,7 +322,7 @@ class _JetDomain:
             raise ZeroDivisionError("division by zero")
         if set(b.terms) != {()}:
             raise ValueError("division only by numeric constants here")
-        return a.scale(1 / b.terms[()])
+        return a.scale(Fraction(1) / b.terms[()])
 
 
 _BINARY = {ast.Add: "add", ast.Sub: "sub", ast.Mult: "mul", ast.Div: "div", ast.Pow: "pow"}
@@ -355,7 +355,7 @@ def _evaluate(node, domain, variables, functions, line):
 def _leaf(node, domain, variables, functions, line):
     """The value of a node that is not a binary operator of the language."""
     if _is_int(node):
-        return domain.number(Fraction(node.value))
+        return domain.number(node.value)
     if isinstance(node, ast.Name) and node.id in variables:
         return domain.variable(variables.index(node.id))
     if isinstance(node, (ast.Name, ast.Subscript)):

@@ -1,7 +1,8 @@
 """Exact scalar arithmetic for the engine's coefficient field.
 
-One sparse-polynomial core over Q (a map from monomial key to Fraction)
-whose subclasses supply only their monomials: multivariate polynomials keyed
+One sparse-polynomial core over Q (a map from monomial key to a nonzero
+coefficient, an int when it is integral and a Fraction otherwise, never a
+float) whose subclasses supply only their monomials: multivariate polynomials keyed
 by exponent tuples here, jet-space polynomials in ``symmetry``.  On top of
 them, canonical quotients of multivariate polynomials.  A quotient is kept
 reduced (the gcd of numerator and denominator is constant) with the
@@ -22,6 +23,15 @@ class ExactDivisionError(ArithmeticError):
 
 def _grlex_key(e):
     return (sum(e), e)
+
+
+def exact(c):
+    """The exact value of a number: an int when it is integral, else a Fraction."""
+    if type(c) is not int:
+        c = Fraction(c)
+        if c.denominator == 1:
+            return c.numerator
+    return c
 
 
 # -- printing of signed sums, shared by every polynomial class -----------------
@@ -51,7 +61,7 @@ def signed_sum(terms):
 
 
 class SparsePolynomial:
-    """Sparse polynomial over Q: a map from monomial key to nonzero Fraction.
+    """Sparse polynomial over Q: a map from monomial key to nonzero coefficient.
 
     The arithmetic lives here once.  A subclass supplies its monomials:
     ``_canon`` (an input key in canonical form), ``_key_mul`` (the product of
@@ -65,12 +75,12 @@ class SparsePolynomial:
         out = {}
         if terms:
             for key, c in terms.items():
-                c = c if isinstance(c, Fraction) else Fraction(c)
+                c = exact(c)
                 if not c:
                     continue
                 key = self._canon(key)
                 prev = out.get(key)
-                s = c if prev is None else prev + c
+                s = c if prev is None else exact(prev + c)
                 if s:
                     out[key] = s
                 elif prev is not None:
@@ -99,7 +109,7 @@ class SparsePolynomial:
             else:
                 s = prev + c
                 if s:
-                    res[k] = s
+                    res[k] = s if s.__class__ is int else exact(s)
                 else:
                     del res[k]
         return self._raw(res)
@@ -114,7 +124,7 @@ class SparsePolynomial:
             else:
                 s = prev - c
                 if s:
-                    res[k] = s
+                    res[k] = s if s.__class__ is int else exact(s)
                 else:
                     del res[k]
         return self._raw(res)
@@ -127,14 +137,11 @@ class SparsePolynomial:
             for k2, c2 in other.terms.items():
                 k = key_mul(k1, k2)
                 prev = res.get(k)
-                if prev is None:
-                    res[k] = c1 * c2
+                s = c1 * c2 if prev is None else prev + c1 * c2
+                if s:
+                    res[k] = s if s.__class__ is int else exact(s)
                 else:
-                    s = prev + c1 * c2
-                    if s:
-                        res[k] = s
-                    else:
-                        del res[k]
+                    del res[k]
         return self._raw(res)
 
     def __pow__(self, k):
@@ -151,10 +158,10 @@ class SparsePolynomial:
             base = base * base
 
     def scale(self, c):
-        c = Fraction(c)
+        c = exact(c)
         if not c:
             return self._raw({})
-        return self._raw({k: cc * c for k, cc in self.terms.items()})
+        return self._raw({k: exact(cc * c) for k, cc in self.terms.items()})
 
 
 class MultivarPolynomial(SparsePolynomial):
@@ -183,7 +190,7 @@ class MultivarPolynomial(SparsePolynomial):
         return p
 
     def _one(self):
-        return self._raw({(0,) * self.nvars: Fraction(1)})
+        return self._raw({(0,) * self.nvars: 1})
 
     def _check(self, other):
         if not isinstance(other, MultivarPolynomial) or other.nvars != self.nvars:
@@ -197,13 +204,13 @@ class MultivarPolynomial(SparsePolynomial):
 
     @classmethod
     def const(cls, nvars, value):
-        return cls(nvars, {(0,) * nvars: Fraction(value)})
+        return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
     def variable(cls, nvars, i, power=1):
         e = [0] * nvars
         e[i] = power
-        return cls(nvars, {tuple(e): Fraction(1)})
+        return cls(nvars, {tuple(e): 1})
 
     # -- predicates --------------------------------------------------------
 
@@ -212,13 +219,13 @@ class MultivarPolynomial(SparsePolynomial):
 
     def constant_value(self):
         if not self.terms:
-            return Fraction(0)
+            return 0
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
         return next(iter(self.terms.values()))
 
     def is_one(self):
-        return self.is_constant() and not self.is_zero() and self.constant_value() == 1
+        return len(self.terms) == 1 and self.terms.get((0,) * self.nvars) == 1
 
     # -- degrees and leading data ------------------------------------------
 
@@ -243,10 +250,10 @@ class MultivarPolynomial(SparsePolynomial):
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def mul_term(self, exps, c):
-        c = Fraction(c)
+        c = exact(c)
         if not c:
             return MultivarPolynomial.zero(self.nvars)
-        return self._raw({tuple(a + b for a, b in zip(e, exps)): cc * c
+        return self._raw({tuple(a + b for a, b in zip(e, exps)): exact(cc * c)
                           for e, cc in self.terms.items()})
 
     def partial(self, i):
@@ -255,7 +262,7 @@ class MultivarPolynomial(SparsePolynomial):
             if e[i]:
                 e2 = list(e)
                 e2[i] -= 1
-                res[tuple(e2)] = c * e[i]
+                res[tuple(e2)] = exact(c * e[i])
         return self._raw(res)
 
     # -- division -----------------------------------------------------------
@@ -266,7 +273,7 @@ class MultivarPolynomial(SparsePolynomial):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if other.is_constant():
-            return self.scale(1 / other.constant_value())
+            return self.scale(Fraction(1) / other.constant_value())
         rem = self
         out = {}
         le_g, lc_g = other.leading()
@@ -275,8 +282,8 @@ class MultivarPolynomial(SparsePolynomial):
             q = tuple(a - b for a, b in zip(le_r, le_g))
             if any(x < 0 for x in q):
                 raise ExactDivisionError("inexact polynomial division")
-            c = lc_r / lc_g
-            out[q] = out.get(q, Fraction(0)) + c
+            c = exact(Fraction(lc_r, lc_g))
+            out[q] = exact(out.get(q, 0) + c)
             rem = rem - other.mul_term(q, c)
         return self._raw({e: c for e, c in out.items() if c})
 
@@ -292,19 +299,22 @@ class MultivarPolynomial(SparsePolynomial):
 
 # -- gcd via primitive pseudo-remainder sequences ----------------------------
 
+def _rational_content(polys):
+    """The positive rational r for which the p/r have coprime integer coefficients."""
+    num, den = 0, 1
+    for p in polys:
+        for c in p.terms.values():
+            num = _int_gcd(num, c.numerator)
+            den = _int_lcm(den, c.denominator)
+    return Fraction(num, den)
+
+
 def _rat_normalize(p):
     """Scale to coprime integer coefficients with positive grlex-leading sign."""
     if p.is_zero():
         return p
-    num = 0
-    den = 1
-    for c in p.terms.values():
-        num = _int_gcd(num, c.numerator)
-        den = _int_lcm(den, c.denominator)
-    factor = Fraction(den, num)
-    if p.leading()[1] < 0:
-        factor = -factor
-    return p.scale(factor)
+    factor = 1 / _rational_content([p])
+    return p.scale(-factor if p.leading()[1] < 0 else factor)
 
 
 def _coeffs_in(p, v):
@@ -316,15 +326,6 @@ def _coeffs_in(p, v):
         e2 = e[:v] + (0,) + e[v + 1:]
         out.setdefault(d, {})[e2] = c
     return {d: p._raw(t) for d, t in out.items()}
-
-
-def _content_in(p, v):
-    cont = MultivarPolynomial.zero(p.nvars)
-    for coeff in _coeffs_in(p, v).values():
-        cont = poly_gcd(cont, coeff)
-        if cont.is_one():
-            break
-    return cont
 
 
 def _prem(f, g, v):
@@ -361,13 +362,12 @@ def poly_gcd(f, g):
     if f.is_constant() or g.is_constant() or not _support(f) & _support(g):
         return MultivarPolynomial.const(f.nvars, 1)
     if len(f.terms) == 1 or len(g.terms) == 1:  # a monomial's divisors are monomials
-        return f._raw({tuple(map(min, zip(*f.terms, *g.terms))): Fraction(1)})
+        return f._raw({tuple(map(min, zip(*f.terms, *g.terms))): 1})
     (a, f1), (b, g1) = _monomial_content(f), _monomial_content(g)
     if any(a) or any(b):  # gcd(x^a*f1, x^b*g1) = x^min(a,b) * gcd(f1, g1)
         return poly_gcd(f1, g1).mul_term(tuple(map(min, a, b)), 1)
     v = next(i for i in range(f.nvars) if f.degree_in(i) or g.degree_in(i))
-    cf = _content_in(f, v)
-    cg = _content_in(g, v)
+    cf, cg = (content(list(_coeffs_in(p, v).values())) for p in (f, g))
     c = poly_gcd(cf, cg)
     pf = f.divexact(cf)
     pg = g.divexact(cg)
@@ -377,18 +377,31 @@ def poly_gcd(f, g):
             continue
         r = _prem(pf, pg, v)
         pf = pg
-        pg = r.divexact(_content_in(r, v)) if r.terms else r
+        pg = r.divexact(content(list(_coeffs_in(r, v).values()))) if r.terms else r
     if pg.terms:
         # nonzero remainder free of v: the primitive parts are coprime
         return _rat_normalize(c)
     return _rat_normalize(c * pf)
 
 
+def content(polys):
+    """The content of nonzero polynomials: the c with positive grlex-leading
+    coefficient for which the p/c are coprime polynomials over Z."""
+    g, *rest = sorted(polys, key=lambda p: (len(p.terms), p.total_degree()))  # constants first
+    for p in rest:
+        if g.is_constant():
+            break
+        g = poly_gcd(g, p)
+    r = _rational_content(polys)
+    return g._raw({(0,) * g.nvars: exact(r)}) if g.is_constant() else _rat_normalize(g).scale(r)
+
+
 def _monic(num, den):
     """num and den rescaled so that den is monic."""
     lc = den.leading()[1]
     if lc != 1:
-        return num.scale(1 / lc), den.scale(1 / lc)
+        inv = Fraction(1) / lc
+        return num.scale(inv), den.scale(inv)
     return num, den
 
 
@@ -446,12 +459,6 @@ class RationalFunction:
     def is_one(self):
         return self.num.is_one() and self.den.is_one()
 
-    def is_constant(self):
-        return self.num.is_constant() and self.den.is_constant()
-
-    def constant_value(self):
-        return self.num.constant_value() / self.den.constant_value()
-
     def __bool__(self):
         return not self.is_zero()
 
@@ -466,7 +473,9 @@ class RationalFunction:
         return self._raw(-self.num, self.den)
 
     # Operands are reduced with monic denominators, so most results need no
-    # gcd of the full numerator and denominator (Henrici, JACM 1956).
+    # gcd of the full numerator and denominator (Henrici, JACM 1956).  Sums
+    # with two nontrivial denominators are rare since completion works over
+    # Z[x], and take the constructor.
 
     def __add__(self, other):
         return self._add(other.num, other.den)
@@ -485,15 +494,7 @@ class RationalFunction:
             return self._raw(a + c * b, b)
         if b.is_one():
             return self._raw(a * d + c, d)
-        g = poly_gcd(b, d)
-        if g.is_one():
-            return self._raw(a * d + c * b, b * d)
-        # n = a*d1 + c*b1 is coprime to b1 and d1, so only gcd(n, g) can
-        # cancel; n is not zero, since reduced operands with different monic
-        # denominators cannot sum to zero
-        b1, d1 = b.divexact(g), d.divexact(g)
-        n, g = _divide_out_gcd(a * d1 + c * b1, g)
-        return self._raw(*_monic(n, b1 * d1 * g))
+        return RationalFunction(a * d + c * b, b * d)
 
     def __mul__(self, other):
         return self._mul(other.num, other.den)
@@ -543,7 +544,7 @@ class RationalFunction:
         ds = self.den.format(names)
         if " " in ns or ns.startswith("-"):
             ns = f"({ns})"
-        if " " in ds:
+        if " " in ds or "*" in ds:  # a/x*y would read as (a/x)*y
             ds = f"({ds})"
         return f"{ns}/{ds}"
 

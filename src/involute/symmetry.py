@@ -12,15 +12,14 @@ form the determining system.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .analysis import solution_dimension
 from .completion import CompletionOptions, minimal_involutive_basis
 from .diffpoly import Context, Derivative, LinearDiffPoly, Ranking
 from .monomial import MultiIndex
-from .scalars import (MultivarPolynomial, RationalFunction, SparsePolynomial, power_product,
-                      signed_sum, signed_term)
+from .scalars import (MultivarPolynomial, RationalFunction, SparsePolynomial, exact,
+                      power_product, signed_sum, signed_term)
 
 
 def _add_index(alpha, i):
@@ -63,7 +62,7 @@ class DiffPolynomial(SparsePolynomial):
         return p
 
     def _one(self):
-        return self._raw({(): Fraction(1)})
+        return self._raw({(): 1})
 
     # -- constructors --------------------------------------------------------
 
@@ -73,11 +72,11 @@ class DiffPolynomial(SparsePolynomial):
 
     @classmethod
     def const(cls, n, m, c):
-        return cls(n, m, {(): Fraction(c)})
+        return cls(n, m, {(): c})
 
     @classmethod
     def symbol(cls, n, m, sym, power=1):
-        return cls(n, m, {((sym, power),): Fraction(1)})
+        return cls(n, m, {((sym, power),): 1})
 
     @classmethod
     def var(cls, n, m, i):
@@ -123,7 +122,7 @@ class DiffPolynomial(SparsePolynomial):
                 if s == sym:
                     # distinct monomials have distinct partials, so nothing cancels
                     lowered = ((s, e - 1),) if e > 1 else ()
-                    res[key[:pos] + lowered + key[pos + 1:]] = c * e
+                    res[key[:pos] + lowered + key[pos + 1:]] = exact(c * e)
                     break
         return self._raw(res)
 

@@ -129,6 +129,21 @@ class TestParsing:
         assert len(calls) <= 4 * k.bit_length()
         assert f.const.is_zero() and len(f.terms) == 1
 
+    @pytest.mark.parametrize("text", [
+        "(x2^2 - x1^3)/(x1^2*x2^2)", "1/(x1*x2)", "-x1/(2*x2*x1^2)", "3/(2*x1*x2^3)",
+        "x1*x2/(x1 + 1)", "(x1 + x2)/(x1*(x2 - 1)*x2)", "-1/(2*x1)", "x1^2/x2",
+    ])
+    def test_formatted_coefficient_reads_back(self, text):
+        # a printed coefficient, read back as a .pde coefficient, keeps its value
+        def coefficient(text):
+            _, (f,) = system(f"vars: x1 x2\nfuncs: y\neq: ({text})*D[y,x1]")
+            (c,) = f.terms.values()
+            return c
+
+        c = coefficient(text)
+        printed = c.format(("x1", "x2"))
+        assert coefficient(printed) == c
+
     def test_syntax_error_carries_position(self):
         with pytest.raises(ProblemError, match="line"):
             parse_problem("vars: x\nfuncs: y\neq: D[y,\n")
@@ -432,6 +447,10 @@ class TestCli:
          "the prolongation of D[y,{0,1}] + (-x1)/x2 = 0 by x1 reduces to (-1)/x2 = 0"),
         ("D[y,x1] = 1; x2*D[y,x2] = x1", "lexinduced",
          "the prolongation of D[y,{1,0}] - 1 = 0 by x2 reduces to 1/x2 = 0"),
+        # a denominator that is a product is bracketed, as the parser reads it
+        ("x2*D[y,x1] = x1; x1*D[y,x2] = 1", "janet",
+         "the prolongation of D[y,{0,1}] + (-1)/x1 = 0 by x1 reduces to "
+         "(-x1^3 + x2^2)/(x1^2*x2^2) = 0"),
     ])
     def test_inconsistency_with_nonconstant_leading_coefficients(
             self, tmp_path, capsys, equations, division, message):

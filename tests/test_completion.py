@@ -3,11 +3,13 @@ import json
 
 import pytest
 
-from involute import (CapExceeded, CompletionOptions, Division, Ranking,
+from involute import (CapExceeded, CompletionOptions, Division, NoFiniteBasis, Ranking,
                       basis_from, conventional_normal_form, groebner_oracle,
                       involutive_normal_form, minimal_involutive_basis,
-                      s_polynomial, verify_involutive,
+                      parse_problem, s_polynomial, verify_involutive,
                       verify_partial_involutive)
+from involute import completion
+from involute.scalars import RationalFunction
 from involute.symmetry import determining_system
 from conftest import PROBLEMS, load_problem, norm_set, system
 
@@ -470,6 +472,82 @@ class TestTracePins:
         ctx, eqs = determining_system(load_problem("diffusion.pde").symmetry_problem())
         opts = CompletionOptions(main=GRL, completion=completion)
         assert _trace_pin(eqs, ctx, opts) == pin
+
+
+class TestPommaretPrePass:
+    """Under Pommaret division the loop first completes under Janet, to
+    decide whether a finite basis exists, unless the inputs are single
+    derivatives whose leaders are already quasi-stable."""
+
+    @staticmethod
+    def divisions_completed(monkeypatch):
+        """The divisions of the completions run from inside the loop."""
+        seen = []
+        inner = completion.minimal_involutive_basis
+
+        def spy(F, opts=None, trace=None):
+            seen.append(opts.division)
+            return inner(F, opts, trace)
+
+        monkeypatch.setattr(completion, "minimal_involutive_basis", spy)
+        return seen
+
+    def test_quasi_stable_single_derivatives_skip_the_janet_completion(self, monkeypatch):
+        pf = load_problem("pommaret_basis.pde")
+        seen = self.divisions_completed(monkeypatch)
+        opts = CompletionOptions(division=Division.POMMARET, main=pf.ranking())
+        basis = minimal_involutive_basis(pf.linear_system(), opts)
+        assert seen == []
+        janet = minimal_involutive_basis(pf.linear_system(), opts._replace(division=Division.JANET))
+        assert set(basis.leading()) >= set(janet.leading()) and verify_involutive(basis)
+
+    def test_a_failing_verdict_keeps_the_janet_partial(self, monkeypatch):
+        pf = load_problem("example1.pde")
+        seen = self.divisions_completed(monkeypatch)
+        opts = CompletionOptions(division=Division.POMMARET, main=pf.ranking())
+        with pytest.raises(NoFiniteBasis) as err:
+            minimal_involutive_basis(pf.linear_system(), opts)
+        assert seen == [Division.JANET]
+        assert err.value.partial.options.division is Division.JANET
+
+    def test_systems_with_several_terms_keep_the_pre_pass(self, monkeypatch):
+        pf = load_problem("janet3.pde")
+        seen = self.divisions_completed(monkeypatch)
+        minimal_involutive_basis(pf.linear_system(),
+                                 CompletionOptions(division=Division.POMMARET, main=pf.ranking()))
+        assert seen == [Division.JANET]
+
+
+class TestFractionFreeLoop:
+    def test_completion_does_no_rational_function_arithmetic(self, monkeypatch):
+        # 13 of the 31 NLS determining equations have coefficients with
+        # denominators, so their primitive elements have leading coefficients
+        # that are not constants; from the inputs to the monic basis that
+        # _basis_of builds, the loop works on polynomial coefficients only
+        problem = parse_problem((PROBLEMS.parent / "perfbench" / "inputs" / "nls.pde").read_text())
+        _, eqs = determining_system(problem.symmetry_problem())
+        assert sum(any(not c.den.is_one() for c in f.terms.values()) for f in eqs) == 13
+        calls = {"loop": 0, "basis": 0}
+        where = ["loop"]
+        for name in ("__init__", "__add__", "__sub__", "__mul__", "__truediv__", "__neg__",
+                     "__pow__", "inverse", "scale", "partial"):
+            def counted(*args, _inner=getattr(RationalFunction, name), **kw):
+                calls[where[-1]] += 1
+                return _inner(*args, **kw)
+            monkeypatch.setattr(RationalFunction, name, counted)
+        basis_of = completion._basis_of
+
+        def fenced(*args, **kw):
+            where.append("basis")
+            try:
+                return basis_of(*args, **kw)
+            finally:
+                where.pop()
+
+        monkeypatch.setattr(completion, "_basis_of", fenced)
+        basis = minimal_involutive_basis(eqs, CompletionOptions(main=Ranking("degrevlex")))
+        assert calls["loop"] == 0
+        assert calls["basis"] > 0 and len(basis) > 0
 
 
 class TestSeparationCache:

@@ -322,3 +322,35 @@ class TestMonomialContent:
         coeffs = got.terms.values()
         assert all(c.denominator == 1 for c in coeffs) and got.leading()[1] > 0
         assert math.gcd(*(c.numerator for c in coeffs)) == 1
+
+
+def assert_exact(*values):
+    """No float anywhere, and every integral coefficient stored as an int."""
+    for v in values:
+        for p in (v.num, v.den) if isinstance(v, RationalFunction) else (v,):
+            for c in p.terms.values():
+                assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+
+
+class TestCoefficientTypes:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(operand_pairs(), st.integers(0, 2),
+           st.fractions(min_value=-4, max_value=4, max_denominator=3))
+    def test_arithmetic_stays_exact(self, pair, i, c):
+        a, b = pair
+        i %= a.nvars
+        assert_exact(a, b, a + b, a - b, a * b, a.scale(c), a.partial(i), -a)
+        if not b.is_zero():
+            assert_exact(a / b, a / b * b)
+        p, q = a.num, b.den
+        assert_exact(p + q, p - q, p * q, p.scale(c), p.partial(i), p.scale(2) - p,
+                     (p * q).divexact(q), (p * q).divexact(p), p.divexact(p))
+        if c:
+            assert_exact(p.divexact(MultivarPolynomial.const(p.nvars, c)))
+
+    def test_integral_fractions_are_stored_as_ints(self):
+        p = P(2, {(1, 0): Fraction(4, 2), (0, 1): Fraction(1, 2)})
+        assert type(p.terms[(1, 0)]) is int
+        assert type((p + p).terms[(0, 1)]) is int
+        assert p.scale(2).terms == {(1, 0): 4, (0, 1): 1}
+        assert all(type(c) is int for c in p.scale(2).terms.values())
