@@ -4,7 +4,8 @@ Subcommands: complete, verify, ivp, hilbert, symmetry, monomial.  ``FLAGS``
 lists each option with the subcommands that read it, and a subcommand
 accepts no other.  ``main`` parses the problem file once, and each ``cmd_*``
 returns its report as text lines and as a JSON document; ``main`` prints
-one of the two, the document under ``--json``.
+one of the two, the document under ``--json``.  ``analysis`` and ``symmetry``
+are imported by the commands that use them, so the others never compile them.
 Exit codes: 0 success, 1 input or usage error, 2 prolongation cap exceeded
 or, under Pommaret division, no finite basis (a leading ideal that is not
 quasi-stable, so any cap would be exceeded), 3 inconsistent system (an
@@ -18,7 +19,6 @@ import json
 import sys
 import time
 
-from . import analysis
 from .completion import (CompletionOptions, InconsistentSystem, basis_from,
                          groebner_oracle, minimal_involutive_basis, verify_involutive)
 from .diffpoly import SCHEMES, TIEBREAKS
@@ -26,7 +26,6 @@ from .monomial import (CapExceeded, Division, axioms_check, cartan_characters,
                        complementary_decomposition, complete as complete_monomials,
                        separations)
 from .probfile import ProblemError, parse_problem
-from .symmetry import determining_system, symmetry_dimension
 
 COMPLETING = ("complete", "ivp", "hilbert", "symmetry")  # run the completion algorithm
 FLAGS = (  # (flag, subcommands that read it, argparse keywords)
@@ -139,6 +138,7 @@ def cmd_verify(problem, args):
 
 
 def cmd_ivp(problem, args):
+    from . import analysis
     ctx = problem.context()
     opts = _options(problem, args)
     basis = minimal_involutive_basis(problem.linear_system(), opts)
@@ -157,6 +157,7 @@ def cmd_ivp(problem, args):
 
 
 def cmd_hilbert(problem, args):
+    from . import analysis
     opts = _options(problem, args)
     basis = minimal_involutive_basis(problem.linear_system(), opts)
     data = analysis.hilbert_data(basis)
@@ -175,6 +176,7 @@ def cmd_hilbert(problem, args):
 
 
 def cmd_symmetry(problem, args):
+    from .symmetry import determining_system, symmetry_dimension
     sym = problem.symmetry_problem()
     det_ctx, eqs = determining_system(sym)
     opts = _options(problem, args)

@@ -38,7 +38,7 @@ __all__ = [
     "InconsistentSystem",
     "involutive_normal_form", "conventional_normal_form",
     "minimal_involutive_basis", "chain_criterion", "basis_from",
-    "verify_involutive", "verify_partial_involutive",
+    "verify_involutive",
     "groebner_oracle", "s_polynomial",
 ]
 
@@ -284,18 +284,15 @@ def _check_pommaret_finite(F, opts):
 
     The leaders of any involutive basis generate the leading ideal of each
     function, which depends on the ranking only; the Janet basis, which
-    always exists, gives them.  If its completion caps, nothing is decided.
-    If every input is one derivative, so is every normal form: the input
-    leaders decide, and only a failure needs the Janet basis.
+    always exists, gives them.  If its completion caps, its CapExceeded ends
+    the run.  If every input is one derivative, so is every normal form: the
+    input leaders decide, and only a failure needs the Janet basis.
     """
     if all(len(f.terms) == 1 and f.const.is_zero() for f in F) and all(
             quasi_stability_witness(us) is None
             for us in _leader_sets(f.ld(opts.main) for f in F).values()):
         return
-    try:
-        janet = minimal_involutive_basis(F, opts._replace(division=Division.JANET))
-    except CapExceeded:
-        return
+    janet = minimal_involutive_basis(F, opts._replace(division=Division.JANET))
     ctx = janet.elements[0].ctx
     for j, leaders in sorted(janet.monomial_sets().items()):
         witness = quasi_stability_witness(leaders)
@@ -315,8 +312,8 @@ def minimal_involutive_basis(F, opts=None, trace=None):
     untraced, under Janet division with the same rankings and cap, and
     NoFiniteBasis, a CapExceeded with that Janet basis attached, is raised
     at once if the leaders of some function are not quasi-stable (quasi-stable
-    single derivatives skip it).  If the Janet completion caps, the Pommaret
-    loop runs to the cap.
+    single derivatives skip it).  If the Janet completion caps, its CapExceeded,
+    with the partial Janet basis, is raised and the Pommaret loop never runs.
     ``prolongations_examined`` counts the Pommaret loop alone.
     """
     opts = opts or CompletionOptions()
@@ -465,26 +462,9 @@ def basis_from(elements, opts=None):
 
 def verify_involutive(basis):
     """Local involutivity: every nonmultiplicative prolongation reduces to 0."""
-    return _prolongations_reduce(basis, lambda theta: True)
-
-
-def verify_partial_involutive(basis, vartheta):
-    """Involutivity restricted to prolongations ranked below ``vartheta``.
-
-    Only nonmultiplicative prolongations whose leading derivative precedes
-    ``vartheta`` under the completion ranking are required to vanish.
-    """
-    comp = basis.options.completion
-    bound = comp.key(vartheta)
-    return _prolongations_reduce(basis, lambda theta: comp.key(theta) < bound)
-
-
-def _prolongations_reduce(basis, wanted):
-    """All nonmultiplicative prolongations whose leader is ``wanted`` reduce to 0."""
     main = basis.options.main
     triples = _by_leader(basis.elements, main)
     indexes = _cone_indexes(triples, basis.options.division)
     return all(_involutive_nf(t.poly.differentiate(x), triples, indexes, main)[0].is_zero()
                for t in triples.values()
-               for x in indexes[t.leader.indet].filed[t.leader.index]
-               if wanted(t.leader.differentiate(x)))
+               for x in indexes[t.leader.indet].filed[t.leader.index])

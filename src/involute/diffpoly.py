@@ -53,9 +53,6 @@ class Derivative(NamedTuple):
     def differentiate(self, i):
         return Derivative(self.indet, self.index.prolongation(i))
 
-    def prolong(self, beta):
-        return Derivative(self.indet, self.index * beta)
-
     def lcm(self, other):
         if self.indet != other.indet:
             raise ValueError("lcm of derivatives of different functions is undefined")

@@ -32,7 +32,6 @@ from typing import NamedTuple
 from .diffpoly import SCHEMES, TIEBREAKS, Context, Derivative, LinearDiffPoly, Ranking
 from .monomial import MultiIndex
 from .scalars import RationalFunction
-from .symmetry import DiffPolynomial, SolvedEquation, SymmetryProblem
 
 
 class ProblemError(Exception):
@@ -161,6 +160,7 @@ class ProblemFile(NamedTuple):
         return out
 
     def symmetry_problem(self):
+        from .symmetry import SolvedEquation, SymmetryProblem
         jets = _JetDomain(len(self.variables), len(self.functions))
         eqs = []
         for lhs, rhs, line in self.equations:
@@ -313,6 +313,7 @@ class _JetDomain:
     pow = staticmethod(operator.pow)
 
     def __init__(self, n, m):
+        from .symmetry import DiffPolynomial
         self.number = partial(DiffPolynomial.const, n, m)
         self.variable = partial(DiffPolynomial.var, n, m)
         self.derivative = partial(DiffPolynomial.deriv, n, m)
@@ -370,16 +371,3 @@ def _leaf(node, domain, variables, functions, line):
         return -a if negate else a
     raise ProblemError("syntax error: unexpected "
                        f"{ast.unparse(node).replace('**', '^')!r}", line, node.col)
-
-
-def format_problem(ctx, ranking, equations, completion_scheme=None):
-    """Render a system back into the problem-file syntax (round-trippable)."""
-    lines = [f"vars: {' '.join(ctx.variables)}",
-             f"funcs: {' '.join(ctx.functions)}",
-             f"ranking: {ranking.scheme}",
-             f"tiebreak: {ranking.tiebreak}"]
-    if completion_scheme:
-        lines.append(f"completion-ranking: {completion_scheme}")
-    for f in equations:
-        lines.append(f"eq: {f.format(ranking)}")
-    return "\n".join(lines) + "\n"

@@ -5,8 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from involute import (MultiIndex, RationalFunction, in_cone,
-                      involutive_divides, monomials_up_to, parse_problem,
+from involute import (MultiIndex, RationalFunction, in_cone, involutive_divides,
+                      involutive_normal_form, monomials_up_to, parse_problem,
                       separations)
 from involute.scalars import MultivarPolynomial
 
@@ -113,6 +113,19 @@ def pommaret_completion_bruteforce(U, cap):
             p = w[:i] + (w[i] + 1,) + w[i + 1:]
             heapq.heappush(heap, (sum(p), p))
     return basis
+
+
+def verify_partial_involutive(basis, vartheta):
+    """Partial involutivity up to ``vartheta``: every nonmultiplicative
+    prolongation whose leader ranks below ``vartheta`` under the completion
+    ranking has involutive normal form 0 modulo the basis."""
+    opts = basis.options
+    bound = opts.completion.key(vartheta)
+    return all(involutive_normal_form(f.differentiate(x), basis.elements, opts.division,
+                                      opts.main).is_zero()
+               for f, sep in zip(basis.elements, basis.separations)
+               for x in sep.nonmultiplicative
+               if opts.completion.key(f.ld(opts.main).differentiate(x)) < bound)
 
 
 def decomposition_exact_bruteforce(U, dec, extra_degree=3):

@@ -5,7 +5,7 @@ import pytest
 from involute import (Context, Derivative, LinearDiffPoly, MultiIndex, Ranking,
                       parse_problem)
 from involute.cli import main
-from involute.probfile import ProblemError, format_problem
+from involute.probfile import ProblemError
 from involute.scalars import RationalFunction, SparsePolynomial
 from conftest import PROBLEMS, load_problem, norm_set, system
 
@@ -244,6 +244,16 @@ class TestParsing:
         with pytest.raises(ProblemError) as exc:
             parse_problem(f"vars: x\nfuncs: y\n{key}: foo\neq: D[y,x]\n")
         assert str(exc.value) == f"unknown {what} 'foo' (line 3)"
+
+
+def format_problem(ctx, ranking, equations):
+    """A system written back in the problem-file syntax."""
+    lines = [f"vars: {' '.join(ctx.variables)}",
+             f"funcs: {' '.join(ctx.functions)}",
+             f"ranking: {ranking.scheme}",
+             f"tiebreak: {ranking.tiebreak}"]
+    lines += [f"eq: {f.format(ranking)}" for f in equations]
+    return "\n".join(lines) + "\n"
 
 
 class TestRoundTrip:

@@ -6,12 +6,11 @@ import pytest
 from involute import (CapExceeded, CompletionOptions, Division, NoFiniteBasis, Ranking,
                       basis_from, conventional_normal_form, groebner_oracle,
                       involutive_normal_form, minimal_involutive_basis,
-                      parse_problem, s_polynomial, verify_involutive,
-                      verify_partial_involutive)
+                      parse_problem, s_polynomial, verify_involutive)
 from involute import completion
 from involute.scalars import RationalFunction
 from involute.symmetry import determining_system
-from conftest import PROBLEMS, load_problem, norm_set, system
+from conftest import PROBLEMS, load_problem, norm_set, system, verify_partial_involutive
 
 
 GRL = Ranking("grlex")
@@ -516,6 +515,26 @@ class TestPommaretPrePass:
         minimal_involutive_basis(pf.linear_system(),
                                  CompletionOptions(division=Division.POMMARET, main=pf.ranking()))
         assert seen == [Division.JANET]
+
+    @pytest.mark.parametrize("cap", [1, 3])
+    def test_a_capped_pre_pass_ends_the_run(self, monkeypatch, cap):
+        # the Pommaret loop does not burn the same cap again: the run raises
+        # one CapExceeded, the pre-pass's, after cap + 1 examinations
+        raised = []
+
+        class Counted(CapExceeded):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                raised.append(self)
+
+        monkeypatch.setattr(completion, "CapExceeded", Counted)
+        pf = load_problem("example1.pde")
+        opts = CompletionOptions(division=Division.POMMARET, main=pf.ranking(), cap=cap)
+        with pytest.raises(CapExceeded) as err:
+            minimal_involutive_basis(pf.linear_system(), opts)
+        assert raised == [err.value] and not isinstance(err.value, NoFiniteBasis)
+        assert err.value.partial.options.division is Division.JANET
+        assert err.value.partial.prolongations_examined == cap + 1
 
 
 class TestFractionFreeLoop:

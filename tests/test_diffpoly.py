@@ -66,7 +66,8 @@ class TestRanking:
             assert r.compare(a.differentiate(i), a) > 0
             # translation invariance
             gamma = MultiIndex(tuple(rng.randint(0, 2) for _ in range(3)))
-            assert r.compare(a, b) == r.compare(a.prolong(gamma), b.prolong(gamma))
+            assert r.compare(a, b) == r.compare(Derivative(a.indet, a.index * gamma),
+                                                Derivative(b.indet, b.index * gamma))
 
     @pytest.mark.parametrize("scheme", ["grlex", "degrevlex"])
     def test_orderly(self, scheme):
@@ -133,7 +134,8 @@ class TestProlong:
         f = eqs[0]
         for _ in range(25):
             beta = MultiIndex(tuple(rng.randint(0, 2) for _ in range(3)))
-            assert f.prolong(beta).ld(r) == f.ld(r).prolong(beta)
+            lead = f.ld(r)
+            assert f.prolong(beta).ld(r) == Derivative(lead.indet, lead.index * beta)
 
 
 class TestNormalize:

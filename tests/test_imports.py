@@ -1,5 +1,6 @@
 """Every module of the package uses what it imports (``__init__`` re-exports),
-and importing the command line stays free of the slow standard modules."""
+importing the command line stays free of the slow standard modules, and each
+subcommand imports only the package modules it runs."""
 
 import ast
 import os
@@ -9,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 SOURCES = sorted(p for p in (SRC / "involute").glob("*.py") if p.name != "__init__.py")
 
 
@@ -52,3 +54,81 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     out = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out == "[]\n"
+
+
+def modules_loaded(*argv):
+    """The package modules a fresh interpreter holds after ``involute argv``
+    exits 0 (-S: no site .pth imports)."""
+    code = ("import sys\nfrom involute.cli import main\nexit_code = main(sys.argv[1:])\n"
+            "print([exit_code, sorted(m for m in sys.modules if m.startswith('involute.'))])")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    out = subprocess.run([sys.executable, "-S", "-c", code, *argv], env=env, cwd=ROOT,
+                         capture_output=True, text=True, check=True).stdout
+    exit_code, modules = ast.literal_eval(out.splitlines()[-1])
+    assert exit_code == 0
+    return set(modules)
+
+
+# (argv, the modules it loads beyond those every command loads)
+SUBCOMMANDS = [
+    (["--help"], set()),
+    (["complete", "problems/janet3.pde"], set()),
+    (["verify", "problems/janet3.pde"], set()),
+    (["monomial", "problems/pommaret_basis.pde", "--action", "complete"], set()),
+    (["monomial", "problems/pommaret_basis.pde", "--action", "decompose"], set()),
+    (["ivp", "problems/janet3.pde"], {"involute.analysis"}),
+    (["hilbert", "problems/janet3.pde"], {"involute.analysis"}),
+    (["symmetry", "perfbench/inputs/kdv.pde"], {"involute.analysis", "involute.symmetry"}),
+]
+
+
+@pytest.mark.parametrize("argv, optional", SUBCOMMANDS,
+                         ids=[" ".join(argv) for argv, _ in SUBCOMMANDS])
+def test_subcommand_loads_only_what_it_runs(argv, optional):
+    # without bytecode files every module imported is compiled on each run
+    base = {f"involute.{m}" for m in ("cli", "probfile", "completion", "diffpoly",
+                                      "monomial", "scalars")}
+    assert modules_loaded(*argv) == base | optional
+
+
+# the names the package bound when __init__ imported every submodule, less
+# probfile.format_problem and completion.verify_partial_involutive, which
+# moved to the tests
+PUBLIC = """
+    CapExceeded CartanCharacters ComplementaryDecomposition Division MultiIndex
+    NoFiniteBasis Separation autoreduce axioms_check cartan_characters
+    complementary_decomposition complete in_cone involutive_divides is_involutive
+    monomials_of_degree monomials_up_to quasi_stability_witness separation separations
+    MultivarPolynomial RationalFunction Context Derivative LinearDiffPoly Ranking
+    CompletionOptions InconsistentSystem InvolutiveBasis basis_from chain_criterion
+    conventional_normal_form groebner_oracle involutive_normal_form
+    minimal_involutive_basis s_polynomial verify_involutive
+    HilbertData IVPEntry IVPSpec SolutionDimension complementary_set hilbert_data
+    ivp_spec solution_dimension
+    DiffPolynomial SolvedEquation SymmetryProblem VectorFieldAnsatz
+    apply_prolonged_field determining_system symmetry_dimension
+    ProblemError ProblemFile parse_problem
+""".split()
+SUBMODULES = ["analysis", "completion", "diffpoly", "monomial", "probfile", "scalars",
+              "symmetry"]
+
+
+def test_public_names_resolve_from_their_submodules():
+    import involute
+    for name in PUBLIC:
+        value = getattr(involute, name)
+        assert name in dir(involute) and name in involute.__all__
+        assert any(vars(getattr(involute, m)).get(name) is value for m in SUBMODULES), name
+
+
+def test_star_import_binds_the_public_names_and_submodules():
+    namespace = {}
+    exec("from involute import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(PUBLIC) | set(SUBMODULES)
+
+
+def test_unknown_name_raises_attribute_error():
+    import involute
+    with pytest.raises(AttributeError, match="no attribute 'format_problem'"):
+        involute.format_problem
+    assert not hasattr(involute, "verify_partial_involutive")
