@@ -228,7 +228,7 @@ def cmd_monomial(problem, args):
         if kind is not Division.POMMARET:
             raise ValueError("Cartan characters count the cones of a Pommaret basis; "
                              f"--division {kind.value} does not apply")
-        ch = cartan_characters(U, n=len(names))
+        ch = cartan_characters(complete_monomials(U, kind, cap=args.cap), n=len(names))
         lines = [f"degree q = {ch.q}; characters: "
                  + ", ".join(f"sigma^{i+1}={v}" for i, v in enumerate(ch.sigma))]
         doc["q"] = ch.q

@@ -5,16 +5,18 @@ ancestor, processed-variables) keyed by leading derivative, and one
 ``monomial.ConeIndex`` per function over those leaders, which keeps their
 separations as elements come and go and finds involutive divisors.  Leaders
 in G are pairwise distinct: an adjoined normal form's leader lies in no cone,
-and every leader lies in its own.  Elements of a queue Q are merged in
-lowest-leader first; before each merge, the nonmultiplicative prolongations
-whose leaders rank below it are examined lowest first under the completion
-ranking, with a chain criterion to skip prolongations that cannot
-contribute.  They come from one sorted list of candidates, fed with the
+and every leader lies in its own.  The loop repeats one examination step:
+take the lowest nonmultiplicative prolongation, under the completion ranking,
+whose leader ranks below the lowest element of the queue Q, or else that queue
+element; skip it if the chain criterion holds for its leader; otherwise reduce
+it to its involutive normal form and adjoin that unless it is zero (a nonzero
+constant raises InconsistentSystem).  Prolongations come from one sorted list
+of candidates, each holding its leader, derived once when queued, fed with the
 variables each re-filing of a cone index makes nonmultiplicative; an entry
 whose triple has left G, or whose variable has turned multiplicative or been
 processed, is dropped when reached.  Every element whose leader exceeds a
-newly found lower leader is displaced back into the queue, in one re-filing
-of each index it touches, which keeps the final basis minimal.
+newly found lower leader is displaced back into Q, in one re-filing of each
+index it touches, which keeps the final basis minimal.
 ``monomial.complete`` is this routine on the equations D[y, u] = 0.
 It works over Z[x], on primitive elements (polynomial coefficients of content 1),
 by pseudo-division (Geddes, Czapor and Labahn, 1992, ch. 7); monic elements over
@@ -26,6 +28,7 @@ from __future__ import annotations
 import bisect
 from collections import defaultdict
 from functools import partial
+from itertools import count
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -254,15 +257,15 @@ def groebner_oracle(F, ranking):
     return True
 
 
-def chain_criterion(p, theta, triples, indexes, ranking_c, main):
+def chain_criterion(lead, theta, triples, indexes, ranking_c):
     """Involutive analogue of the Buchberger chain criterion.
 
     True if some triple (f, ancestor, _) has a leader involutively dividing
-    ld(p), found in the cone index of its function, while lcm(theta, ancestor)
-    ranks strictly below ld(p) under the completion ranking.  Ancestors
-    attached to a different function never qualify.
+    ``lead``, the leader of the element examined, found in the cone index of
+    its function, while lcm(theta, ancestor) ranks strictly below ``lead``
+    under the completion ranking.  Ancestors attached to a different function
+    never qualify.
     """
-    lead = p.ld(main)
     key_lead = ranking_c.key(lead)
     index = indexes.get(lead.indet)
     for v in index.divisors(lead.index) if index is not None else ():
@@ -327,17 +330,16 @@ def minimal_involutive_basis(F, opts=None, trace=None):
     if opts.division is Division.POMMARET:
         _check_pommaret_finite(work, opts)
 
-    serial = 0
+    serials = count(1)
 
     def new_triple(poly, ancestor, processed, leader):
-        nonlocal serial
-        serial += 1
-        return Triple(poly, ancestor, processed, serial, leader, main.key(leader))
+        return Triple(poly, ancestor, processed, next(serials), leader, main.key(leader))
 
     # G, keyed by leader, and one cone index per function (module docstring)
     triples, indexes = {}, defaultdict(partial(ConeIndex, opts.division))
     # the nonmultiplicative prolongations, sorted lowest first under the
-    # completion ranking: (completion key, serial, x, main key, leader)
+    # completion ranking: (completion key, serial, x, main key, leader of the
+    # triple, leader of the prolongation)
     candidates = []
 
     def adjoin(t, drop=()):
@@ -349,14 +351,10 @@ def minimal_involutive_basis(F, opts=None, trace=None):
                 u.processed -= new
             for x in new - u.processed:
                 lead = u.leader.differentiate(x)
-                bisect.insort(candidates, (comp.key(lead), u.serial, x, main.key(lead), u.leader))
+                bisect.insort(candidates,
+                              (comp.key(lead), u.serial, x, main.key(lead), u.leader, lead))
 
-    def inconsistent(r, m, t, what):
-        """The error for r, m from reducing lc*f plus a multiple of f, f = t.poly/lc."""
-        lc = t.poly.terms[t.leader]
-        return _nonzero_constant(_over(r, lc * m), what.format(_over(t.poly, lc).format(main)))
-
-    def adjoin_normal_form(r, leader, ancestor, processed=()):
+    def adjoin_normal_form(r, leader, ancestor, processed):
         """Adjoin r, the nonzero normal form of an element led by ``leader``."""
         lead = r.ld(main)
         r = _primitive(r, lead)
@@ -376,18 +374,18 @@ def minimal_involutive_basis(F, opts=None, trace=None):
 
     def next_candidate(gate):
         """The lowest unprocessed nonmultiplicative prolongation led below
-        ``gate`` (any, if None), as (triple, x), or None; stale entries
-        met on the way are dropped."""
+        ``gate`` (any, if None), as (triple, x, leader), or None; stale
+        entries met on the way are dropped."""
         i = 0
         while i < len(candidates):
-            _, made, x, key, leader = candidates[i]
+            _, made, x, key, leader, lead = candidates[i]
             t = triples.get(leader)
             if (t is None or t.serial != made or x in t.processed
                     or x not in indexes[leader.indet].filed[leader.index]):
                 del candidates[i]
             elif gate is None or key < gate:
                 del candidates[i]
-                return t, x
+                return t, x, lead
             else:
                 i += 1
         return None
@@ -400,49 +398,42 @@ def minimal_involutive_basis(F, opts=None, trace=None):
     examined = 0
 
     while True:
-        # examine nonmultiplicative prolongations by the normal strategy, below
-        # the lowest queue element
-        while (best := next_candidate(min((t.key for t in Q), default=None))) is not None:
-            t, x = best
+        # the normal strategy: the lowest nonmultiplicative prolongation led
+        # below the lowest queue element, else that queue element
+        best = next_candidate(min((t.key for t in Q), default=None))
+        if best is not None:
+            t, x, lead = best
             examined += 1
             if examined > opts.cap:
                 raise CapExceeded(
                     f"completion exceeded {opts.cap} prolongation examinations",
                     partial=_basis_of(triples, indexes, opts, examined))
             t.processed.add(x)
-            p = t.poly.differentiate(x)
-            skip = opts.use_criterion and chain_criterion(
-                p, t.ancestor, triples, indexes, comp, main)
-            status = "criterion"
-            if not skip:
-                r, m = _involutive_nf(p, triples, indexes, main)
-                if r.is_zero():
-                    status = "zero"
-                elif not r.terms:
-                    raise inconsistent(r, m, t, "the prolongation of {} = 0 by "
-                                                + t.poly.ctx.variables[x])
-                else:
-                    status = "added"
-                    adjoin_normal_form(r, p.ld(main), t.ancestor)
-            if trace is not None:
-                trace.append({"stage": "prolongation", "leader": t.leader,
-                              "variable": x, "criterion": skip, "result": status})
-        if not Q:
+            p, processed = t.poly.differentiate(x), ()
+        elif Q:
+            t, x = Q.pop(min(range(len(Q)), key=lambda i: (Q[i].key, Q[i].serial))), None
+            p, lead, processed = t.poly, t.leader, t.processed
+        else:
             break
-        # merge the lowest queue element
-        t = Q.pop(min(range(len(Q)), key=lambda i: (Q[i].key, Q[i].serial)))
-        skip = opts.use_criterion and chain_criterion(
-            t.poly, t.ancestor, triples, indexes, comp, main)
+        # one examination: criterion, normal form, then adjoin, raise or drop
+        skip = opts.use_criterion and chain_criterion(lead, t.ancestor, triples, indexes, comp)
+        status = "criterion"
+        if not skip:
+            r, m = _involutive_nf(p, triples, indexes, main)
+            if r.is_zero():
+                status = "zero"
+            elif not r.terms:  # r/(lc*m) is a normal form of p/lc, for t.poly = lc*f
+                lc = t.poly.terms[t.leader]
+                f = _over(t.poly, lc).format(main)
+                raise _nonzero_constant(_over(r, lc * m), f"the equation {f} = 0" if x is None else
+                                        f"the prolongation of {f} = 0 by {p.ctx.variables[x]}")
+            else:
+                status = "added"
+                adjoin_normal_form(r, lead, t.ancestor, processed)
         if trace is not None:
-            trace.append({"stage": "queue", "leader": t.leader, "criterion": skip})
-        if skip:
-            continue
-        r, m = _involutive_nf(t.poly, triples, indexes, main)
-        if r.is_zero():
-            continue
-        if not r.terms:
-            raise inconsistent(r, m, t, "the equation {} = 0")
-        adjoin_normal_form(r, t.leader, t.ancestor, t.processed)
+            trace.append({"stage": "queue", "leader": t.leader, "criterion": skip} if x is None
+                         else {"stage": "prolongation", "leader": t.leader, "variable": x,
+                               "criterion": skip, "result": status})
 
     return _basis_of(triples, indexes, opts, examined)
 
@@ -450,13 +441,12 @@ def minimal_involutive_basis(F, opts=None, trace=None):
 def basis_from(elements, opts=None):
     """Wrap an existing system (monic, distinct leaders) without completing."""
     opts = opts or CompletionOptions()
-    work = [f.normalize(opts.main) for f in elements if not f.is_zero()]
+    work = [f for f in elements if not f.is_zero()]
     if not work:
         raise ValueError("empty system")
-    leaders = [f.ld(opts.main) for f in work]
-    if len(set(leaders)) != len(leaders):
-        raise ValueError("leading derivatives are not pairwise distinct")
     triples = _by_leader(work, opts.main)
+    if len(triples) != len(work):
+        raise ValueError("leading derivatives are not pairwise distinct")
     return _basis_of(triples, _cone_indexes(triples, opts.division), opts)
 
 

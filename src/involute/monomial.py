@@ -320,17 +320,17 @@ def autoreduce(U, kind):
         index.remove(min(victims))
 
 
-def complete(U, kind, completion_order="grlex", cap=10000):
+def complete(U, kind, cap=10000):
     """Minimal involutive basis of the monomial ideal generated by U, as a
     lex-sorted tuple: ``completion.minimal_involutive_basis`` on the
-    equations D[y, u] = 0, u in U, under the ranking ``completion_order``
-    ('lex', 'grlex' or 'degrevlex').  A CapExceeded, NoFiniteBasis included,
-    carries the lex-sorted leaders of its partial basis as ``partial``.
+    equations D[y, u] = 0, u in U, under the grlex ranking.  A CapExceeded,
+    NoFiniteBasis included, carries the lex-sorted leaders of its partial
+    basis as ``partial``.
     """
     from .completion import CompletionOptions, minimal_involutive_basis
-    from .diffpoly import Context, Derivative, LinearDiffPoly, Ranking
+    from .diffpoly import Context, Derivative, LinearDiffPoly
 
-    opts = CompletionOptions(division=kind, main=Ranking(completion_order), cap=cap)
+    opts = CompletionOptions(division=kind, cap=cap)
     U = _check_set(U)
     if not U:
         raise ValueError("empty monomial set")

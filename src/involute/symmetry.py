@@ -169,11 +169,10 @@ class DiffPolynomial(SparsePolynomial):
             out = out + prod
         return out
 
-    def format(self, var_names=None, func_names=None, coeff_names=None):
-        var_names = var_names or [f"x{i+1}" for i in range(self.n)]
-        func_names = func_names or [f"y{j+1}" for j in range(self.m)]
-        coeff_names = coeff_names or ([f"xi{i+1}" for i in range(self.n)]
-                                      + [f"eta{j+1}" for j in range(self.m)])
+    def format(self):
+        var_names = [f"x{i+1}" for i in range(self.n)]
+        func_names = [f"y{j+1}" for j in range(self.m)]
+        coeff_names = [f"xi{i+1}" for i in range(self.n)] + [f"eta{j+1}" for j in range(self.m)]
 
         def sym_str(sym):
             if sym[0] == "x":

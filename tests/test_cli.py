@@ -361,9 +361,19 @@ class TestCli:
         assert (code, out, err) == (1, "", "error: cap must be at least 1\n")
 
     def test_monomial_cartan(self, capsys):
-        code, out, _ = run_cli(capsys, "monomial", str(PROBLEMS / "example1.pde"),
-                               "--action", "cartan", "--division", "pommaret")
-        assert code == 1  # example set is not pommaret-involutive
+        code, out, err = run_cli(capsys, "monomial", str(PROBLEMS / "example1.pde"),
+                                 "--action", "cartan", "--division", "pommaret")
+        assert (code, out) == (2, "")  # example set has no finite Pommaret basis
+        assert err.startswith("cap exceeded: no finite Pommaret basis")
+
+    def test_monomial_cartan_completes_first(self, tmp_path, capsys):
+        # {x1^2, x2} is not Pommaret-involutive; its Pommaret basis is
+        # {x1^2, x1*x2, x2}, whose cones give the characters
+        path = tmp_path / "quasi.pde"
+        path.write_text("vars: x1 x2 x3\nfuncs: y\neq: D[y,{2,0,0}]\neq: D[y,{0,1,0}]\n")
+        code, out, err = run_cli(capsys, "monomial", str(path), "--action", "cartan")
+        assert (code, out, err) == (0, "degree q = 2; characters: sigma^1=2, sigma^2=0, "
+                                       "sigma^3=0\n", "")
 
     @pytest.mark.parametrize("division", ["janet", "lexinduced"])
     def test_monomial_cartan_refuses_other_divisions(self, capsys, division):

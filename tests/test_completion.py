@@ -271,6 +271,14 @@ class TestAlgorithmProperties:
         with pytest.raises(ValueError):
             minimal_involutive_basis([], CompletionOptions())
 
+    def test_basis_from_makes_elements_monic_and_rejects_shared_leaders(self):
+        pf, eqs = system(JANET3_TEXT)
+        opts = CompletionOptions(main=GRL)
+        doubled = basis_from([eqs[0] + eqs[0]], opts)
+        assert doubled.elements == (eqs[0].normalize(GRL),)
+        with pytest.raises(ValueError, match="not pairwise distinct"):
+            basis_from([eqs[0], eqs[0] + eqs[0]], opts)
+
 
 class TestPartialInvolutivity:
     def test_gradations(self):
@@ -326,7 +334,7 @@ class TestChainCriterionDirect:
         from involute import chain_criterion
         pf, eqs = system(JANET3_TEXT)
         f = eqs[0].normalize(GRL)
-        assert not chain_criterion(f, f.ld(GRL), {}, {}, GRL, GRL)
+        assert not chain_criterion(f.ld(GRL), f.ld(GRL), {}, {}, GRL)
 
     def test_lcm_of_equal_ancestors(self):
         # an element whose leader equals another's leader with ancestor equal
@@ -336,7 +344,7 @@ class TestChainCriterionDirect:
         f = G[0]  # any basis element; probe its own leader with a low theta
         low = G[-1].ld(GRL)
         probe = f
-        fired = chain_criterion(probe, low, triples, indexes, GRL, GRL)
+        fired = chain_criterion(probe.ld(GRL), low, triples, indexes, GRL)
         assert fired == (GRL.compare(low.lcm(f.ld(GRL)) if low.indet == f.ld(GRL).indet
                          else low, f.ld(GRL)) < 0)
 
@@ -354,13 +362,14 @@ class TestChainCriterionDirect:
         triples = {G[1].ld(GRL): Triple(G[1], G[1].ld(GRL), set(), 0, G[1].ld(GRL))}
         probe = G[1].prolong((0, 1))
         # ancestor theta belongs to the other function: must not fire
-        assert not chain_criterion(probe, G[0].ld(GRL), triples,
-                                   _cone_indexes(triples, Division.JANET), GRL, GRL)
+        assert not chain_criterion(probe.ld(GRL), G[0].ld(GRL), triples,
+                                   _cone_indexes(triples, Division.JANET), GRL)
 
 
 class TestChainCriterionLeaders:
-    def test_one_leader_lookup_per_call(self, monkeypatch):
-        # triples carry their leaders: only ld(p) is derived per call
+    def test_no_leader_derived_per_call(self, monkeypatch):
+        # the loop passes the leader its candidate entry holds, and triples
+        # carry theirs: the criterion derives none
         from involute import LinearDiffPoly, completion
         pf, eqs = system((PROBLEMS / "janet3.pde").read_text())
         opts = CompletionOptions(division=Division.JANET, main=pf.ranking())
@@ -372,12 +381,12 @@ class TestChainCriterionLeaders:
                 per_call[-1] += 1
             return real_ld(self, ranking)
 
-        def criterion(p, theta, triples, *rest):
+        def criterion(lead, theta, triples, *rest):
             per_call.append(0)
             sizes.append(len(triples))
             inside[0] = True
             try:
-                return real_criterion(p, theta, triples, *rest)
+                return real_criterion(lead, theta, triples, *rest)
             finally:
                 inside[0] = False
 
@@ -385,7 +394,30 @@ class TestChainCriterionLeaders:
         monkeypatch.setattr(completion, "chain_criterion", criterion)
         minimal_involutive_basis(eqs, opts)
         assert per_call and max(sizes) > 1
-        assert max(per_call) <= 1
+        assert max(per_call) == 0
+
+    def test_loop_derives_one_leader_per_triple_made(self, monkeypatch):
+        # ld is called once per input equation and once per adjoined normal
+        # form, the two sources of triples; never on a prolongation
+        from involute import LinearDiffPoly, completion
+        pf = load_problem("janet3.pde")
+        opts = CompletionOptions(division=Division.JANET, main=Ranking("lex"), completion=GRL)
+        real_ld, real_triple = LinearDiffPoly.ld, completion.Triple
+        calls, made = [0], [0]
+
+        def ld(self, ranking):
+            calls[0] += 1
+            return real_ld(self, ranking)
+
+        class CountingTriple(real_triple):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made[0] += 1
+
+        monkeypatch.setattr(LinearDiffPoly, "ld", ld)
+        monkeypatch.setattr(completion, "Triple", CountingTriple)
+        minimal_involutive_basis(pf.linear_system(), opts)
+        assert calls[0] == made[0] == 16
 
 
 class TestProlongationKeyMemo:

@@ -223,9 +223,12 @@ def test_stdout_digest(command, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == PINS[command]
 
 
-REFUSALS = {
-    "monomial problems/example1.pde --action decompose": "error: set is not janet-involutive\n",
-    "monomial problems/example1.pde --action cartan": "error: set is not pommaret-involutive\n",
+REFUSALS = {  # command: (exit code, stderr)
+    "monomial problems/example1.pde --action decompose":
+        (1, "error: set is not janet-involutive\n"),
+    "monomial problems/example1.pde --action cartan":
+        (2, "cap exceeded: no finite Pommaret basis, so any cap is exceeded: the leaders of y "
+            "are not quasi-stable (witness D[y,{1,0,2}])\n"),
 }
 
 
@@ -234,5 +237,6 @@ REFUSALS = {
 def test_refusal(command, json_flag, capsys):
     argv = command.split() + json_flag
     argv[1] = str(ROOT / argv[1])
-    assert main(argv) == 1
-    assert capsys.readouterr() == ("", REFUSALS[command])
+    code, err = REFUSALS[command]
+    assert main(argv) == code
+    assert capsys.readouterr() == ("", err)

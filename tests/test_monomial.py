@@ -293,14 +293,24 @@ def _recipe_sets(count=4):
             for n, size, dmax in RECIPE_CLASSES[:count]]
 
 
-def _examined(U, kind, scheme="grlex"):
-    """Prolongations examined by ``minimal_involutive_basis``, which
-    ``complete`` runs, on the equations D[y, u] = 0, u in U."""
+def _loop(U, kind, scheme="grlex", cap=10000):
+    """``minimal_involutive_basis``, which ``complete`` runs under grlex, on
+    the equations D[y, u] = 0, u in U, under the ranking ``scheme``."""
     _, eqs = system("vars: " + " ".join(f"x{i + 1}" for i in range(len(U[0])))
                     + "\nfuncs: y\n"
                     + "".join("eq: D[y,{%s}]\n" % ",".join(map(str, u)) for u in U))
-    opts = CompletionOptions(division=kind, main=Ranking(scheme))
-    return minimal_involutive_basis(eqs, opts).prolongations_examined
+    return minimal_involutive_basis(eqs, CompletionOptions(kind, Ranking(scheme), cap=cap))
+
+
+def _complete(U, kind, scheme, cap):
+    """``complete(U, kind, cap=cap)``, whose ranking is grlex, under ``scheme``."""
+    if scheme == "grlex":
+        return complete(U, kind, cap=cap)
+    try:
+        return _loop(U, kind, scheme, cap).monomial_sets()[0]
+    except CapExceeded as exc:
+        exc.partial = exc.partial.monomial_sets()[0]
+        raise
 
 
 def _random_sets(count, seed):
@@ -320,7 +330,7 @@ def assert_complete_meets_oracles(U, kind, cap, scheme="grlex"):
     The cap counts examined prolongations: ``cap = examined`` finishes and
     one less raises."""
     try:
-        res, finished = complete(U, kind, scheme, cap=cap), True
+        res, finished = _complete(U, kind, scheme, cap), True
     except CapExceeded as err:
         res, finished = err.partial, False
     assert list(res) == sorted(set(res))
@@ -334,11 +344,11 @@ def assert_complete_meets_oracles(U, kind, cap, scheme="grlex"):
     assert is_involutive(res, kind)
     if len(U[0]) <= 4:
         assert complete_bruteforce(U, list(res), kind)
-    examined = _examined(U, kind, scheme)
-    assert complete(U, kind, scheme, cap=max(examined, 1)) == res
+    examined = _loop(U, kind, scheme).prolongations_examined
+    assert _complete(U, kind, scheme, max(examined, 1)) == res
     if examined > 1:
         with pytest.raises(CapExceeded):
-            complete(U, kind, scheme, cap=examined - 1)
+            _complete(U, kind, scheme, examined - 1)
 
 
 class TestAgreementWithDifferentialEngine:
@@ -366,12 +376,12 @@ class TestAgreementWithDifferentialEngine:
         # the loop used to merge a queue element before the prolongations
         # ranked below it, and kept one element too many here
         U = [MultiIndex(u) for u in U]
-        assert len(complete(U, kind, scheme, cap=300)) == size
+        assert len(_complete(U, kind, scheme, 300)) == size
         assert_complete_meets_oracles(U, kind, 300, scheme)
 
     def test_cap_counts_distinct_prolongations(self):
         U = _recipe_sets()[1]
-        assert _examined(U, Division.LEX_INDUCED) == 141
+        assert _loop(U, Division.LEX_INDUCED).prolongations_examined == 141
         assert len(complete(U, Division.LEX_INDUCED, cap=141)) == 66
         with pytest.raises(CapExceeded, match="^completion exceeded 140 prolongation"):
             complete(U, Division.LEX_INDUCED, cap=140)

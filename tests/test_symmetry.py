@@ -64,6 +64,13 @@ class TestDiffPolynomialArithmetic:
             # canonical: sorted keys, each once, no zero coefficient
             assert got == DiffPolynomial(2, 1, got.terms)
 
+    def test_repr_uses_the_default_names(self):
+        # x and y symbols print as x_i and y_j; a symbols past the n xi's as eta_j
+        p = DiffPolynomial(2, 1, {((("x", 1), 2), (("d", 0, (1, 0)), 1)): Fraction(-3, 2),
+                                  ((("a", 2, (1, 0, 1)), 1),): Fraction(1),
+                                  ((("y", 0), 1),): Fraction(1)})
+        assert repr(p) == "DiffPolynomial(D[eta1,{1,0,1}] - 3/2*D[y1,{1,0}]*x2^2 + y1)"
+
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(jet_polys)
     def test_difference_with_itself_has_no_terms(self, p):
