@@ -90,11 +90,7 @@ def ivp_spec(basis):
 
 def _mu_data(basis):
     """(function, degree, multiplier count) per basis element."""
-    out = []
-    for f, sep in zip(basis.elements, basis.separations):
-        d = f.ld(basis.options.main)
-        out.append((d.indet, d.index.degree, sep.mu))
-    return out
+    return [(d.indet, d.index.degree, sep.mu) for d, sep in zip(basis.leaders, basis.separations)]
 
 
 class HilbertData(NamedTuple):

@@ -89,22 +89,23 @@ class Triple:
 
 
 class InvolutiveBasis:
-    """Completed system: monic elements, their separations, options used."""
+    """Completed system: monic elements, their leaders under the main ranking,
+    their separations, options used."""
 
-    __slots__ = ("elements", "separations", "options", "prolongations_examined")
+    __slots__ = ("elements", "leaders", "separations", "options", "prolongations_examined")
 
-    def __init__(self, elements, separations, options, prolongations_examined=0):
-        self.elements, self.separations = elements, separations
+    def __init__(self, elements, leaders, separations, options, prolongations_examined=0):
+        self.elements, self.leaders, self.separations = elements, leaders, separations
         self.options, self.prolongations_examined = options, prolongations_examined
 
     def __len__(self):
         return len(self.elements)
 
     def leading(self):
-        return [f.ld(self.options.main) for f in self.elements]
+        return list(self.leaders)
 
     def monomial_sets(self):
-        return _leader_sets(self.leading())
+        return _leader_sets(self.leaders)
 
     def format(self):
         return "\n".join(f.format(self.options.main) for f in self.elements)
@@ -278,8 +279,8 @@ def chain_criterion(lead, theta, triples, indexes, ranking_c):
 def _basis_of(triples, indexes, opts, examined=0):
     order = sorted(triples.values(), key=_key, reverse=True)
     seps = tuple(indexes[t.leader.indet].separation(t.leader.index) for t in order)
-    return InvolutiveBasis(tuple(_over(t.poly, t.poly.terms[t.leader]) for t in order), seps,
-                          opts, examined)
+    return InvolutiveBasis(tuple(_over(t.poly, t.poly.terms[t.leader]) for t in order),
+                           tuple(t.leader for t in order), seps, opts, examined)
 
 
 def _check_pommaret_finite(F, opts):

@@ -396,25 +396,6 @@ def content(polys):
     return g._raw({(0,) * g.nvars: exact(r)}) if g.is_constant() else _rat_normalize(g).scale(r)
 
 
-def _monic(num, den):
-    """num and den rescaled so that den is monic."""
-    lc = den.leading()[1]
-    if lc != 1:
-        inv = Fraction(1) / lc
-        return num.scale(inv), den.scale(inv)
-    return num, den
-
-
-def _divide_out_gcd(p, q):
-    """``p`` and ``q`` divided by their gcd; a constant is returned unchanged."""
-    if p.is_constant() or q.is_constant():
-        return p, q
-    g = poly_gcd(p, q)
-    if g.is_one():
-        return p, q
-    return p.divexact(g), q.divexact(g)
-
-
 class RationalFunction:
     """Reduced quotient of two multivariate polynomials over Q."""
 
@@ -426,10 +407,14 @@ class RationalFunction:
         if den.is_zero():
             raise ZeroDivisionError("zero denominator")
         if num.is_zero():
-            num = MultivarPolynomial.zero(num.nvars)
-            den = MultivarPolynomial.const(num.nvars, 1)
-        else:
-            num, den = _monic(*_divide_out_gcd(num, den))
+            num, den = MultivarPolynomial.zero(num.nvars), MultivarPolynomial.const(num.nvars, 1)
+        elif not (num.is_constant() or den.is_constant()):
+            g = poly_gcd(num, den)
+            if not g.is_one():
+                num, den = num.divexact(g), den.divexact(g)
+        lc = den.leading()[1]
+        if lc != 1:  # make den monic
+            num, den = num.scale(Fraction(1) / lc), den.scale(Fraction(1) / lc)
         self.num = num
         self.den = den
 
@@ -472,46 +457,21 @@ class RationalFunction:
     def __neg__(self):
         return self._raw(-self.num, self.den)
 
-    # Operands are reduced with monic denominators, so most results need no
-    # gcd of the full numerator and denominator (Henrici, JACM 1956).  Sums
-    # with two nontrivial denominators are rare since completion works over
-    # Z[x], and take the constructor.
+    # no fast paths: Q(x) arithmetic serves only parsing, normalize and output
 
     def __add__(self, other):
-        return self._add(other.num, other.den)
+        return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
 
     def __sub__(self, other):
-        return self._add(-other.num, other.den)
-
-    def _add(self, c, d):
-        a, b = self.num, self.den
-        if b == d:
-            n = a + c
-            if n.is_zero():
-                return RationalFunction.zero(a.nvars)
-            return self._raw(*_monic(*_divide_out_gcd(n, b)))
-        if d.is_one():
-            return self._raw(a + c * b, b)
-        if b.is_one():
-            return self._raw(a * d + c, d)
-        return RationalFunction(a * d + c * b, b * d)
+        return RationalFunction(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __mul__(self, other):
-        return self._mul(other.num, other.den)
+        return RationalFunction(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other):
         if other.is_zero():
             raise ZeroDivisionError("division by zero rational function")
-        return self._mul(other.den, other.num)
-
-    def _mul(self, c, d):
-        """(num/den)*(c/d) for coprime c, d, cancelling across."""
-        a, b = self.num, self.den
-        if a.is_zero() or c.is_zero():
-            return RationalFunction.zero(a.nvars)
-        a, d = _divide_out_gcd(a, d)
-        c, b = _divide_out_gcd(c, b)
-        return self._raw(*_monic(a * c, b * d))
+        return RationalFunction(self.num * other.den, self.den * other.num)
 
     def inverse(self):
         return RationalFunction.one(self.nvars) / self
@@ -524,9 +484,7 @@ class RationalFunction:
         return self._raw(self.num.scale(c), self.den) if c else RationalFunction.zero(self.nvars)
 
     def partial(self, i):
-        if self.den.is_one():
-            return self._raw(self.num.partial(i), self.den)
-        # quotient rule; canonicalized by the constructor
+        # quotient rule
         return RationalFunction(self.num.partial(i) * self.den - self.num * self.den.partial(i),
                                 self.den * self.den)
 

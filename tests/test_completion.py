@@ -601,6 +601,22 @@ class TestFractionFreeLoop:
         assert calls["basis"] > 0 and len(basis) > 0
 
 
+class TestStoredLeaders:
+    def test_leading_reads_the_leaders_the_loop_derived(self, monkeypatch):
+        from involute.analysis import hilbert_data
+        from involute.diffpoly import LinearDiffPoly
+        pf, eqs = system((PROBLEMS / "janet3.pde").read_text())
+        basis = minimal_involutive_basis(eqs, CompletionOptions(main=pf.ranking()))
+        expect = [f.ld(basis.options.main) for f in basis.elements]
+        calls = []
+        ld = LinearDiffPoly.ld
+        monkeypatch.setattr(LinearDiffPoly, "ld", lambda *a: calls.append(a) or ld(*a))
+        assert basis.leading() == expect
+        assert basis.monomial_sets() == {0: tuple(sorted(d.index for d in expect))}
+        hilbert_data(basis)
+        assert calls == []
+
+
 class TestSeparationCache:
     """The completion loop re-files separations only when the basis changes,
     in place through its cone indexes, and never calls ``separations()``."""

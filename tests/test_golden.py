@@ -32,6 +32,13 @@ PINS = {
         "9dea332e83d2ca0f6835c7c493270163ac5317a960301286168856c75ae4ab59",
     "verify problems/example1.pde --division lexinduced":
         "b82bea63b38db2f114e2ba2d86aebe4fa7ae0b292afcf0c3a36616a9e9272716",
+    # the parser reduces sums of quotients over different denominators
+    "complete problems/quotient_sums.pde --json":
+        "09b0cf38e006604aea9fb1994b82c5ec228e75c5a6b3df49a0a03f57d8e76ec6",
+    "verify problems/quotient_sums.pde":
+        "156b0d1df2df2243400f16b82b2f756d1d81441adcc2870acc65e1cd054300bd",
+    "ivp problems/quotient_sums.pde":
+        "4300f39dd273551a479a8072e898d4f6570895c021caae7d6587989cbf1978db",
     "complete problems/fourvar.pde --division janet --json":
         "ac3a24ca6a41f48b0345990243798d88aff06e8a13c13a483dd0fcadc75ee74f",
     "ivp problems/fourvar.pde --division janet":
