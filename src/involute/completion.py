@@ -29,7 +29,7 @@ import bisect
 from collections import defaultdict
 from functools import partial
 from itertools import count
-from operator import attrgetter
+from operator import attrgetter, sub
 from typing import NamedTuple
 
 from .diffpoly import Derivative, Ranking
@@ -143,11 +143,11 @@ def _cleared(f):
     """(L, L*f) for the lcm L of the denominators of f's coefficients."""
     lcm = f.const.den  # 1 or the denominator of a nonzero constant
     for c in f.terms.values():
-        if not c.den.is_one():
+        if not c.den.is_one() and c.den != lcm:
             lcm = c.den if lcm.is_one() else lcm * c.den.divexact(poly_gcd(lcm, c.den))
 
     def clear(c):
-        return c.num if lcm.is_one() else c.num * lcm.divexact(c.den)
+        return c.num if c.den == lcm else c.num * lcm.divexact(c.den)
 
     return lcm, f._raw({d: clear(c) for d, c in f.terms.items()}, clear(f.const))
 
@@ -172,18 +172,24 @@ def _over(h, m):
 def _reduce(p, ranking, reducer_for):
     """Full reduction of p over Z[x]; ``reducer_for`` gives the triple that
     reduces a derivative, or None.  Returns (h, m): h is m*p minus prolongations
-    of reducers, for m the product of the pseudo-division multipliers."""
+    of reducers, for m the product of the pseudo-division multipliers.  Each
+    step reduces the highest-ranked term that has a reducer; a derivative's
+    reducer, and its key if it has one, are found once per call."""
     h, m = p, p.const._one()
-    while h.terms:
-        for d, a in h.sorted_terms(ranking):
-            t = reducer_for(d)
-            if t is not None:
-                break
-        else:
+    found = {}  # derivative -> (key, derivative, reducer), or None without a reducer
+    while True:
+        for d in h.terms:
+            if d not in found:
+                t = reducer_for(d)
+                found[d] = None if t is None else (ranking.key(d), d, t)
+        best = max(filter(None, map(found.__getitem__, h.terms)), default=None)
+        if best is None:
             break
+        _, d, t = best
+        a = h.terms[d]
         f, lead = t.poly, t.leader
         lc = f.terms[lead]
-        theta_f = f.prolong(d.index / lead.index)
+        theta_f = f.prolong(map(sub, d.index, lead.index))
         if lc.is_one():
             h = h.sub_scaled(theta_f, a)
         else:  # h <- (lc/g)*h - (a/g)*theta_f, g = gcd(lc, a)
@@ -203,8 +209,12 @@ def _involutive_nf(p, triples, indexes, ranking):
         index = indexes.get(term.indet)
         if index is None:
             return None
-        return min((triples[Derivative(term.indet, v)] for v in index.divisors(term.index)),
-                   key=_key, default=None)
+        best = None
+        for v in index.divisors(term.index):
+            t = triples[Derivative(term.indet, v)]
+            if best is None or t.key < best.key:
+                best = t
+        return best
 
     return _reduce(p, ranking, reducer_for)
 
@@ -258,16 +268,15 @@ def groebner_oracle(F, ranking):
     return True
 
 
-def chain_criterion(lead, theta, triples, indexes, ranking_c):
+def chain_criterion(lead, theta, triples, indexes, ranking_c, key_lead):
     """Involutive analogue of the Buchberger chain criterion.
 
     True if some triple (f, ancestor, _) has a leader involutively dividing
     ``lead``, the leader of the element examined, found in the cone index of
     its function, while lcm(theta, ancestor) ranks strictly below ``lead``
-    under the completion ranking.  Ancestors attached to a different function
-    never qualify.
+    under the completion ranking, whose key of ``lead`` is ``key_lead``.
+    Ancestors attached to a different function never qualify.
     """
-    key_lead = ranking_c.key(lead)
     index = indexes.get(lead.indet)
     for v in index.divisors(lead.index) if index is not None else ():
         ancestor = triples[Derivative(lead.indet, v)].ancestor
@@ -365,7 +374,7 @@ def minimal_involutive_basis(F, opts=None, trace=None):
             # element ranked above it back to the queue
             ancestor, processed, key = lead, (), main.key(lead)
             for old in [u for u in triples.values() if u.key > key]:
-                Q.append(old)
+                bisect.insort(Q, (old.key, old.serial, old))
                 del triples[old.leader]
                 dropped[old.leader.indet].append(old.leader.index)
         # each index a displacement touches is re-filed once
@@ -375,18 +384,18 @@ def minimal_involutive_basis(F, opts=None, trace=None):
 
     def next_candidate(gate):
         """The lowest unprocessed nonmultiplicative prolongation led below
-        ``gate`` (any, if None), as (triple, x, leader), or None; stale
-        entries met on the way are dropped."""
+        ``gate`` (any, if None), as (triple, x, leader, completion key of the
+        leader), or None; stale entries met on the way are dropped."""
         i = 0
         while i < len(candidates):
-            _, made, x, key, leader, lead = candidates[i]
+            comp_key, made, x, key, leader, lead = candidates[i]
             t = triples.get(leader)
             if (t is None or t.serial != made or x in t.processed
                     or x not in indexes[leader.indet].filed[leader.index]):
                 del candidates[i]
             elif gate is None or key < gate:
                 del candidates[i]
-                return t, x, lead
+                return t, x, lead, comp_key
             else:
                 i += 1
         return None
@@ -395,15 +404,20 @@ def minimal_involutive_basis(F, opts=None, trace=None):
     work = [_primitive(_cleared(f)[1], d) for f, d in zip(work, lds)]
     start = min(range(len(work)), key=lambda i: (main.key(lds[i]), i))
     adjoin(new_triple(work[start], lds[start], set(), lds[start]))
-    Q = [new_triple(f, d, set(), d) for i, (f, d) in enumerate(zip(work, lds)) if i != start]
+    Q = []  # the queue, sorted lowest first: (main key, serial, triple)
+    for i, (f, d) in enumerate(zip(work, lds)):
+        if i != start:
+            t = new_triple(f, d, set(), d)
+            Q.append((t.key, t.serial, t))
+    Q.sort()
     examined = 0
 
     while True:
         # the normal strategy: the lowest nonmultiplicative prolongation led
         # below the lowest queue element, else that queue element
-        best = next_candidate(min((t.key for t in Q), default=None))
+        best = next_candidate(Q[0][0] if Q else None)
         if best is not None:
-            t, x, lead = best
+            t, x, lead, comp_key = best
             examined += 1
             if examined > opts.cap:
                 raise CapExceeded(
@@ -412,12 +426,14 @@ def minimal_involutive_basis(F, opts=None, trace=None):
             t.processed.add(x)
             p, processed = t.poly.differentiate(x), ()
         elif Q:
-            t, x = Q.pop(min(range(len(Q)), key=lambda i: (Q[i].key, Q[i].serial))), None
+            t, x = Q.pop(0)[2], None
             p, lead, processed = t.poly, t.leader, t.processed
+            comp_key = comp.key(lead)
         else:
             break
         # one examination: criterion, normal form, then adjoin, raise or drop
-        skip = opts.use_criterion and chain_criterion(lead, t.ancestor, triples, indexes, comp)
+        skip = opts.use_criterion and chain_criterion(lead, t.ancestor, triples, indexes, comp,
+                                                      comp_key)
         status = "criterion"
         if not skip:
             r, m = _involutive_nf(p, triples, indexes, main)

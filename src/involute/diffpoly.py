@@ -10,6 +10,8 @@ so the maximum key picks the leading derivative.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from operator import neg
 from typing import NamedTuple
 
 from .monomial import MultiIndex
@@ -98,9 +100,10 @@ class Ranking(NamedTuple("Ranking", [("scheme", str), ("tiebreak", str)])):
 
     def key(self, d):
         """Sort key; bigger key means higher-ranked derivative."""
-        term = tuple(-e for e in reversed(d.index)) if self.scheme == "degrevlex" else d.index
+        index = d.index
+        term = tuple(map(neg, reversed(index))) if self.scheme == "degrevlex" else index
         tie = (term, -d.indet) if self.tiebreak == "term" else (-d.indet, term)
-        return (sum(d.index),) + tie if self.scheme in ORDERLY_SCHEMES else tie
+        return (sum(index),) + tie if self.scheme in ORDERLY_SCHEMES else tie
 
     def compare(self, a, b):
         ka, kb = self.key(a), self.key(b)
@@ -234,11 +237,19 @@ class LinearDiffPoly:
             raise ValueError("cannot normalize the zero polynomial")
         if not self.terms:
             raise ValueError("cannot normalize a constant polynomial by a leading term")
-        lc = self.lc(ranking)
+        lead = self.ld(ranking)
+        lc = self.terms[lead]
         if lc.is_one():
             return self
-        inv = lc.inverse()
-        return self._raw({d: c * inv for d, c in self.terms.items()}, self.const * inv)
+        if lc.num.is_constant() and lc.den.is_one():
+            # a constant divides every reduced coefficient to a reduced one
+            c = Fraction(1) / lc.num.constant_value()
+            return self._raw({d: cc.scale(c) for d, cc in self.terms.items()},
+                             self.const.scale(c))
+        # lc * inv is 1 without a gcd; every other quotient takes one
+        inv, one = lc.inverse(), RationalFunction.one(self.ctx.n)
+        return self._raw({d: one if d == lead else c * inv for d, c in self.terms.items()},
+                         self.const * inv)
 
     def sorted_terms(self, ranking):
         return sorted(self.terms.items(), key=lambda item: ranking.key(item[0]), reverse=True)

@@ -27,11 +27,11 @@ def _grlex_key(e):
 
 def exact(c):
     """The exact value of a number: an int when it is integral, else a Fraction."""
-    if type(c) is not int:
+    if c.__class__ is int:
+        return c
+    if c.__class__ is not Fraction:
         c = Fraction(c)
-        if c.denominator == 1:
-            return c.numerator
-    return c
+    return c.numerator if c.denominator == 1 else c
 
 
 # -- printing of signed sums, shared by every polynomial class -----------------
@@ -273,7 +273,12 @@ class MultivarPolynomial(SparsePolynomial):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         if other.is_constant():
-            return self.scale(Fraction(1) / other.constant_value())
+            c = other.constant_value()
+            if c.__class__ is not int:
+                return self.scale(1 / c)
+            # integers stay integers where c divides them
+            return self._raw({e: v // c if v.__class__ is int and not v % c
+                              else exact(Fraction(v, c)) for e, v in self.terms.items()})
         rem = self
         out = {}
         le_g, lc_g = other.leading()
@@ -387,13 +392,17 @@ def poly_gcd(f, g):
 def content(polys):
     """The content of nonzero polynomials: the c with positive grlex-leading
     coefficient for which the p/c are coprime polynomials over Z."""
-    g, *rest = sorted(polys, key=lambda p: (len(p.terms), p.total_degree()))  # constants first
-    for p in rest:
-        if g.is_constant():
-            break
-        g = poly_gcd(g, p)
     r = _rational_content(polys)
-    return g._raw({(0,) * g.nvars: exact(r)}) if g.is_constant() else _rat_normalize(g).scale(r)
+    g = polys[0]
+    if not any(p.is_constant() for p in polys):
+        g, *rest = sorted(polys, key=lambda p: (len(p.terms), p.total_degree()))
+        for p in rest:
+            g = poly_gcd(g, p)
+            if g.is_constant():
+                break
+        else:
+            return _rat_normalize(g).scale(r)
+    return g._raw({(0,) * g.nvars: exact(r)})
 
 
 class RationalFunction:

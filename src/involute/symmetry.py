@@ -12,6 +12,8 @@ form the determining system.
 
 from __future__ import annotations
 
+from itertools import groupby
+from operator import itemgetter
 from typing import NamedTuple
 
 from .analysis import solution_dimension
@@ -23,7 +25,17 @@ from .scalars import (MultivarPolynomial, RationalFunction, SparsePolynomial, ex
 
 
 def _add_index(alpha, i):
-    return tuple(e + 1 if k == i else e for k, e in enumerate(alpha))
+    return alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+
+
+def _accumulate(res, key, c):
+    """Add c to the coefficient of ``key`` in the terms dict ``res``."""
+    prev = res.get(key)
+    s = c if prev is None else prev + c
+    if s:
+        res[key] = s if s.__class__ is int else exact(s)
+    else:
+        del res[key]
 
 
 class DiffPolynomial(SparsePolynomial):
@@ -76,7 +88,9 @@ class DiffPolynomial(SparsePolynomial):
 
     @classmethod
     def symbol(cls, n, m, sym, power=1):
-        return cls(n, m, {((sym, power),): 1})
+        p = cls.__new__(cls)
+        p.n, p.m, p.terms = n, m, {((sym, int(power)),) if power else (): 1}
+        return p
 
     @classmethod
     def var(cls, n, m, i):
@@ -137,37 +151,54 @@ class DiffPolynomial(SparsePolynomial):
         if head == "d":
             return DiffPolynomial.deriv(n, m, sym[1], _add_index(sym[2], i))
         if head == "a":
+            # D_i a_beta = a_{beta+x_i} + sum_j D[y_j, x_i] * a_{beta+y_j}; 'a' sorts before 'd'
             k, beta = sym[1], sym[2]
-            out = DiffPolynomial.symbol(n, m, ("a", k, _add_index(beta, i)))
+            unit = _add_index((0,) * n, i)
+            terms = {((("a", k, _add_index(beta, i)), 1),): 1}
             for j in range(m):
-                step = DiffPolynomial.deriv(n, m, j, _add_index((0,) * n, i))
-                out = out + step * DiffPolynomial.symbol(n, m, ("a", k, _add_index(beta, n + j)))
-            return out
+                terms[(("a", k, _add_index(beta, n + j)), 1), (("d", j, unit), 1)] = 1
+            return self._raw(terms)
         raise ValueError(f"unknown symbol {sym!r}")
 
     def total_derivative(self, i):
-        """Chain-rule total derivative D_i over every symbol present."""
-        out = DiffPolynomial.zero(self.n, self.m)
-        for sym in self.symbols():
-            part = self.partial_wrt(sym)
-            if part.is_zero():
-                continue
-            out = out + part * self._d_symbol(i, sym)
-        return out
+        """Chain-rule total derivative D_i, term by term: each power s^e in a
+        term contributes e * s^(e-1) * D_i s times the rest of the term."""
+        d_symbol = {}
+        key_mul = self._key_mul
+        res = {}
+        for key, c in self.terms.items():
+            for pos, (s, e) in enumerate(key):
+                ds = d_symbol.get(s)
+                if ds is None:
+                    ds = d_symbol[s] = self._d_symbol(i, s).terms
+                if not ds:
+                    continue
+                rest = key[:pos] + (((s, e - 1),) if e > 1 else ()) + key[pos + 1:]
+                ce = c * e
+                for k2, c2 in ds.items():
+                    _accumulate(res, key_mul(rest, k2), ce * c2)
+        return self._raw(res)
 
     def substitute(self, mapping):
         """Replace symbols by polynomials; symbols not mapped stay put."""
-        out = DiffPolynomial.zero(self.n, self.m)
+        key_mul = self._key_mul
+        res = {}
         for key, c in self.terms.items():
-            prod = DiffPolynomial.const(self.n, self.m, c)
-            for sym, e in key:
-                rep = mapping.get(sym)
+            kept, prod = [], None
+            for item in key:
+                rep = mapping.get(item[0])
                 if rep is None:
-                    prod = prod * DiffPolynomial.symbol(self.n, self.m, sym, e)
+                    kept.append(item)
                 else:
-                    prod = prod * rep ** e
-            out = out + prod
-        return out
+                    power = rep if item[1] == 1 else rep ** item[1]
+                    prod = power if prod is None else prod * power
+            kept = tuple(kept)  # a sorted key stays sorted
+            if prod is None:
+                _accumulate(res, kept, c)
+                continue
+            for k2, c2 in prod.terms.items():
+                _accumulate(res, key_mul(kept, k2) if kept else k2, c * c2)
+        return self._raw(res)
 
     def format(self):
         var_names = [f"x{i+1}" for i in range(self.n)]
@@ -379,8 +410,11 @@ def determining_system(problem):
         raw.append(subst.reduce(g))
 
     internal = Ranking("grlex", "term")
-    collected = {}
+    one = MultivarPolynomial.const(nv, 1)
+    collected = []
     for g in raw:
+        # buckets[surviving derivative symbols][ansatz symbol] = coefficient
+        # terms; a term of g is the only one with its three parts, so none add
         buckets = {}
         for key, c in g.terms.items():
             dpart = []
@@ -391,37 +425,34 @@ def determining_system(problem):
                     dpart.append((sym, e))
                 elif sym[0] == "a":
                     apart.append((sym, e))
-                elif sym[0] == "x":
-                    coeff_exp[pos[("x", sym[1])]] += e
                 else:
-                    coeff_exp[pos[("y", sym[1])]] += e
+                    coeff_exp[pos[sym]] += e
             if len(apart) != 1 or apart[0][1] != 1:
                 raise AssertionError("invariance condition is not linear in the ansatz")
             (asym, _), = apart
-            bucket = buckets.setdefault(tuple(sorted(dpart)), {})
-            prev = bucket.get(asym)
-            mono = MultivarPolynomial(nv, {tuple(coeff_exp): c})
-            bucket[asym] = mono if prev is None else prev + mono
+            bucket = buckets.setdefault(tuple(dpart), {})
+            bucket.setdefault(asym, {})[tuple(coeff_exp)] = c
         for bucket in buckets.values():
             terms = {}
-            for asym, poly in bucket.items():
-                if poly.is_zero():
-                    continue
+            for asym, coeffs in bucket.items():
                 k, beta = asym[1], asym[2]
                 gamma = [0] * nv
                 for i in range(n):
                     gamma[pos[("x", i)]] = beta[i]
                 for j in range(m):
                     gamma[pos[("y", j)]] = beta[n + j]
-                terms[Derivative(k, MultiIndex(gamma))] = RationalFunction(poly)
-            eqn = LinearDiffPoly(det_ctx, terms)
-            if eqn.is_zero():
-                continue
-            eqn = eqn.normalize(internal)
-            collected[(tuple(sorted(eqn.terms.items(), key=lambda t: internal.key(t[0]))),
-                       eqn.const)] = eqn
-    eqs = sorted(collected.values(),
-                 key=lambda e: (internal.key(e.ld(internal)), len(e.terms), e.format(internal)))
+                # a polynomial over 1 is a reduced quotient with a monic denominator
+                terms[Derivative(k, MultiIndex(gamma))] = RationalFunction._raw(one._raw(coeffs),
+                                                                                one)
+            collected.append(LinearDiffPoly(det_ctx, terms).normalize(internal))
+    # distinct equations by leader, then length, then printed form; only
+    # equations tied on the first two are formatted
+    ranked = sorted(((internal.key(e.ld(internal)), len(e.terms)), i, e)
+                    for i, e in enumerate(dict.fromkeys(collected)))
+    eqs = []
+    for _, group in groupby(ranked, key=itemgetter(0)):
+        group = [e for _, _, e in group]
+        eqs += sorted(group, key=lambda e: e.format(internal)) if len(group) > 1 else group
     return det_ctx, eqs
 
 

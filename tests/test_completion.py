@@ -334,7 +334,7 @@ class TestChainCriterionDirect:
         from involute import chain_criterion
         pf, eqs = system(JANET3_TEXT)
         f = eqs[0].normalize(GRL)
-        assert not chain_criterion(f.ld(GRL), f.ld(GRL), {}, {}, GRL)
+        assert not chain_criterion(f.ld(GRL), f.ld(GRL), {}, {}, GRL, GRL.key(f.ld(GRL)))
 
     def test_lcm_of_equal_ancestors(self):
         # an element whose leader equals another's leader with ancestor equal
@@ -344,7 +344,8 @@ class TestChainCriterionDirect:
         f = G[0]  # any basis element; probe its own leader with a low theta
         low = G[-1].ld(GRL)
         probe = f
-        fired = chain_criterion(probe.ld(GRL), low, triples, indexes, GRL)
+        fired = chain_criterion(probe.ld(GRL), low, triples, indexes, GRL,
+                                GRL.key(probe.ld(GRL)))
         assert fired == (GRL.compare(low.lcm(f.ld(GRL)) if low.indet == f.ld(GRL).indet
                          else low, f.ld(GRL)) < 0)
 
@@ -363,7 +364,8 @@ class TestChainCriterionDirect:
         probe = G[1].prolong((0, 1))
         # ancestor theta belongs to the other function: must not fire
         assert not chain_criterion(probe.ld(GRL), G[0].ld(GRL), triples,
-                                   _cone_indexes(triples, Division.JANET), GRL)
+                                   _cone_indexes(triples, Division.JANET), GRL,
+                                   GRL.key(probe.ld(GRL)))
 
 
 class TestChainCriterionLeaders:

@@ -198,3 +198,48 @@ class TestRankingPermutations:
             Ranking("weird")
         with _pytest.raises(ValueError):
             Ranking("grlex", "middle")
+
+
+class TestNormalizeByConstant:
+    # a constant leading coefficient divides each coefficient by scaling; the
+    # result must be what multiplying by the inverse gives, in reduced form
+    @pytest.mark.parametrize("lc", ["3", "2/3"])
+    def test_matches_the_inverse_path(self, lc):
+        r = Ranking("grlex")
+        f = poly(CTX3, f"{lc}*D[y,{{1,0,0}}] - x1/x2*D[y,{{0,1,0}}] + 1/2*y = x3^2 + 1")
+        assert f.lc(r).num.is_constant() and not f.const.is_zero()
+        inv = f.lc(r).inverse()
+        got = f.normalize(r)
+        assert got.terms == {d: c * inv for d, c in f.terms.items()}
+        assert got.const == f.const * inv
+        assert got.lc(r).is_one()
+        for c in (*got.terms.values(), got.const):
+            assert c == RationalFunction(c.num, c.den)
+
+
+# all derivatives of order <= 2 of u and v over three variables, highest first;
+# "u110" is D[u,{1,1,0}].  Under degrevlex u020 ranks above u101, under grlex below.
+RANKED_DERIVATIVES = {
+    ("lex", "term"): "u200 v200 u110 v110 u101 v101 u100 v100 u020 v020 u011 v011 u010 v010 "
+                     "u002 v002 u001 v001 u000 v000",
+    ("lex", "indet"): "u200 u110 u101 u100 u020 u011 u010 u002 u001 u000 "
+                      "v200 v110 v101 v100 v020 v011 v010 v002 v001 v000",
+    ("grlex", "term"): "u200 v200 u110 v110 u101 v101 u020 v020 u011 v011 u002 v002 "
+                       "u100 v100 u010 v010 u001 v001 u000 v000",
+    ("grlex", "indet"): "u200 u110 u101 u020 u011 u002 v200 v110 v101 v020 v011 v002 "
+                        "u100 u010 u001 v100 v010 v001 u000 v000",
+    ("degrevlex", "term"): "u200 v200 u110 v110 u020 v020 u101 v101 u011 v011 u002 v002 "
+                           "u100 v100 u010 v010 u001 v001 u000 v000",
+    ("degrevlex", "indet"): "u200 u110 u020 u101 u011 u002 v200 v110 v020 v101 v011 v002 "
+                            "u100 u010 u001 v100 v010 v001 u000 v000",
+}
+
+
+@pytest.mark.parametrize("scheme, tie", sorted(RANKED_DERIVATIVES))
+def test_order_of_low_derivatives_is_pinned(scheme, tie):
+    r = Ranking(scheme, tie)
+    ds = [D(j, a, b, c) for j in range(2) for a in range(3) for b in range(3) for c in range(3)
+          if a + b + c <= 2]
+    got = " ".join("uv"[d.indet] + "".join(map(str, d.index))
+                   for d in sorted(ds, key=r.key, reverse=True))
+    assert got == RANKED_DERIVATIVES[scheme, tie]

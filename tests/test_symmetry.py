@@ -1,19 +1,21 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from involute import (CompletionOptions, Context, Division, MultiIndex, Ranking,
-                      conventional_normal_form, minimal_involutive_basis,
-                      solution_dimension, symmetry_dimension,
+                      conventional_normal_form, minimal_involutive_basis, parse_problem,
+                      scalars, solution_dimension, symmetry_dimension,
                       verify_involutive)
-from involute.scalars import MultivarPolynomial
+from involute.scalars import MultivarPolynomial, RationalFunction
 from involute.symmetry import (DiffPolynomial, SolvedEquation, SymmetryProblem,
                                VectorFieldAnsatz, apply_prolonged_field,
                                determining_system)
 from conftest import load_problem, norm_set, substitute_solution, system
 
 DRL = Ranking("degrevlex")
+INPUTS = Path(__file__).resolve().parents[1] / "perfbench" / "inputs"
 
 
 def dp(n, m):
@@ -70,6 +72,15 @@ class TestDiffPolynomialArithmetic:
                                   ((("a", 2, (1, 0, 1)), 1),): Fraction(1),
                                   ((("y", 0), 1),): Fraction(1)})
         assert repr(p) == "DiffPolynomial(D[eta1,{1,0,1}] - 3/2*D[y1,{1,0}]*x2^2 + y1)"
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(jet_polys, st.dictionaries(st.sampled_from(JET_SYMBOLS), jet_polys, max_size=3))
+    def test_substitute_matches_sympy(self, sympy, p, mapping):
+        want = to_sympy(sympy, p).subs({sympy.Symbol(str(sym)): to_sympy(sympy, q)
+                                        for sym, q in mapping.items()}, simultaneous=True)
+        got = p.substitute(mapping)
+        assert sympy.expand(to_sympy(sympy, got) - want) == 0
+        assert got == DiffPolynomial(2, 1, got.terms)
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(jet_polys)
@@ -139,7 +150,22 @@ HARRY_DYM_RAW = """
 """
 
 
+def total_derivative_reference(p, i):
+    """D_i p by the chain rule, one symbol of p at a time."""
+    out = DiffPolynomial.zero(p.n, p.m)
+    for sym in p.symbols():
+        out = out + p.partial_wrt(sym) * p._d_symbol(i, sym)
+    return out
+
+
 class TestTotalDerivative:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(jet_polys, st.integers(0, 1))
+    def test_matches_the_chain_rule_by_symbol(self, p, i):
+        got = p.total_derivative(i)
+        assert got == total_derivative_reference(p, i)
+        assert got == DiffPolynomial(2, 1, got.terms)
+
     def test_coordinate_function(self):
         s = dp(1, 1)
         assert s["y"](0).total_derivative(0) == s["d"](0, 1)
@@ -322,6 +348,21 @@ class TestDeterminingSystems:
         ours = minimal_involutive_basis(eqs, opts)
         theirs = minimal_involutive_basis(raw, opts)
         assert norm_set(ours.elements, DRL) == norm_set(theirs.elements, DRL)
+
+    @pytest.mark.parametrize("name", ["heat", "kp", "euler2d", "transport"])
+    def test_constant_leading_coefficients_take_no_gcd(self, monkeypatch, name):
+        # every equation of these systems has a constant leading coefficient:
+        # built over denominator 1 and divided by that constant, the system
+        # needs neither the reducing RationalFunction constructor nor a gcd
+        problem = parse_problem((INPUTS / f"{name}.pde").read_text()).symmetry_problem()
+        calls = []
+        for owner, attr in ((RationalFunction, "__init__"), (scalars, "poly_gcd")):
+            def counted(*args, _inner=getattr(owner, attr), _attr=attr, **kw):
+                calls.append(_attr)
+                return _inner(*args, **kw)
+            monkeypatch.setattr(owner, attr, counted)
+        _, eqs = determining_system(problem)
+        assert eqs and calls == []
 
 
 class TestKnownSolutionsAnnihilate:
