@@ -116,8 +116,8 @@ class HilbertData(NamedTuple):
             acc = acc * s + c
         return acc
 
-    def hp_format(self, var="s"):
-        return MultivarPolynomial(1, {(k,): c for k, c in enumerate(self.hp)}).format([var])
+    def hp_format(self):
+        return MultivarPolynomial(1, {(k,): c for k, c in enumerate(self.hp)}).format(["s"])
 
 
 def _binomial_poly(shift, k):
@@ -162,12 +162,11 @@ class SolutionDimension(NamedTuple):
 
 
 def solution_dimension(basis):
-    """Size of the solution space: |W| when finite, else the generator table."""
-    data = hilbert_data(basis)
+    """Size of the solution space: the number of cones when none has
+    multipliers (every parametric derivative is a constant), else infinite."""
+    _require_orderly(basis)
     decs = complementary_set(basis)
-    if len(data.hp) == 1:
-        value = data.hp[0]
-        if value.denominator != 1:
-            raise AssertionError("constant Hilbert polynomial is not integral")
-        return SolutionDimension(True, int(value), decs)
-    return SolutionDimension(False, -1, decs)
+    cones = [mult for dec in decs.values() for _, mult in dec.entries()]
+    if any(cones):
+        return SolutionDimension(False, -1, decs)
+    return SolutionDimension(True, len(cones), decs)

@@ -70,6 +70,17 @@ def _nonzero_constant(poly, what):
     return InconsistentSystem(f"{what} reduces to {poly.const.format(poly.ctx.variables)} = 0")
 
 
+def _input_system(F):
+    """The nonzero equations of F: raises if there are none, or if one is a constant."""
+    work = [f for f in F if not f.is_zero()]
+    if not work:
+        raise ValueError("input system is empty or all zero")
+    for f in work:
+        if not f.terms:
+            raise _nonzero_constant(f, "an input equation")
+    return work
+
+
 class Triple:
     """Basis element with its prolongation ancestor and processed variables.
 
@@ -100,9 +111,6 @@ class InvolutiveBasis:
 
     def __len__(self):
         return len(self.elements)
-
-    def leading(self):
-        return list(self.leaders)
 
     def monomial_sets(self):
         return _leader_sets(self.leaders)
@@ -331,12 +339,7 @@ def minimal_involutive_basis(F, opts=None, trace=None):
     """
     opts = opts or CompletionOptions()
     main, comp = opts.main, opts.completion
-    work = [f for f in F if not f.is_zero()]
-    if not work:
-        raise ValueError("input system is empty or all zero")
-    for f in work:
-        if not f.terms:
-            raise _nonzero_constant(f, "an input equation")
+    work = _input_system(F)
     if opts.division is Division.POMMARET:
         _check_pommaret_finite(work, opts)
 
@@ -458,9 +461,7 @@ def minimal_involutive_basis(F, opts=None, trace=None):
 def basis_from(elements, opts=None):
     """Wrap an existing system (monic, distinct leaders) without completing."""
     opts = opts or CompletionOptions()
-    work = [f for f in elements if not f.is_zero()]
-    if not work:
-        raise ValueError("empty system")
+    work = _input_system(elements)
     triples = _by_leader(work, opts.main)
     if len(triples) != len(work):
         raise ValueError("leading derivatives are not pairwise distinct")

@@ -105,10 +105,6 @@ class Ranking(NamedTuple("Ranking", [("scheme", str), ("tiebreak", str)])):
         tie = (term, -d.indet) if self.tiebreak == "term" else (-d.indet, term)
         return (sum(index),) + tie if self.scheme in ORDERLY_SCHEMES else tie
 
-    def compare(self, a, b):
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
-
     def describe(self):
         return f"{self.scheme}, tiebreak={self.tiebreak}"
 
@@ -128,12 +124,7 @@ class LinearDiffPoly:
                     continue
                 if len(d.index) != ctx.n or not 0 <= d.indet < ctx.m:
                     raise ValueError(f"derivative {d!r} outside context")
-                prev = out.get(d)
-                s = c if prev is None else prev + c
-                if s.is_zero():
-                    out.pop(d, None)
-                else:
-                    out[d] = s
+                out[d] = c
         self.terms = out
 
     @classmethod
@@ -141,9 +132,8 @@ class LinearDiffPoly:
         return cls(ctx)
 
     @classmethod
-    def from_derivative(cls, ctx, d, coeff=None):
-        coeff = coeff if coeff is not None else RationalFunction.one(ctx.n)
-        return cls(ctx, {d: coeff})
+    def from_derivative(cls, ctx, d):
+        return cls(ctx, {d: RationalFunction.one(ctx.n)})
 
     def is_zero(self):
         return not self.terms and self.const.is_zero()
@@ -227,9 +217,6 @@ class LinearDiffPoly:
         if not self.terms:
             raise ValueError("zero or constant polynomial has no leading derivative")
         return max(self.terms, key=ranking.key)
-
-    def lc(self, ranking):
-        return self.terms[self.ld(ranking)]
 
     def normalize(self, ranking):
         """Divide through by the leading coefficient."""

@@ -207,9 +207,9 @@ class MultivarPolynomial(SparsePolynomial):
         return cls(nvars, {(0,) * nvars: value})
 
     @classmethod
-    def variable(cls, nvars, i, power=1):
+    def variable(cls, nvars, i):
         e = [0] * nvars
-        e[i] = power
+        e[i] = 1
         return cls(nvars, {tuple(e): 1})
 
     # -- predicates --------------------------------------------------------

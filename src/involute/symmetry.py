@@ -87,9 +87,9 @@ class DiffPolynomial(SparsePolynomial):
         return cls(n, m, {(): c})
 
     @classmethod
-    def symbol(cls, n, m, sym, power=1):
+    def symbol(cls, n, m, sym):
         p = cls.__new__(cls)
-        p.n, p.m, p.terms = n, m, {((sym, int(power)),) if power else (): 1}
+        p.n, p.m, p.terms = n, m, {((sym, 1),): 1}
         return p
 
     @classmethod
@@ -267,25 +267,17 @@ def apply_prolonged_field(f, ansatz, q):
     """Apply the vector field prolonged to order q to a differential polynomial."""
     if q < f.max_order():
         raise ValueError(f"prolongation order {q} below the order of the equation")
-    n, m = f.n, f.m
-    out = DiffPolynomial.zero(n, m)
-    for i in range(n):
-        part = f.partial_wrt(("x", i))
-        if part:
-            out = out + ansatz.xi(i) * part
-    for j in range(m):
-        part = f.partial_wrt(("y", j))
-        if part:
-            out = out + ansatz.eta(j) * part
+    out = DiffPolynomial.zero(f.n, f.m)
     for sym in f.symbols():
-        if sym[0] != "d":
+        if sym[0] == "x":
+            coeff = ansatz.xi(sym[1])
+        elif sym[0] == "y":
+            coeff = ansatz.eta(sym[1])
+        elif sym[0] == "d":
+            coeff = ansatz.zeta(sym[1], [i for i, e in enumerate(sym[2]) for _ in range(e)])
+        else:
             continue
-        part = f.partial_wrt(sym)
-        if part:
-            path = []
-            for i, e in enumerate(sym[2]):
-                path.extend([i] * e)
-            out = out + ansatz.zeta(sym[1], tuple(path)) * part
+        out = out + coeff * f.partial_wrt(sym)
     return out
 
 

@@ -4,9 +4,10 @@ import pytest
 
 from involute import (CompletionOptions, Derivative, Division, MultiIndex,
                       Ranking, complementary_set, hilbert_data, in_cone, ivp_spec,
-                      minimal_involutive_basis, solution_dimension)
+                      minimal_involutive_basis, parse_problem, solution_dimension)
 from involute.analysis import HilbertData, _ascending, _binomial_poly
-from conftest import hf_bruteforce, load_problem, mi, system
+from involute.symmetry import symmetry_dimension
+from conftest import PROBLEMS, hf_bruteforce, load_problem, mi, system
 
 GRL = Ranking("grlex")
 
@@ -53,7 +54,8 @@ class TestComplementarySet:
     def test_janet_example_twelve_monomials(self):
         pf, basis = completed("janet3.pde")
         decs = complementary_set(basis)
-        assert set(decs[0].monomials()) == self.TWELVE
+        # every cone multiplier-free, so the complement is exactly its tips
+        assert set(decs[0].entries()) == {(v, frozenset()) for v in self.TWELVE}
 
     def test_fourvar_janet_generator(self):
         pf, basis = completed("fourvar.pde", Division.JANET)
@@ -177,3 +179,31 @@ class TestSolutionDimension:
     def test_pommaret_agrees(self):
         pf, basis = completed("janet3.pde", Division.POMMARET)
         assert solution_dimension(basis).value == 12
+
+    # the dimension is read off the cones alone; the Hilbert polynomial must
+    # agree: constant, and equal to the cone count, iff no cone has multipliers
+    @pytest.mark.parametrize("name, division", [
+        (name, division)
+        for name in ("example1", "fourvar", "janet3", "lewy", "pommaret_basis",
+                     "quotient_sums", "transport")
+        for division in Division
+        if (name, division) != ("example1", Division.POMMARET)  # no finite basis
+    ])
+    def test_cone_count_is_the_hilbert_constant(self, name, division):
+        pf, basis = completed(f"{name}.pde", division)
+        self.check_against_hilbert(basis)
+
+    @pytest.mark.parametrize("name", ["harrydym", "diffusion", "transport", "kdv", "burgers",
+                                      "heat", "nls", "zk", "kp", "boussinesq", "euler2d"])
+    def test_symmetry_cone_count_is_the_hilbert_constant(self, name):
+        pf = parse_problem((PROBLEMS.parent / "perfbench" / "inputs" / f"{name}.pde").read_text())
+        _, basis, _ = symmetry_dimension(pf.symmetry_problem())
+        self.check_against_hilbert(basis)
+
+    @staticmethod
+    def check_against_hilbert(basis):
+        dim, hp = solution_dimension(basis), hilbert_data(basis).hp
+        cones = [mult for dec in dim.decompositions.values() for _, mult in dec.entries()]
+        assert dim.finite == (not any(cones)) == (len(hp) == 1)
+        if dim.finite:
+            assert hp == (Fraction(dim.value),) and dim.value == len(cones)

@@ -456,6 +456,15 @@ class TestCli:
         assert code == 3
         assert err == f"inconsistent system: {message}\n"
 
+    # complete and verify check the input system alike: a nonzero constant
+    # among the equations is 0 = c before any completion
+    @pytest.mark.parametrize("subcommand", ["complete", "verify"])
+    def test_constant_input_equation(self, tmp_path, capsys, subcommand):
+        bad = tmp_path / "constant.pde"
+        bad.write_text("vars: x1 x2\nfuncs: y\neq: 1\neq: D[y,{1,0}]\n")
+        assert run_cli(capsys, subcommand, str(bad)) == (
+            3, "", "inconsistent system: an input equation reduces to 1 = 0\n")
+
     @pytest.mark.parametrize("equations, division, message", [
         ("x2*D[y,x1] = 1; D[y,x2] = x1", "janet",
          "the prolongation of D[y,{0,1}] - x1 = 0 by x1 reduces to (-x2^2 - 1)/x2^2 = 0"),

@@ -10,6 +10,7 @@ from involute import (CapExceeded, CompletionOptions, Division, MultiIndex,
                       involutive_divides, is_involutive,
                       minimal_involutive_basis, monomials_up_to,
                       quasi_stability_witness, separation, separations)
+from involute import monomial
 from involute.monomial import ConeIndex, in_involutive_cone
 from conftest import (complete_bruteforce, cones_pairwise_disjoint_bruteforce,
                       decomposition_exact_bruteforce, involutive_divisors_bruteforce, mi,
@@ -525,4 +526,22 @@ class TestAxioms:
             n = rng.randint(1, 4)
             U = {MultiIndex(tuple(rng.randint(0, 3) for _ in range(n)))
                  for _ in range(rng.randint(1, 8))}
-            assert axioms_check(U, kind, degree_margin=2) == []
+            assert axioms_check(U, kind) == []
+
+    # broken rules in place of the separations, one per reported axiom; every
+    # rule gives all multiplicative positions or none, so (a) holds throughout
+    @pytest.mark.parametrize("rule, U, report", [
+        # every variable multiplicative: the cones of x1 and x2 meet at x1*x2
+        (lambda U: {u: set(range(len(u))) for u in U}, [mi(1, 0), mi(0, 1)],
+         ["(b) violated for x2, x1: cones meet but neither contains the other's tip"]),
+        # x1 lies in the cone of 1 but has the larger multiplicative set
+        (lambda U: {u: {0, 1} if any(u) else {0} for u in U}, [mi(0, 0), mi(1, 0)],
+         ["(c) violated for 1 <| x1"]),
+        # multiplicative variables that only the full set grants
+        (lambda U: {u: set(range(len(u))) if len(U) > 1 else set() for u in U},
+         [mi(1, 0), mi(2, 0)],
+         ["(d) violated for x1 in subset {x1}", "(d) violated for x1^2 in subset {x1^2}"]),
+    ])
+    def test_violation_reports(self, monkeypatch, rule, U, report):
+        monkeypatch.setattr(monomial, "_multiplicative", lambda U, kind: rule(U))
+        assert axioms_check(U, Division.JANET) == report

@@ -241,6 +241,14 @@ class TestProlongedField:
                 + y ** 3 * ansatz.zeta(0, (1, 1, 1)))
         assert apply_prolonged_field(f, ansatz, 3) == want
 
+    def test_ansatz_symbols_are_constants_of_the_field(self):
+        # the field acts on coordinates and derivatives; a coefficient symbol
+        # of the ansatz (xi, eta and their derivatives) is skipped
+        ansatz = VectorFieldAnsatz(2, 1)
+        s = dp(2, 1)
+        f = ansatz.xi(0) * s["d"](0, 1, 0)
+        assert apply_prolonged_field(f, ansatz, 1) == ansatz.xi(0) * ansatz.zeta(0, (0,))
+
     def test_order_too_small(self):
         ansatz = VectorFieldAnsatz(2, 1)
         s = dp(2, 1)
