@@ -12,8 +12,8 @@ _EXPORTS = {  # submodule: the public names it provides
     "monomial": ("CapExceeded", "CartanCharacters", "ComplementaryDecomposition", "Division",
                  "MultiIndex", "NoFiniteBasis", "Separation", "autoreduce", "axioms_check",
                  "cartan_characters", "complementary_decomposition", "complete", "in_cone",
-                 "involutive_divides", "is_involutive", "monomials_of_degree",
-                 "monomials_up_to", "quasi_stability_witness", "separation", "separations"),
+                 "in_involutive_cone", "is_involutive", "monomials_of_degree",
+                 "monomials_up_to", "quasi_stability_witness", "separations"),
     "scalars": ("MultivarPolynomial", "RationalFunction"),
     "diffpoly": ("Context", "Derivative", "LinearDiffPoly", "Ranking"),
     "completion": ("CompletionOptions", "InconsistentSystem", "InvolutiveBasis", "basis_from",

@@ -48,6 +48,7 @@ class IVPEntry(NamedTuple):
 
 class IVPSpec(NamedTuple):
     entries: tuple
+    dimension: SolutionDimension  # whose decompositions the entries come from
 
     def format(self, ctx):
         lines = []
@@ -75,9 +76,8 @@ def ivp_spec(basis):
     its multipliers, restricted to the initial point in the remaining
     coordinates; generators without multipliers become arbitrary constants.
     """
-    _require_orderly(basis)
-    ctx = basis.elements[0].ctx
-    decs = complementary_set(basis)
+    dim = solution_dimension(basis)
+    ctx, decs = basis.elements[0].ctx, dim.decompositions
     allv = frozenset(range(ctx.n))
     entries = []
     for j in sorted(decs):
@@ -85,12 +85,7 @@ def ivp_spec(basis):
             kind = "function" if mult else "constant"
             entries.append(IVPEntry(j, Derivative(j, v), frozenset(mult),
                                     allv - frozenset(mult), kind))
-    return IVPSpec(tuple(entries))
-
-
-def _mu_data(basis):
-    """(function, degree, multiplier count) per basis element."""
-    return [(d.indet, d.index.degree, sep.mu) for d, sep in zip(basis.leaders, basis.separations)]
+    return IVPSpec(tuple(entries), dim)
 
 
 class HilbertData(NamedTuple):
@@ -136,7 +131,9 @@ def _ascending(p):
 def hilbert_data(basis):
     _require_orderly(basis)
     ctx = basis.elements[0].ctx
-    mus = tuple(_mu_data(basis))
+    # (function, degree, multiplier count) per basis element
+    mus = tuple((d.indet, d.index.degree, len(sep.multiplicative))
+                for d, sep in zip(basis.leaders, basis.separations))
     poly = _binomial_poly(ctx.n, ctx.n).scale(ctx.m)
     for _, deg, mu in mus:
         poly = poly - _binomial_poly(mu - deg, mu)

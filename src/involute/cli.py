@@ -51,7 +51,8 @@ def _division(args):
 def _options(problem, args):
     return CompletionOptions(division=_division(args),
                              main=problem.ranking(args.ranking, args.tie),
-                             completion=problem.completion_ranking(args.completion_ranking),
+                             completion=problem.completion_ranking(args.completion_ranking,
+                                                                   args.tie),
                              cap=args.cap, use_criterion=args.criterion == "on")
 
 
@@ -143,7 +144,7 @@ def cmd_ivp(problem, args):
     opts = _options(problem, args)
     basis = minimal_involutive_basis(problem.linear_system(), opts)
     spec = analysis.ivp_spec(basis)
-    dim_text, dim_json = _dimension(analysis.solution_dimension(basis))
+    dim_text, dim_json = _dimension(spec.dimension)
     lines, blob = _basis(basis, ctx)
     lines += ["", "initial data for a unique solution:"]
     lines.extend("  " + ln for ln in spec.format(ctx).splitlines())
@@ -180,13 +181,13 @@ def cmd_symmetry(problem, args):
     sym = problem.symmetry_problem()
     det_ctx, eqs = determining_system(sym)
     opts = _options(problem, args)
-    main = opts.main
     dim, basis, _ = symmetry_dimension(sym, opts)
     dim_text, dim_json = _dimension(dim)
     names = det_ctx.variables
+    formatted = [e.format(opts.main) for e in eqs]
     lines = [f"determining system ({len(eqs)} equations) for "
              f"{', '.join(det_ctx.functions)} over ({', '.join(names)}):"]
-    lines.extend(f"  {e.format(main)} = 0" for e in eqs)
+    lines.extend(f"  {text} = 0" for text in formatted)
     basis_lines, blob = _basis(basis, det_ctx)
     lines += [""] + basis_lines + [""]
     generators = {}
@@ -197,7 +198,7 @@ def cmd_symmetry(problem, args):
             "finite_part": [list(v) for v in dec.finite_part],
             "generators": _generators(dec.generators, names)[1]}
     lines.append(dim_text)
-    return lines, {"determining_system": [e.format(main) for e in eqs],
+    return lines, {"determining_system": formatted,
                    "basis": blob, "generators": generators, "dimension": dim_json}
 
 

@@ -36,16 +36,6 @@ from .diffpoly import Derivative, Ranking
 from .monomial import CapExceeded, ConeIndex, Division, NoFiniteBasis, quasi_stability_witness
 from .scalars import RationalFunction, content, poly_gcd
 
-__all__ = [
-    "CompletionOptions", "InvolutiveBasis", "Triple", "CapExceeded", "NoFiniteBasis",
-    "InconsistentSystem",
-    "involutive_normal_form", "conventional_normal_form",
-    "minimal_involutive_basis", "chain_criterion", "basis_from",
-    "verify_involutive",
-    "groebner_oracle", "s_polynomial",
-]
-
-
 class CompletionOptions(NamedTuple("CompletionOptions", [
         ("division", Division), ("main", Ranking), ("completion", Ranking), ("cap", int),
         ("use_criterion", bool)])):
@@ -199,12 +189,12 @@ def _reduce(p, ranking, reducer_for):
         lc = f.terms[lead]
         theta_f = f.prolong(map(sub, d.index, lead.index))
         if lc.is_one():
-            h = h.sub_scaled(theta_f, a)
+            h = h + theta_f.scale(-a)
         else:  # h <- (lc/g)*h - (a/g)*theta_f, g = gcd(lc, a)
             g = poly_gcd(lc, a)
             if not g.is_one():
                 lc, a = lc.divexact(g), a.divexact(g)
-            h = h.scale(lc).sub_scaled(theta_f, a)
+            h = h.scale(lc) + theta_f.scale(-a)
             m = m * lc
     return h, m
 

@@ -48,10 +48,6 @@ class Derivative(NamedTuple):
     indet: int
     index: MultiIndex
 
-    @property
-    def order(self):
-        return self.index.degree
-
     def differentiate(self, i):
         return Derivative(self.indet, self.index.prolongation(i))
 
@@ -165,21 +161,6 @@ class LinearDiffPoly:
 
     def __sub__(self, other):
         return self + (-other)
-
-    def sub_scaled(self, other, c):
-        """self - c*other in one pass over the terms of ``other``."""
-        self._check(other)
-        terms = dict(self.terms)
-        for d, oc in other.terms.items():
-            t = oc * c
-            s = terms.get(d)
-            s = -t if s is None else s - t
-            if s.is_zero():
-                terms.pop(d, None)
-            else:
-                terms[d] = s
-        const = self.const - other.const * c if other.const else self.const
-        return self._raw(terms, const)
 
     def scale(self, c):
         if c.is_zero():

@@ -61,9 +61,6 @@ class MultiIndex(tuple):
     def lcm(self, other):
         return tuple.__new__(MultiIndex, map(max, self, other))
 
-    def support(self):
-        return frozenset(i for i, e in enumerate(self) if e)
-
     def format(self, names=None):
         if self.is_one():
             return "1"
@@ -84,10 +81,6 @@ class Separation(NamedTuple):
 
     multiplicative: frozenset
     nonmultiplicative: frozenset
-
-    @property
-    def mu(self):
-        return len(self.multiplicative)
 
 
 class CapExceeded(RuntimeError):
@@ -164,14 +157,6 @@ def separations(U, kind):
     return {u: index.separation(u) for u in index.tips}
 
 
-def separation(u, U, kind):
-    u = u if isinstance(u, MultiIndex) else MultiIndex(u)
-    seps = separations(U, kind)
-    if u not in seps:
-        raise ValueError(f"{u!r} is not an element of the set")
-    return seps[u]
-
-
 def in_involutive_cone(w, v, multiplicative):
     """True iff w = v * x^beta with beta supported on ``multiplicative``.
 
@@ -181,16 +166,6 @@ def in_involutive_cone(w, v, multiplicative):
         if a != b and (a < b or i not in multiplicative):
             return False
     return True
-
-
-def involutive_divides(u, w, U, kind, seps=None):
-    """True iff u | w with the quotient supported on u's multiplicative variables."""
-    u = u if isinstance(u, MultiIndex) else MultiIndex(u)
-    w = w if isinstance(w, MultiIndex) else MultiIndex(w)
-    if not u.divides(w):
-        return False
-    sep = seps[u] if seps is not None else separation(u, U, kind)
-    return in_involutive_cone(w, u, sep.multiplicative)
 
 
 class ConeIndex:
@@ -568,14 +543,14 @@ def axioms_check(U, kind):
 
     for u, v in itertools.combinations(U, 2):
         if _cones_intersect(u, seps[u], v, seps[v]):
-            if not (involutive_divides(v, u, U, kind, seps)
-                    or involutive_divides(u, v, U, kind, seps)):
+            if not (in_involutive_cone(u, v, seps[v].multiplicative)
+                    or in_involutive_cone(v, u, seps[u].multiplicative)):
                 report.append(f"(b) violated for {u.format()}, {v.format()}: "
                               f"cones meet but neither contains the other's tip")
 
     for u in U:
         for v in U:
-            if v != u and involutive_divides(u, v, U, kind, seps):
+            if v != u and in_involutive_cone(v, u, seps[u].multiplicative):
                 if not seps[v].multiplicative <= seps[u].multiplicative:
                     report.append(f"(c) violated for {u.format()} <| {v.format()}")
 

@@ -129,9 +129,9 @@ class ProblemFile(NamedTuple):
     def ranking(self, scheme=None, tiebreak=None):
         return Ranking(scheme or self.scheme, tiebreak or self.tiebreak)
 
-    def completion_ranking(self, scheme=None):
+    def completion_ranking(self, scheme=None, tiebreak=None):
         scheme = scheme or self.completion_scheme
-        return Ranking(scheme, self.tiebreak) if scheme else None
+        return Ranking(scheme, tiebreak or self.tiebreak) if scheme else None
 
     def monomials(self):
         """The multiindices of equations that are bare derivatives of one function."""
@@ -186,8 +186,7 @@ class ProblemFile(NamedTuple):
 
 
 _CHOICES = {"ranking": ("scheme", SCHEMES), "tiebreak": ("tiebreak", TIEBREAKS),
-            "completion-ranking": ("completion_scheme", SCHEMES),
-            "completion_ranking": ("completion_scheme", SCHEMES)}
+            "completion-ranking": ("completion_scheme", SCHEMES)}
 
 
 def parse_problem(text):
@@ -206,8 +205,7 @@ def parse_problem(text):
         elif key in _CHOICES:
             field, choices = _CHOICES[key]
             if value not in choices:
-                what = key.replace("-", " ").replace("_", " ")
-                raise ProblemError(f"unknown {what} {value!r}", lineno)
+                raise ProblemError(f"unknown {key.replace('-', ' ')} {value!r}", lineno)
             settings[field] = value
         elif key in ("eq", "solve"):
             equations.append((*parse_expression(value, lineno), lineno))

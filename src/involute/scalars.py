@@ -115,19 +115,7 @@ class SparsePolynomial:
         return self._raw(res)
 
     def __sub__(self, other):
-        self._check(other)
-        res = dict(self.terms)
-        for k, c in other.terms.items():
-            prev = res.get(k)
-            if prev is None:
-                res[k] = -c
-            else:
-                s = prev - c
-                if s:
-                    res[k] = s if s.__class__ is int else exact(s)
-                else:
-                    del res[k]
-        return self._raw(res)
+        return self + (-other)
 
     def __mul__(self, other):
         self._check(other)
@@ -289,7 +277,7 @@ class MultivarPolynomial(SparsePolynomial):
                 raise ExactDivisionError("inexact polynomial division")
             c = exact(Fraction(lc_r, lc_g))
             out[q] = exact(out.get(q, 0) + c)
-            rem = rem - other.mul_term(q, c)
+            rem = rem + other.mul_term(q, -c)
         return self._raw({e: c for e, c in out.items() if c})
 
     # -- printing ------------------------------------------------------------
@@ -343,7 +331,7 @@ def _prem(f, g, v):
         lc_r = _coeffs_in(r, v)[dr]
         shift = [0] * f.nvars
         shift[v] = dr - dg
-        r = r * lc_g - g.mul_term(tuple(shift), 1) * lc_r
+        r = r * lc_g + g.mul_term(tuple(shift), -1) * lc_r
     return r
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from involute import (MultiIndex, RationalFunction, in_cone, involutive_divides,
+from involute import (MultiIndex, RationalFunction, in_cone, in_involutive_cone,
                       involutive_normal_form, monomials_up_to, parse_problem,
                       separations)
 from involute.scalars import MultivarPolynomial
@@ -61,7 +61,7 @@ def mi(*exps):
 
 def involutive_divisors_bruteforce(w, U, kind, seps=None):
     seps = seps if seps is not None else separations(U, kind)
-    return [u for u in U if involutive_divides(u, w, U, kind, seps)]
+    return [u for u in U if in_involutive_cone(w, u, seps[u].multiplicative)]
 
 
 def cones_pairwise_disjoint_bruteforce(U, kind, extra_degree=3):
@@ -133,8 +133,7 @@ def decomposition_exact_bruteforce(U, dec, extra_degree=3):
     n = dec.nvars
     bound = max([u.degree for u in U] + [v.degree for v, _ in dec.entries()] + [0])
     for w in monomials_up_to(n, bound + extra_degree):
-        hits = sum(1 for v, mult in dec.entries()
-                   if v.divides(w) and (w / v).support() <= mult)
+        hits = sum(1 for v, mult in dec.entries() if in_involutive_cone(w, v, mult))
         expected = 0 if in_cone(w, U) else 1
         if hits != expected:
             return False

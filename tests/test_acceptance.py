@@ -12,7 +12,7 @@ import pytest
 from involute import (CapExceeded, CompletionOptions, Division, MultiIndex,
                       Ranking, axioms_check, basis_from, cartan_characters,
                       complementary_set, complete, groebner_oracle,
-                      hilbert_data, involutive_divides, ivp_spec,
+                      hilbert_data, in_involutive_cone, ivp_spec,
                       minimal_involutive_basis, separations,
                       solution_dimension, symmetry_dimension,
                       verify_involutive)
@@ -88,8 +88,7 @@ def test_criterion_3_completion_tables():
     leaders = [f.ld(GRL).index for f in published]
     seps = separations(leaders, Division.LEX_INDUCED)
     forced_leader = forced[0].ld(GRL).index
-    undivided = not any(involutive_divides(u, forced_leader, leaders,
-                                           Division.LEX_INDUCED, seps)
+    undivided = not any(in_involutive_cone(forced_leader, u, seps[u].multiplicative)
                         for u in leaders)
     parts["lexinduced"] = undivided and (
         norm_set(lex_basis.elements, GRL) == norm_set(published + forced, GRL))

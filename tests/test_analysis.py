@@ -147,7 +147,7 @@ class TestHilbert:
             assert data.hf(s) == data.hp_eval(s)
 
     def test_ivp_cones_cover_parametric_derivatives(self):
-        from involute import in_cone, monomials_up_to
+        from involute import in_cone, in_involutive_cone, monomials_up_to
         for name in ("janet3.pde", "fourvar.pde", "lewy.pde"):
             pf, basis = completed(name)
             ctx = pf.context()
@@ -158,7 +158,7 @@ class TestHilbert:
                 us = sets.get(j, ())
                 for w in monomials_up_to(ctx.n, bound):
                     hits = sum(1 for v, mult in decs[j].entries()
-                               if v.divides(w) and (w / v).support() <= mult)
+                               if in_involutive_cone(w, v, mult))
                     assert hits == (0 if in_cone(w, us) else 1)
 
 

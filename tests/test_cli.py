@@ -521,6 +521,80 @@ class TestCli:
         code, out, err = run_cli(capsys, "monomial", str(f), "--action", "complete")
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("argv, text, message", [
+        (["complete"], "funcs: y\neq: D[y,x]\n", "missing 'vars:' declaration"),
+        (["complete"], "vars: x\neq: x\n", "missing 'funcs:' declaration"),
+        (["complete"], "vars: x\nfuncs: y\nD[y,x]\n", "expected 'key: value' (line 3)"),
+        (["complete"], "vars: x\nfuncs: y\nbogus: 1\n", "unknown key 'bogus' (line 3)"),
+        (["complete"], "vars: x\nfuncs: y\neq: D[y,x] - D[y,x]\n",
+         "equation reduces to 0 = 0 (line 3)"),
+        (["complete"], "vars: x\nfuncs: y\neq: D[y,z]\n",
+         "unknown variable 'z' in derivative (line 3, column 3)"),
+        (["monomial"], "vars: x\nfuncs: y\neq: D[y,x] + x\n",
+         "expected a bare derivative (line 3)"),
+        (["symmetry"], "vars: t x\nfuncs: y\neq: D[y,t] - D[y,x,x]\n",
+         "symmetry input needs solved equations (solve: D[...] = rhs) (line 3)"),
+        (["symmetry"], "vars: t x\nfuncs: y\nsolve: y + x = D[y,x,x]\n",
+         "left side must be a single derivative (line 3)"),
+        (["symmetry"], "vars: t x\nfuncs: y\nsolve: D[y,t] = D[y,t,x]\n",
+         "rhs contains the lead or one of its derivatives (line 3)"),
+        (["monomial", "--action", "decompose", "--division", "pommaret"],
+         "vars: x1 x2\nfuncs: y\neq: D[y,{0,1}]\neq: D[y,{0,2}]\n",
+         "set is not pommaret-involutive"),
+    ])
+    def test_input_errors_name_the_fault(self, tmp_path, capsys, argv, text, message):
+        f = tmp_path / "bad.pde"
+        f.write_text(text)
+        code, out, err = run_cli(capsys, argv[0], str(f), *argv[1:])
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_solved_right_side_divided_by_a_number(self, tmp_path, capsys):
+        f = tmp_path / "heat.pde"
+        f.write_text("vars: t x\nfuncs: y\nranking: degrevlex\nsolve: D[y,t] = D[y,x,x]/2\n")
+        code, out, err = run_cli(capsys, "symmetry", str(f))
+        assert (code, err) == (0, "")
+        assert out.endswith("solution space dimension: infinite (arbitrary functions remain)\n")
+
+    def test_hilbert_function_below_order_zero(self, capsys):
+        code, out, _ = run_cli(capsys, "hilbert", str(PROBLEMS / "janet3.pde"), "--s", "-1")
+        assert code == 0
+        assert "HF(-1) = 0" in out.splitlines()
+
+    def test_tie_flag_sets_both_rankings_like_the_file(self, tmp_path, capsys):
+        path = PROBLEMS / "janet3.pde"
+        f = tmp_path / "tie.pde"
+        f.write_text(path.read_text() + "tiebreak: indet\n")
+        flags = ["--completion-ranking", "lex", "--json"]
+        _, by_flag, _ = run_cli(capsys, "complete", str(path), "--tie", "indet", *flags)
+        _, by_file, _ = run_cli(capsys, "complete", str(f), *flags)
+        options = json.loads(by_flag)["options"]
+        assert options == json.loads(by_file)["options"]
+        assert options["completion_ranking"] == "lex, tiebreak=indet"
+
+    def test_ivp_decomposes_each_function_once(self, capsys, monkeypatch):
+        from involute import analysis
+        decompose, calls = analysis.complementary_decomposition, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return decompose(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "complementary_decomposition", counted)
+        assert run_cli(capsys, "ivp", str(PROBLEMS / "janet3.pde"))[0] == 0
+        assert len(calls) == 1  # janet3 has one function
+
+    def test_symmetry_formats_each_equation_once(self, capsys, monkeypatch):
+        plain = LinearDiffPoly.format
+        formatted = []  # the polynomials themselves, so that no id is reused
+
+        def recorded(self, *args):
+            formatted.append(self)
+            return plain(self, *args)
+
+        monkeypatch.setattr(LinearDiffPoly, "format", recorded)
+        assert run_cli(capsys, "symmetry", str(PROBLEMS / "diffusion.pde"), "--json")[0] == 0
+        assert formatted and len({id(p) for p in formatted}) == len(formatted)
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "complete", "nope.pde")
         assert code == 1

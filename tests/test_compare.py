@@ -1,0 +1,33 @@
+"""tools/compare.py: the command line of this tree compared with itself."""
+
+import importlib.util
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_compare():
+    spec = importlib.util.spec_from_file_location("compare", ROOT / "tools" / "compare.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tree_compared_with_itself_is_identical():
+    compare = load_compare()
+    # a timing line, a JSON document and an input error (example1 is not involutive)
+    runs = [["complete", "problems/janet3.pde"],
+            ["ivp", "problems/janet3.pde", "--json"],
+            ["monomial", "problems/example1.pde", "--action", "decompose"]]
+    table = compare.table()
+    assert all(argv in table for argv in runs)
+    assert compare.compare(ROOT, ROOT, runs) == {
+        "runs": 3, "identical": 3, "differing": [], "past_limit": {"this": [], "other": []}}
+
+
+def test_first_difference_names_the_stream_and_line():
+    first_difference = load_compare().first_difference
+    assert first_difference((0, "a\nb\n", ""), (0, "a\nb\n", "")) is None
+    assert first_difference((0, "a\nb\n", ""), (1, "a\nb\n", "")) == "exit 0 != 1"
+    assert first_difference((0, "a\nb\n", ""), (0, "a\n", "")) == "stdout line 2: 'b' != '<end>'"
+    assert first_difference((1, "", "x\n"), (1, "", "y\n")) == "stderr line 1: 'x' != 'y'"

@@ -251,12 +251,13 @@ class TestAlgorithmProperties:
 
     def test_minimality(self):
         pf, basis = complete_text(JANET3_TEXT, Division.JANET)
-        from involute import involutive_divides
+        from involute import in_involutive_cone, separations
         sets = basis.monomial_sets()
         for j, us in sets.items():
+            seps = separations(us, Division.JANET)
             for u in us:
                 others = [v for v in us if v != u]
-                assert not any(involutive_divides(v, u, us, Division.JANET)
+                assert not any(in_involutive_cone(u, v, seps[v].multiplicative)
                                for v in others)
 
     def test_cap_exceeded_carries_partial(self):

@@ -78,8 +78,8 @@ class TestRanking:
         for _ in range(100):
             a = random_derivative(rng, 3, 2)
             b = random_derivative(rng, 3, 2)
-            if a.order != b.order:
-                assert (r.key(a) > r.key(b)) == (a.order > b.order)
+            if a.index.degree != b.index.degree:
+                assert (r.key(a) > r.key(b)) == (a.index.degree > b.index.degree)
 
 
 class TestDifferentiate:

@@ -93,12 +93,13 @@ def test_subcommand_loads_only_what_it_runs(argv, optional):
 
 # the names the package bound when __init__ imported every submodule, less
 # probfile.format_problem and completion.verify_partial_involutive, which
-# moved to the tests
+# moved to the tests, and with monomial.in_involutive_cone in place of
+# separation and involutive_divides, which restated it
 PUBLIC = """
     CapExceeded CartanCharacters ComplementaryDecomposition Division MultiIndex
     NoFiniteBasis Separation autoreduce axioms_check cartan_characters
-    complementary_decomposition complete in_cone involutive_divides is_involutive
-    monomials_of_degree monomials_up_to quasi_stability_witness separation separations
+    complementary_decomposition complete in_cone in_involutive_cone is_involutive
+    monomials_of_degree monomials_up_to quasi_stability_witness separations
     MultivarPolynomial RationalFunction Context Derivative LinearDiffPoly Ranking
     CompletionOptions InconsistentSystem InvolutiveBasis basis_from chain_criterion
     conventional_normal_form groebner_oracle involutive_normal_form

@@ -7,9 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 from involute import (CapExceeded, CompletionOptions, Division, MultiIndex,
                       NoFiniteBasis, Ranking, autoreduce, axioms_check, cartan_characters,
                       complementary_decomposition, complete, in_cone,
-                      involutive_divides, is_involutive,
-                      minimal_involutive_basis, monomials_up_to,
-                      quasi_stability_witness, separation, separations)
+                      is_involutive, minimal_involutive_basis, monomials_up_to,
+                      quasi_stability_witness, separations)
 from involute import monomial
 from involute.monomial import ConeIndex, in_involutive_cone
 from conftest import (complete_bruteforce, cones_pairwise_disjoint_bruteforce,
@@ -32,19 +31,14 @@ class TestSeparations:
 
     @pytest.mark.parametrize("kind", list(Division))
     def test_table(self, kind):
+        seps = separations(EX1, kind)
         for u, mult in self.TABLE[kind].items():
-            sep = separation(u, EX1, kind)
-            assert sep.multiplicative == frozenset(mult)
-            assert sep.nonmultiplicative == frozenset(range(3)) - frozenset(mult)
-            assert sep.mu == len(mult)
+            assert seps[u].multiplicative == frozenset(mult)
+            assert seps[u].nonmultiplicative == frozenset(range(3)) - frozenset(mult)
 
     def test_pommaret_unit(self):
-        assert separation(mi(0, 0, 0), [mi(0, 0, 0)],
-                          Division.POMMARET).multiplicative == frozenset(range(3))
-
-    def test_not_member(self):
-        with pytest.raises(ValueError):
-            separation(mi(1, 1, 1), EX1, Division.JANET)
+        assert separations([mi(0, 0, 0)], Division.POMMARET)[
+            mi(0, 0, 0)].multiplicative == frozenset(range(3))
 
     @pytest.mark.parametrize("kind", list(Division))
     def test_partition(self, kind):
@@ -202,16 +196,21 @@ def test_cone_index_drops_several_tips_at_once(run, data):
 
 
 class TestInvolutiveDivides:
+    @staticmethod
+    def divides(u, w, kind):
+        """Whether u, an element of EX1, involutively divides w."""
+        return in_involutive_cone(w, u, separations(EX1, kind)[u].multiplicative)
+
     def test_nonmultiplicative_direction(self):
-        assert not involutive_divides(mi(1, 1, 0), mi(2, 1, 0), EX1, Division.JANET)
+        assert not self.divides(mi(1, 1, 0), mi(2, 1, 0), Division.JANET)
 
     def test_reflexive(self):
         for kind in Division:
             for u in EX1:
-                assert involutive_divides(u, u, EX1, kind)
+                assert self.divides(u, u, kind)
 
     def test_lex_induced_free_cone(self):
-        assert involutive_divides(mi(1, 0, 2), mi(1, 3, 5), EX1, Division.LEX_INDUCED)
+        assert self.divides(mi(1, 0, 2), mi(1, 3, 5), Division.LEX_INDUCED)
 
 
 class TestAutoreduce:
