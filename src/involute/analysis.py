@@ -10,6 +10,7 @@ the leading-monomial data.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -24,8 +25,9 @@ def _comb(a, b):
     return math.comb(a, b)
 
 
-def _require_orderly(basis):
-    if not basis.options.main.is_orderly:
+def require_orderly(ranking):
+    """Raise unless the main ranking is orderly; checked before completing."""
+    if not ranking.is_orderly:
         raise ValueError("an orderly main ranking is required")
 
 
@@ -129,14 +131,14 @@ def _ascending(p):
 
 
 def hilbert_data(basis):
-    _require_orderly(basis)
+    require_orderly(basis.options.main)
     ctx = basis.elements[0].ctx
     # (function, degree, multiplier count) per basis element
     mus = tuple((d.indet, d.index.degree, len(sep.multiplicative))
                 for d, sep in zip(basis.leaders, basis.separations))
     poly = _binomial_poly(ctx.n, ctx.n).scale(ctx.m)
-    for _, deg, mu in mus:
-        poly = poly - _binomial_poly(mu - deg, mu)
+    for (deg, mu), size in Counter((deg, mu) for _, deg, mu in mus).items():
+        poly = poly - _binomial_poly(mu - deg, mu).scale(size)
     hp = _ascending(poly)
     data = HilbertData(ctx.n, ctx.m, mus, hp, 0)
     bound = max((deg for _, deg, _ in mus), default=0) + ctx.n
@@ -161,7 +163,7 @@ class SolutionDimension(NamedTuple):
 def solution_dimension(basis):
     """Size of the solution space: the number of cones when none has
     multipliers (every parametric derivative is a constant), else infinite."""
-    _require_orderly(basis)
+    require_orderly(basis.options.main)
     decs = complementary_set(basis)
     cones = [mult for dec in decs.values() for _, mult in dec.entries()]
     if any(cones):

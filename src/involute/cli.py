@@ -142,6 +142,7 @@ def cmd_ivp(problem, args):
     from . import analysis
     ctx = problem.context()
     opts = _options(problem, args)
+    analysis.require_orderly(opts.main)
     basis = minimal_involutive_basis(problem.linear_system(), opts)
     spec = analysis.ivp_spec(basis)
     dim_text, dim_json = _dimension(spec.dimension)
@@ -160,6 +161,7 @@ def cmd_ivp(problem, args):
 def cmd_hilbert(problem, args):
     from . import analysis
     opts = _options(problem, args)
+    analysis.require_orderly(opts.main)
     basis = minimal_involutive_basis(problem.linear_system(), opts)
     data = analysis.hilbert_data(basis)
     dim_text, dim_json = _dimension(analysis.solution_dimension(basis))
@@ -177,10 +179,12 @@ def cmd_hilbert(problem, args):
 
 
 def cmd_symmetry(problem, args):
+    from .analysis import require_orderly
     from .symmetry import determining_system, symmetry_dimension
     sym = problem.symmetry_problem()
-    det_ctx, eqs = determining_system(sym)
     opts = _options(problem, args)
+    require_orderly(opts.main)
+    det_ctx, eqs = determining_system(sym)
     dim, basis, _ = symmetry_dimension(sym, opts)
     dim_text, dim_json = _dimension(dim)
     names = det_ctx.variables

@@ -2,8 +2,9 @@
 
 The completion routine keeps its basis G as bookkeeping triples (poly,
 ancestor, processed-variables) keyed by leading derivative, and one
-``monomial.ConeIndex`` per function over those leaders, which keeps their
-separations as elements come and go and finds involutive divisors.  Leaders
+``monomial.ConeIndex`` per function over those leaders, which finds involutive
+divisors and keeps their separations as elements come and go, re-filing only
+the leaders below one node of its Janet tree under Janet division.  Leaders
 in G are pairwise distinct: an adjoined normal form's leader lies in no cone,
 and every leader lies in its own.  The loop repeats one examination step:
 take the lowest nonmultiplicative prolongation, under the completion ranking,

@@ -106,19 +106,6 @@ def _check_set(U):
     return sorted(set(U))
 
 
-def _janet_separations(U):
-    # x_i is multiplicative for u iff u[i] is the largest i-th exponent among
-    # the elements sharing u's first i exponents
-    n = len(U[0])
-    top = {}
-    for v in U:
-        for i in range(n):
-            prefix = v[:i]
-            if top.get(prefix, -1) < v[i]:
-                top[prefix] = v[i]
-    return {u: {i for i in range(n) if u[i] == top[u[:i]]} for u in U}
-
-
 def _pommaret_multiplicative(u):
     n = len(u)
     trailing = max((i for i, e in enumerate(u) if e), default=None)
@@ -141,9 +128,8 @@ def _lex_induced_separations(U):
 
 
 def _multiplicative(U, kind):
-    """Multiplicative positions of each element of a lex-sorted distinct list."""
-    if kind is Division.JANET:
-        return _janet_separations(U)
+    """Multiplicative positions of each element of a lex-sorted distinct list,
+    under Pommaret or lex-induced division (``ConeIndex`` keeps Janet ones)."""
     if kind is Division.POMMARET:
         return {u: _pommaret_multiplicative(u) for u in U}
     if kind is Division.LEX_INDUCED:
@@ -176,13 +162,14 @@ class ConeIndex:
     the cone of v iff the two agree on v's nonmultiplicative variables and
     w >= v on the others.  Tips are grouped by their set of nonmultiplicative
     variables, and inside a group a dict maps the exponents on those
-    variables to the tips, so a query makes one lookup per group and compares
-    the multiplicative exponents of the few tips found.  This is the
-    Janet-tree search (Gerdt, Blinkov, Yanovich, CASC 2001) for any division
-    given by separations.
+    variables to the tips, so a query makes one lookup per group.  Under Janet
+    division the index keeps the Janet tree of its tips (Gerdt, Blinkov,
+    Yanovich, CASC 2001) in nested dicts, the node at u[:i] keyed by the i-th
+    exponents below it, so a tip that comes or goes re-files only the tips
+    below one node on its path.
     """
 
-    __slots__ = ("kind", "tips", "groups", "filed")
+    __slots__ = ("kind", "tips", "groups", "filed", "tree")
 
     def __init__(self, kind, U=()):
         # nonmultiplicative set -> (that set, getter of the exponents on it,
@@ -191,29 +178,66 @@ class ConeIndex:
         self.tips = _check_set(U)
         self.groups = {}
         self.filed = {}
+        self.tree = {}
+        for v in self.tips if kind is Division.JANET else ():
+            self._grow(v)
         self._refile(self.tips)
 
     def add(self, v, drop=()):
         """Adjoin tip v, after dropping the tips in ``drop``, in one re-filing
         pass; returns (tip, variables new to its nonmultiplicative set) for v
         and for every tip whose separation that changed."""
-        for u in drop:
-            self._drop(u)
+        prefixes = [self._drop(u) for u in drop]
         bisect.insort(self.tips, v)
+        if self.kind is Division.JANET:
+            return self._refile(self._below(prefixes + [self._grow(v)], v))
         # Pommaret separations are local, so only v itself is filed
         return self._refile([v] if self.kind is Division.POMMARET else self.tips)
 
     def remove(self, *vs):
         """Drop tips vs and re-file, in one pass, the tips whose separation
         that changes."""
-        for v in vs:
-            self._drop(v)
+        if len(vs) == len(self.tips):  # all of them: start afresh
+            return self.__init__(self.kind)
+        prefixes = [self._drop(v) for v in vs]
         if self.kind is not Division.POMMARET:
-            self._refile(self.tips)
+            self._refile(self._below(prefixes) if self.kind is Division.JANET else self.tips)
 
     def _drop(self, v):
         del self.tips[bisect.bisect_left(self.tips, v)]
         self._unfile(v)
+        return self._prune(v) if self.kind is Division.JANET else None
+
+    def _grow(self, v):
+        # put v in the tree; returns u[:i+1] for the tips u that lose x_i as
+        # v[i] tops the keys at v[:i], the node where v leaves the tree, or None
+        node, raised = self.tree, None
+        for i, e in enumerate(v):
+            if e not in node:
+                if node and e > (top := max(node)):
+                    raised = v[:i] + (top,)
+                node[e] = {}
+            node = node[e]
+        return raised
+
+    def _prune(self, v):
+        # take v out of the tree, up to the deepest node v[:i] with another
+        # key; returns u[:i+1] for the tips u that regain x_i, or None
+        path = list(itertools.accumulate(v[:-1], dict.__getitem__, initial=self.tree))
+        for i in reversed(range(len(v))):
+            del path[i][v[i]]
+            if path[i]:
+                return v[:i] + (top,) if v[i] > (top := max(path[i])) else None
+        return None
+
+    def _below(self, prefixes, *extra):
+        # the tips that extend a prefix (a run of the lex-sorted tips), then
+        # extra, in lex order: one change's run comes before the tip it adds
+        out, tips = [], self.tips
+        for p in filter(None, prefixes):
+            lo = bisect.bisect_left(tips, p)
+            out += tips[lo:bisect.bisect_left(tips, p[:-1] + (p[-1] + 1,), lo)]
+        return out + list(extra) if len(prefixes) == 1 else sorted({*out, *extra})
 
     def separation(self, v):
         """The separation of tip v in the current set."""
@@ -227,7 +251,9 @@ class ConeIndex:
         if not tips:
             return changed
         allv = frozenset(range(len(tips[0])))
-        for v, mult in _multiplicative(tips, self.kind).items():
+        seps = (_multiplicative(tips, self.kind).items() if self.kind is not Division.JANET
+                else self._janet(tips))
+        for v, mult in seps:
             nonmult, old = allv - mult, self.filed.get(v)
             if nonmult == old:
                 continue
@@ -244,6 +270,19 @@ class ConeIndex:
             if new:
                 changed.append((v, new))
         return changed
+
+    def _janet(self, tips):
+        # (tip, multiplicative positions) for each of tips: x_i is
+        # multiplicative for u iff u[i] is the largest key at u[:i]
+        out = []
+        for u in tips:
+            node, mult = self.tree, set()
+            for i, e in enumerate(u):
+                if len(node) == 1 or e == max(node):
+                    mult.add(i)
+                node = node[e]
+            out.append((u, mult))
+        return out
 
     def _unfile(self, v):
         nonmult = self.filed.pop(v)

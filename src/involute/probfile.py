@@ -200,6 +200,8 @@ def parse_problem(text):
         key, _, value = line.partition(":")
         key = key.strip().lower()
         value = value.strip()
+        if key in declared or key in _CHOICES and _CHOICES[key][0] in settings:
+            raise ProblemError(f"repeated key {key!r}", lineno)
         if key in ("vars", "funcs", "detvars"):
             declared[key] = _names(value, lineno), lineno
         elif key in _CHOICES:

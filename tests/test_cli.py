@@ -541,6 +541,20 @@ class TestCli:
         (["monomial", "--action", "decompose", "--division", "pommaret"],
          "vars: x1 x2\nfuncs: y\neq: D[y,{0,1}]\neq: D[y,{0,2}]\n",
          "set is not pommaret-involutive"),
+        # a key that sets something may appear once; the repeat would replace it
+        (["complete"], "vars: x1 x2\nfuncs: y\nvars: x1\neq: D[y,{1}]\n",
+         "repeated key 'vars' (line 3)"),
+        (["complete"], "vars: x\nfuncs: y\neq: D[y,x]\nfuncs: z\n",
+         "repeated key 'funcs' (line 4)"),
+        (["symmetry"], "vars: t x\nfuncs: y\ndetvars: t\ndetvars: x\nsolve: D[y,t] = D[y,x,x]\n",
+         "repeated key 'detvars' (line 4)"),
+        (["complete"], "vars: x\nfuncs: y\nranking: grlex\nRanking: lex\neq: D[y,x]\n",
+         "repeated key 'ranking' (line 4)"),
+        (["complete"], "vars: x\nfuncs: y\ntiebreak: term\ntiebreak: term\neq: D[y,x]\n",
+         "repeated key 'tiebreak' (line 4)"),
+        (["complete"], "vars: x\nfuncs: y\ncompletion-ranking: lex\n"
+                       "completion-ranking: grlex\neq: D[y,x]\n",
+         "repeated key 'completion-ranking' (line 4)"),
     ])
     def test_input_errors_name_the_fault(self, tmp_path, capsys, argv, text, message):
         f = tmp_path / "bad.pde"
@@ -594,6 +608,25 @@ class TestCli:
         monkeypatch.setattr(LinearDiffPoly, "format", recorded)
         assert run_cli(capsys, "symmetry", str(PROBLEMS / "diffusion.pde"), "--json")[0] == 0
         assert formatted and len({id(p) for p in formatted}) == len(formatted)
+
+    @pytest.mark.parametrize("argv", [
+        ["ivp", "janet3.pde"],
+        ["hilbert", "janet3.pde"],
+        ["symmetry", "diffusion.pde"],
+    ])
+    def test_non_orderly_ranking_fails_before_completing(self, capsys, monkeypatch, argv):
+        from involute import cli, symmetry
+        calls = []
+
+        def record(name):
+            return lambda *args, **kwargs: calls.append(name)
+
+        monkeypatch.setattr(cli, "minimal_involutive_basis", record("complete"))
+        monkeypatch.setattr(symmetry, "minimal_involutive_basis", record("complete"))
+        monkeypatch.setattr(symmetry, "determining_system", record("determining_system"))
+        code, out, err = run_cli(capsys, argv[0], str(PROBLEMS / argv[1]), "--ranking", "lex")
+        assert (code, out, err) == (1, "", "error: an orderly main ranking is required\n")
+        assert calls == []
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "complete", "nope.pde")

@@ -408,6 +408,33 @@ class TestExcludedRecipeSetsFinish:
         self._check(2, Division.LEX_INDUCED, 195)
 
 
+def _closed_under_witnesses(U):
+    """U with each missing x_i^s * t / x_j^(t_j) added, s the largest i-th
+    exponent in U, while ``quasi_stability_witness`` finds such a t."""
+    U = set(U)
+    while (t := quasi_stability_witness(U)) is not None:
+        top = [max(u[i] for u in U) for i in range(len(t))]
+        for j in range(1, len(t)):
+            if t[j]:
+                for i in range(j):
+                    w = MultiIndex(t[:i] + (t[i] + top[i],) + t[i + 1:j] + (0,) + t[j + 1:])
+                    if not in_cone(w, U):
+                        U.add(w)
+    return sorted(U)
+
+
+class TestClosedRecipeSet:
+    def test_janet_and_pommaret_give_the_same_basis(self):
+        # the seed-7 (5,6,5) set, closed to a quasi-stable one, has a finite
+        # Pommaret basis, and its Janet completion is the same set
+        U = _closed_under_witnesses(_recipe_sets(3)[2])
+        assert len(U) == 27
+        janet = complete(U, Division.JANET)
+        assert len(janet) == 1256
+        assert janet == complete(U, Division.POMMARET)
+        assert is_involutive(janet, Division.JANET)
+
+
 def _digest(V):
     return hashlib.sha256(repr([tuple(v) for v in V]).encode()).hexdigest()[:16]
 
@@ -542,5 +569,27 @@ class TestAxioms:
          ["(d) violated for x1 in subset {x1}", "(d) violated for x1^2 in subset {x1^2}"]),
     ])
     def test_violation_reports(self, monkeypatch, rule, U, report):
+        # _multiplicative is the whole-set pass behind lex-induced separations;
+        # Janet ones come from the cone index's tree
         monkeypatch.setattr(monomial, "_multiplicative", lambda U, kind: rule(U))
-        assert axioms_check(U, Division.JANET) == report
+        assert axioms_check(U, Division.LEX_INDUCED) == report
+
+
+class TestMessages:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: MultiIndex((1, -2)), "negative exponent in (1, -2)"),
+        (lambda: mi(1, 0) / mi(0, 1), "MultiIndex(0, 1) does not divide MultiIndex(1, 0)"),
+        (lambda: separations([(1,), (1, 0)], Division.JANET), "monomials of mixed dimension"),
+        # a division given by its name, not as a Division
+        (lambda: separations([(1, 0)], "janet"), "unknown division 'janet'"),
+        (lambda: complete([], Division.JANET), "empty monomial set"),
+        (lambda: complementary_decomposition([], Division.JANET),
+         "variable count required for an empty set"),
+    ])
+    def test_value_errors(self, call, message):
+        with pytest.raises(ValueError) as err:
+            call()
+        assert str(err.value) == message
+
+    def test_repr(self):
+        assert repr(mi(2, 0, 1)) == "MultiIndex(2, 0, 1)"
