@@ -119,10 +119,11 @@ class HilbertData(NamedTuple):
 
 def _binomial_poly(shift, k):
     """C(s + shift, k) as a polynomial in s: a product of k linear factors."""
-    out = MultivarPolynomial.const(1, Fraction(1, math.factorial(k)))
+    coeffs = [1]  # of the product so far over Z, constant term first
     for i in range(k):
-        out = out * MultivarPolynomial(1, {(1,): 1, (0,): shift - i})
-    return out
+        coeffs = [a * (shift - i) + b for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return MultivarPolynomial(1, {(d,): Fraction(c, math.factorial(k))
+                                  for d, c in enumerate(coeffs)})
 
 
 def _ascending(p):
