@@ -13,8 +13,8 @@ mathematical equality.  Everything is immutable after construction.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as _int_gcd, lcm as _int_lcm
-from operator import add, sub
+from math import gcd as _int_gcd, isqrt, lcm as _int_lcm
+from operator import add
 
 
 class ExactDivisionError(ArithmeticError):
@@ -220,9 +220,6 @@ class MultivarPolynomial(SparsePolynomial):
     def total_degree(self):
         return max((sum(e) for e in self.terms), default=0)
 
-    def degree_in(self, i):
-        return max((e[i] for e in self.terms), default=0)
-
     def leading(self):
         """Leading (exponent, coefficient) in graded-lex order."""
         e = max(self.terms, key=_grlex_key)
@@ -238,9 +235,6 @@ class MultivarPolynomial(SparsePolynomial):
         return hash((self.nvars, frozenset(self.terms.items())))
 
     def mul_term(self, exps, c):
-        c = exact(c)
-        if not c:
-            return MultivarPolynomial.zero(self.nvars)
         return self._raw({tuple(a + b for a, b in zip(e, exps)): exact(cc * c)
                           for e, cc in self.terms.items()})
 
@@ -290,7 +284,7 @@ class MultivarPolynomial(SparsePolynomial):
         return f"MultivarPolynomial({self.nvars}, {self.format([f'x{i+1}' for i in range(self.nvars)])})"
 
 
-# -- gcd via primitive pseudo-remainder sequences ----------------------------
+# -- gcd by the heuristic GCDHEU, accepted after trial division --------------
 
 def _rational_content(polys):
     """The positive rational r for which the p/r have coprime integer coefficients."""
@@ -310,40 +304,61 @@ def _rat_normalize(p):
     return p.scale(-factor if p.leading()[1] < 0 else factor)
 
 
-def _coeffs_in(p, v):
-    """View ``p`` as univariate in variable ``v``: degree -> coefficient poly."""
+def _heu_gcd(f, g):
+    """A gcd of nonzero f and g over Z[x], the gcd of their contents included.
+
+    GCDHEU (Char, Geddes and Gonnet, JSC 1989): put an integer xi for one
+    variable of the primitive parts, take the gcd of the two values by this
+    function again (so that no content they share is lost) and read its
+    coefficients as balanced base-xi digits.  For xi >= 2*min(|f|, |g|) + 2 in
+    the max norm, a primitive candidate that divides both parts is their gcd,
+    and for xi large enough one does; until then xi grows by a factor of about
+    2.7*xi**(1/4) (sympy's schedule, after Liao and Fateman, ISSAC 1995).
+    """
+    cf, cg = _int_gcd(*f.terms.values()), _int_gcd(*g.terms.values())
+    if f.is_constant() or g.is_constant():
+        return f._raw({(0,) * f.nvars: _int_gcd(cf, cg)})
+    f = f._raw({e: c // cf for e, c in f.terms.items()})
+    g = g._raw({e: c // cg for e, c in g.terms.items()})
+    v = next(i for e in f.terms for i, k in enumerate(e) if k)
+    xi = 2 * min(max(map(abs, f.terms.values())), max(map(abs, g.terms.values()))) + 2
+    while True:
+        a, b = _evaluate(f, v, xi), _evaluate(g, v, xi)
+        if a and b:
+            h = _digits(_heu_gcd(a, b), v, xi)
+            c = _int_gcd(*h.terms.values())
+            h = h._raw({e: d // c for e, d in h.terms.items()})
+            try:
+                f.divexact(h)
+                g.divexact(h)
+                return h.scale(_int_gcd(cf, cg))
+            except ExactDivisionError:
+                pass
+        xi = xi * isqrt(isqrt(xi)) * 73794 // 27011
+
+
+def _evaluate(p, v, xi):
+    """p with the integer xi put for variable ``v``."""
     out = {}
     for e, c in p.terms.items():
-        d = e[v]
-        # e is e2 with d restored at v, so distinct terms give distinct keys
-        e2 = e[:v] + (0,) + e[v + 1:]
-        out.setdefault(d, {})[e2] = c
-    return {d: p._raw(t) for d, t in out.items()}
+        k = e[:v] + (0,) + e[v + 1:]
+        out[k] = out.get(k, 0) + c * xi ** e[v]
+    return p._raw({k: c for k, c in out.items() if c})
 
 
-def _prem(f, g, v):
-    """Pseudo-remainder of f by g with respect to variable ``v``."""
-    dg = g.degree_in(v)
-    lc_g = _coeffs_in(g, v)[dg]
-    r = f
-    while r.terms and r.degree_in(v) >= dg:
-        dr = r.degree_in(v)
-        lc_r = _coeffs_in(r, v)[dr]
-        shift = [0] * f.nvars
-        shift[v] = dr - dg
-        r = r * lc_g + g.mul_term(tuple(shift), -1) * lc_r
-    return r
-
-
-def _support(p):
-    """Indices of the variables that occur in ``p``."""
-    return {i for e in p.terms for i, k in enumerate(e) if k}
-
-
-def _monomial_content(p):
-    """(a, q) with p = x^a * q, where a is the componentwise minimum exponent of p."""
-    a = tuple(map(min, zip(*p.terms)))
-    return a, p._raw({tuple(map(sub, e, a)): c for e, c in p.terms.items()}) if any(a) else p
+def _digits(p, v, xi):
+    """The polynomial whose coefficient of x_v^i is the i-th balanced base-xi
+    digit of the coefficients of p, which is free of x_v."""
+    out = {}
+    for e, c in p.terms.items():
+        i = 0
+        while c:
+            d = (c + xi // 2) % xi - xi // 2
+            if d:
+                out[e[:v] + (i,) + e[v + 1:]] = d
+            c = (c - d) // xi
+            i += 1
+    return p._raw(out)
 
 
 def poly_gcd(f, g):
@@ -352,29 +367,11 @@ def poly_gcd(f, g):
         return _rat_normalize(g)
     if g.is_zero():
         return _rat_normalize(f)
-    if f.is_constant() or g.is_constant() or not _support(f) & _support(g):
+    if f.is_constant() or g.is_constant():
         return MultivarPolynomial.const(f.nvars, 1)
     if len(f.terms) == 1 or len(g.terms) == 1:  # a monomial's divisors are monomials
         return f._raw({tuple(map(min, zip(*f.terms, *g.terms))): 1})
-    (a, f1), (b, g1) = _monomial_content(f), _monomial_content(g)
-    if any(a) or any(b):  # gcd(x^a*f1, x^b*g1) = x^min(a,b) * gcd(f1, g1)
-        return poly_gcd(f1, g1).mul_term(tuple(map(min, a, b)), 1)
-    v = next(i for i in range(f.nvars) if f.degree_in(i) or g.degree_in(i))
-    cf, cg = (content(list(_coeffs_in(p, v).values())) for p in (f, g))
-    c = poly_gcd(cf, cg)
-    pf = f.divexact(cf)
-    pg = g.divexact(cg)
-    while pg.terms and pg.degree_in(v) > 0:
-        if pf.degree_in(v) < pg.degree_in(v):
-            pf, pg = pg, pf
-            continue
-        r = _prem(pf, pg, v)
-        pf = pg
-        pg = r.divexact(content(list(_coeffs_in(r, v).values()))) if r.terms else r
-    if pg.terms:
-        # nonzero remainder free of v: the primitive parts are coprime
-        return _rat_normalize(c)
-    return _rat_normalize(c * pf)
+    return _rat_normalize(_heu_gcd(_rat_normalize(f), _rat_normalize(g)))
 
 
 def content(polys):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -490,6 +491,21 @@ class TestCli:
                        + "".join(f"eq: {e}\n" for e in equations.split("; ")))
         code, out, err = run_cli(capsys, "complete", str(bad), "--division", division)
         assert (code, out, err) == (3, "", f"inconsistent system: {message}\n")
+
+    # one content gcd of this system has operands of over 100 terms with a
+    # 6-term gcd; the 11-kB message is pinned by its digest
+    @pytest.mark.parametrize("division", ["janet", "pommaret", "lexinduced"])
+    def test_large_content_gcds_finish(self, tmp_path, capsys, division):
+        path = tmp_path / "gcds.pde"
+        path.write_text("vars: x1 x2\nfuncs: y\n"
+                        "eq: (x1 + 1)*D[y,{0,1}] + (x2)*D[y,{2,1}] + (x2 - x1)*D[y,{0,0}] = x2\n"
+                        "eq: (x2 - x1)*D[y,{1,1}] + (1)*D[y,{0,0}] = x1\n")
+        code, out, err = run_cli(capsys, "complete", str(path), "--division", division)
+        assert (code, out) == (3, "")
+        assert err.startswith("inconsistent system: the equation D[y,{0,1}] + ((-x1^8 + ")
+        assert err.endswith(" + 112*x2^7 + 16*x2^6) = 0\n")
+        assert hashlib.sha256(err.encode()).hexdigest() == (
+            "7ce1f24d61172a95129831389aacace0e076def58d8835b8b380c0b33dc84022")
 
     @pytest.mark.parametrize("argv, message", [
         (["complete", "janet3.pde", "--division", "nope"], "invalid choice: 'nope'"),

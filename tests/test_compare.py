@@ -4,6 +4,7 @@ import importlib.util
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+CORPUS_PICKS = (11, 12, 14)  # corpus systems that finish in well under a second
 
 
 def load_compare():
@@ -22,7 +23,20 @@ def test_tree_compared_with_itself_is_identical():
     table = compare.table()
     assert all(argv in table for argv in runs)
     assert compare.compare(ROOT, ROOT, runs) == {
-        "runs": 3, "identical": 3, "differing": [], "past_limit": {"this": [], "other": []}}
+        "runs": 3, "identical": 3, "differing": [], "past_limit": {"this": [], "other": []},
+        "finished_one_side": {"this": [], "other": []}}
+
+
+def test_corpus_compared_with_itself_is_identical(tmp_path):
+    compare = load_compare()
+    names = compare.write_corpus(tmp_path)
+    assert len(names) == compare.CORPUS_SIZE
+    runs = [["complete", names[k], "--cap", "200", *division]
+            for k, division in zip(CORPUS_PICKS, compare.DIVISIONS[1:])]
+    assert all(argv in compare.corpus_table(names) for argv in runs)
+    assert compare.compare(ROOT, ROOT, runs, tmp_path, compare.CORPUS_LIMIT_S) == {
+        "runs": 3, "identical": 3, "differing": [], "past_limit": {"this": [], "other": []},
+        "finished_one_side": {"this": [], "other": []}}
 
 
 def test_first_difference_names_the_stream_and_line():

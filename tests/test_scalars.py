@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from involute.scalars import ExactDivisionError, MultivarPolynomial, RationalFunction, poly_gcd
+from involute.scalars import (ExactDivisionError, MultivarPolynomial, RationalFunction, content,
+                              poly_gcd)
 
 OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
 
@@ -155,6 +156,23 @@ class TestGcd:
         with pytest.raises(ExactDivisionError):
             (x * x + y).divexact(x + y)
 
+    def test_zero_operands(self):
+        f = P(2, {(1, 0): Fraction(-2, 3), (0, 1): 4})
+        zero = P(2, {})
+        assert poly_gcd(f, zero) == poly_gcd(zero, f) == P(2, {(1, 0): 1, (0, 1): -6})
+        assert poly_gcd(zero, zero) == zero
+
+    def test_content_of_a_list_holding_a_constant(self):
+        f = P(2, {(1, 0): Fraction(2, 3), (0, 0): Fraction(2, 3)})
+        assert content([f, P(2, {(0, 0): 4})]) == P(2, {(0, 0): Fraction(2, 3)})
+
+    # at the first xi, 4, x + 5 and x^2 - 1 share the factor 3 of their
+    # values, read back as x - 1, and x - 4 vanishes: both take a larger xi
+    @pytest.mark.parametrize("f, g", [({(1,): 1, (0,): 5}, {(2,): 1, (0,): -1}),
+                                      ({(1,): 1, (0,): -4}, {(1,): 1, (0,): 1})])
+    def test_unlucky_xi_is_passed_over(self, f, g):
+        assert poly_gcd(P(1, f), P(1, g)) == P(1, {(0,): 1})
+
 
 # -- results against the unreduced quotient ----------------------------------
 
@@ -163,8 +181,7 @@ DEN_CASES = ("both one", "one one", "equal", "coprime", "shared factor")
 
 @st.composite
 def polys(draw, nvars, nonconstant=False, size=2):
-    # small on purpose: the unreduced quotients go through poly_gcd, which
-    # can take minutes on some operands of a dozen terms
+    # small on purpose, so that the examples are many and quick
     exps = st.tuples(*[st.integers(0, 1)] * nvars)
     coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=3).filter(bool)
     terms = draw(st.dictionaries(exps, coeffs, min_size=1, max_size=size))
@@ -196,7 +213,7 @@ def operand_pairs(draw):
 
 
 def sympy_converter(sympy):
-    names = sympy.symbols("x1 x2 x3")
+    names = sympy.symbols("x1:5")
 
     def to_sympy(p):
         return sum(sympy.Rational(c.numerator, c.denominator)
@@ -311,17 +328,45 @@ def monomial_factored_pairs(draw):
     return tuple(common * draw(monomials) * f for f in cofactors)
 
 
+@st.composite
+def common_factor_pairs(draw):
+    """k*c*f and k*c*g in 1-4 variables: an integer content k, a common factor
+    c and cofactors f and g, all with rational coefficients of either sign."""
+    nvars = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(0, 2)] * nvars)
+    coeffs = st.fractions(min_value=-6, max_value=6, max_denominator=4).filter(bool)
+
+    def poly(size):
+        return P(nvars, draw(st.dictionaries(exps, coeffs, min_size=1, max_size=size)))
+
+    common = poly(3).scale(draw(st.integers(1, 12)))
+    return common * poly(4), common * poly(4)
+
+
+def assert_gcd_agrees_with_sympy(pair):
+    """poly_gcd(*pair) is sympy's gcd up to a unit, primitive over Z with a
+    positive grlex-leading coefficient."""
+    sympy = pytest.importorskip("sympy")
+    to_sympy = sympy_converter(sympy)
+    got = poly_gcd(*pair)
+    assert sympy.cancel(to_sympy(got) / sympy.gcd(*map(to_sympy, pair))).is_number
+    coeffs = got.terms.values()
+    assert all(c.denominator == 1 for c in coeffs) and got.leading()[1] > 0
+    assert math.gcd(*(c.numerator for c in coeffs)) == 1
+
+
 class TestMonomialContent:
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(monomial_factored_pairs())
     def test_gcd_against_sympy(self, pair):
-        sympy = pytest.importorskip("sympy")
-        to_sympy = sympy_converter(sympy)
-        got = poly_gcd(*pair)
-        assert sympy.cancel(to_sympy(got) / sympy.gcd(*map(to_sympy, pair))).is_number
-        coeffs = got.terms.values()
-        assert all(c.denominator == 1 for c in coeffs) and got.leading()[1] > 0
-        assert math.gcd(*(c.numerator for c in coeffs)) == 1
+        assert_gcd_agrees_with_sympy(pair)
+
+
+class TestHeuristicGcd:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(common_factor_pairs())
+    def test_against_sympy(self, pair):
+        assert_gcd_agrees_with_sympy(pair)
 
 
 def assert_exact(*values):

@@ -1,29 +1,38 @@
 """Compare the command line of this checkout with that of another one.
 
 Runs ``python -m involute.cli`` from both source trees (each with its own
-``src`` on ``PYTHONPATH``) on the checked-in inputs, ``problems/*.pde`` and
-``perfbench/inputs/*.pde`` of this checkout, over a fixed table of
-invocations: every subcommand, ``monomial`` once per ``--action``, under
-each ``--division`` and none, as text and as ``--json``; and
-``complete --trace``.  Exit code, stdout and stderr are compared
-with the timing values blanked.  Prints one JSON line: the number of runs,
-how many were identical, the differing runs (argv and first differing
-line), and the runs past the per-run limit on each side.
+``src`` on ``PYTHONPATH``) on two sets of inputs.  First the checked-in
+ones, ``problems/*.pde`` and ``perfbench/inputs/*.pde`` of this checkout,
+over a fixed table of invocations: every subcommand, ``monomial`` once per
+``--action``, under each ``--division`` and none, as text and as
+``--json``; and ``complete --trace``.  Then a seeded corpus of generated
+systems (``write_corpus``), each through ``complete --cap 200`` under each
+division at a shorter per-run limit.  Exit code, stdout and stderr are
+compared with the timing values blanked.  Prints one JSON line per set: the
+number of runs, how many were identical, the differing runs (argv and first
+differing line), the runs past the per-run limit on each side, and the runs
+that finished on one side only.
 
     python tools/compare.py OTHER_ROOT     # e.g. a git archive of the parent commit
 """
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
+from itertools import product
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 LIMIT_S = 30  # per run; every checked-in input finishes in a few seconds
 WORKERS = 2
+# the generated corpus: its seed, its number of systems and the limit per run
+CORPUS_SEED, CORPUS_SIZE, CORPUS_LIMIT_S = 2026, 15, 8
+LINEAR = [abc for abc in product(range(-2, 3), repeat=3) if any(abc)]
 
 # each subcommand, monomial once per action: (subcommand, flags)
 VARIANTS = [(sub, ()) for sub in ("complete", "verify", "ivp", "hilbert", "symmetry")] + [
@@ -47,13 +56,38 @@ def table():
     return runs
 
 
-def run(root, argv):
-    """(exit code, stdout, stderr) of one invocation from ``root``, timing
-    blanked, or None past the limit."""
+def write_corpus(directory):
+    """Write the corpus into ``directory`` and return its file names.  Each
+    system has 2-3 equations in x1, x2 of 2-3 terms: a distinct derivative of
+    order at most 2 in each variable times a + b*x1 + c*x2 with a, b, c in
+    [-2, 2], the sum equal to 0, 1, x1 or x2."""
+    rng = random.Random(CORPUS_SEED)
+    derivatives = list(product(range(3), repeat=2))
+    names = []
+    for k in range(CORPUS_SIZE):
+        lines = ["vars: x1 x2", "funcs: y"]
+        for _ in range(rng.randint(2, 3)):
+            terms = ["({} + {}*x1 + {}*x2)".format(*rng.choice(LINEAR)) + f"*D[y,{{{i},{j}}}]"
+                     for i, j in rng.sample(derivatives, rng.randint(2, 3))]
+            lines.append(f"eq: {' + '.join(terms)} = {rng.choice(['0', '1', 'x1', 'x2'])}")
+        names.append(f"corpus{k:02d}.pde")
+        (Path(directory) / names[-1]).write_text("\n".join(lines) + "\n")
+    return names
+
+
+def corpus_table(names):
+    """``complete --cap 200`` of each named file under each division."""
+    return [["complete", name, "--cap", "200", *division]
+            for name in names for division in DIVISIONS[1:]]
+
+
+def run(root, argv, cwd=ROOT, limit=LIMIT_S):
+    """(exit code, stdout, stderr) of one invocation from ``root`` in ``cwd``,
+    timing blanked, or None past ``limit`` seconds."""
     env = dict(os.environ, PYTHONPATH=str(Path(root) / "src"), PYTHONHASHSEED="0")
     try:
-        done = subprocess.run([sys.executable, "-m", "involute.cli", *argv], cwd=ROOT, env=env,
-                              capture_output=True, text=True, timeout=LIMIT_S)
+        done = subprocess.run([sys.executable, "-m", "involute.cli", *argv], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=limit)
     except subprocess.TimeoutExpired:
         return None
     return (done.returncode, *(TIMING.sub(r"\1\3<t>\2", s) for s in (done.stdout, done.stderr)))
@@ -73,17 +107,20 @@ def first_difference(a, b):
     return None
 
 
-def compare(this, other, runs):
-    """The report on ``runs`` from the checkouts ``this`` and ``other``."""
+def compare(this, other, runs, cwd=ROOT, limit=LIMIT_S):
+    """The report on ``runs`` in ``cwd`` from the checkouts ``this`` and ``other``."""
     with ThreadPoolExecutor(WORKERS) as pool:
-        mine = list(pool.map(lambda argv: run(this, argv), runs))
-        theirs = list(pool.map(lambda argv: run(other, argv), runs))
+        mine = list(pool.map(lambda argv: run(this, argv, cwd, limit), runs))
+        theirs = list(pool.map(lambda argv: run(other, argv, cwd, limit), runs))
     report = {"runs": len(runs), "identical": 0, "differing": [],
-              "past_limit": {"this": [], "other": []}}
+              "past_limit": {"this": [], "other": []},
+              "finished_one_side": {"this": [], "other": []}}
     for argv, a, b in zip(runs, mine, theirs):
-        for side, result in (("this", a), ("other", b)):
+        for side, result, rival in (("this", a, b), ("other", b, a)):
             if result is None:
                 report["past_limit"][side].append(argv)
+            elif rival is None:
+                report["finished_one_side"][side].append(argv)
         if a is None or b is None:
             continue
         diff = first_difference(a, b)
@@ -100,7 +137,11 @@ def main():
         print("usage: python tools/compare.py OTHER_ROOT  (a checkout with src/involute)",
               file=sys.stderr)
         return 1
-    print(json.dumps(compare(ROOT, Path(argv[0]).resolve(), table())))
+    other = Path(argv[0]).resolve()
+    print(json.dumps({"inputs": "checked-in", **compare(ROOT, other, table())}), flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        report = compare(ROOT, other, corpus_table(write_corpus(tmp)), tmp, CORPUS_LIMIT_S)
+    print(json.dumps({"inputs": "corpus", **report}))
     return 0
 
 
