@@ -15,6 +15,7 @@ equation or a prolongation reduces to 0 = c).
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
@@ -257,24 +258,30 @@ def _read(path):
         raise ProblemError(f"cannot read {path}: {exc}") from exc
 
 
-def build_parser():
+def build_parser(argv):
+    """The parser of every subcommand name; only the subcommand that ``argv``
+    names, its first argument that is not an option, gets its arguments."""
+    chosen = next((a for a in argv if not a.startswith("-")), None)
     ap = argparse.ArgumentParser(prog="involute",
                                  description="completion of linear PDE systems "
                                              "to involutive form")
     sub = ap.add_subparsers(dest="subcommand", required=True)
     for name, fn in COMMANDS.items():
         p = sub.add_parser(name)
+        p.set_defaults(fn=fn)
+        if name != chosen:
+            continue
         p.add_argument("file", help="problem file")
         for flag, readers, keywords in FLAGS:
             if name in readers:
                 p.add_argument(flag, **keywords)
-        p.set_defaults(fn=fn)
     return ap
 
 
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
         return 1 if exc.code else 0
     try:
@@ -295,5 +302,14 @@ def main(argv=None):
     return 0
 
 
+def run():
+    """Process entry of ``involute`` and ``python -m involute.cli``.  What
+    ``main`` left alive is moved out of the collector's reach first, so the
+    full collections at interpreter exit do not walk it."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -1,10 +1,19 @@
+import argparse
+import ast
+import gc
 import hashlib
+import io
 import json
+import os
+import re
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
 from involute import (Context, Derivative, LinearDiffPoly, MultiIndex, Ranking,
-                      parse_problem)
+                      cli, parse_problem)
 from involute.cli import main
 from involute.probfile import ProblemError
 from involute.scalars import RationalFunction, SparsePolynomial
@@ -739,3 +748,183 @@ def test_readme_library_example_runs(capsys, monkeypatch):
     monkeypatch.chdir(ROOT)
     exec(compile(block, "README.md", "exec"), {})
     assert "12" in capsys.readouterr().out.splitlines()
+
+
+# -- the process entry --------------------------------------------------------
+
+# the seed-7 recipe set (6,8,6): its Janet basis has 388 elements
+RECIPE_686 = [(6, 4, 4, 6, 6, 2), (2, 5, 2, 4, 3, 4), (6, 3, 0, 6, 0, 2), (3, 5, 5, 0, 0, 5),
+              (5, 2, 5, 4, 5, 6), (3, 2, 5, 3, 5, 2), (0, 3, 2, 1, 4, 0), (3, 0, 1, 6, 2, 1)]
+
+
+def in_child(argv):
+    """(exit code, stdout, stderr) of ``python -m involute.cli argv``."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-m", "involute.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["hilbert", str(PROBLEMS / "janet3.pde")], 0),
+    (["complete", "set686.pde", "--json"], 0),
+    (["complete", str(PROBLEMS / "janet3.pde"), "--bogus"], 1),
+    (["complete", str(PROBLEMS / "example1.pde"), "--division", "pommaret"], 2),
+    (["complete", "inconsistent.pde"], 3),
+    (["--help"], 0),
+], ids=["text", "large json", "usage error", "no finite basis", "inconsistent", "help"])
+def test_process_entry_matches_main(argv, code, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("COLUMNS", "80")  # the width of help and usage text
+    (tmp_path / "set686.pde").write_text("vars: x1 x2 x3 x4 x5 x6\nfuncs: y\n" + "".join(
+        "eq: D[y,{%s}]\n" % ",".join(map(str, u)) for u in RECIPE_686))
+    (tmp_path / "inconsistent.pde").write_text(
+        "vars: x1 x2\nfuncs: y\neq: D[y,x1] = 1\neq: D[y,x2] = x1\n")
+    got, want = in_child(argv), run_cli(capsys, *argv)
+    assert got[0] == want[0] == code
+    if "--json" in argv:  # the same document, but for the elapsed time
+        docs = [json.loads(out) for _, out, _ in (got, want)]
+        for doc in docs:
+            doc.pop("timing_seconds")
+        assert docs[0] == docs[1] and len(docs[0]["basis"]) == 388
+        assert got[2] == want[2] == ""
+    else:
+        assert got == want
+
+
+def test_main_freezes_nothing(capsys):
+    # tests and the traced benchmark call main many times in one process
+    before = gc.get_freeze_count()
+    assert main(["hilbert", str(PROBLEMS / "janet3.pde")]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_installed_script_and_module_run_the_same_entry():
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    target = re.search(r'^involute = "involute\.cli:(\w+)"$', pyproject, re.M).group(1)
+    tree = ast.parse((ROOT / "src" / "involute" / "cli.py").read_text(encoding="utf-8"))
+    [block] = [node for node in tree.body if isinstance(node, ast.If)
+               and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(stmt) for stmt in block.body] == [f"{target}()"]
+    assert getattr(cli, target) is cli.run
+
+
+# -- the parser of one subcommand ---------------------------------------------
+
+def full_parser():
+    """The parser with every subcommand's arguments, as built before each
+    invocation built only its own: the oracle for ``cli.build_parser``."""
+    ap = argparse.ArgumentParser(prog="involute",
+                                 description="completion of linear PDE systems "
+                                             "to involutive form")
+    sub = ap.add_subparsers(dest="subcommand", required=True)
+    for name, fn in cli.COMMANDS.items():
+        p = sub.add_parser(name)
+        p.add_argument("file", help="problem file")
+        for flag, readers, keywords in cli.FLAGS:
+            if name in readers:
+                p.add_argument(flag, **keywords)
+        p.set_defaults(fn=fn)
+    return ap
+
+
+def parsed(parser, argv):
+    """(parsed arguments or exit code, stdout, stderr) of ``parser`` on ``argv``."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            result = vars(parser.parse_args(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def flag_values(keywords):
+    """Argument lists that set a flag: each choice, no value, or an int."""
+    if "choices" in keywords:
+        return [[c] for c in keywords["choices"]]
+    return [[]] if keywords.get("action") == "store_true" else [["7"]]
+
+
+def flag_cases(reads):
+    """(flag, its argparse keywords, subcommand) for each subcommand that
+    reads the flag (``reads``) or does not."""
+    return [pytest.param(flag, keywords, name, id=f"{name} {flag}")
+            for flag, readers, keywords in cli.FLAGS for name in cli.COMMANDS
+            if (name in readers) == reads]
+
+
+@pytest.mark.parametrize("flag, keywords, name", flag_cases(True))
+def test_one_subcommand_parser_reads_each_flag_as_the_full_one(flag, keywords, name):
+    for value in flag_values(keywords):
+        for argv in ([name, "F", flag, *value], [name, flag, *value, "F"], [name, "F"]):
+            got = parsed(cli.build_parser(argv), argv)
+            assert got == parsed(full_parser(), argv)
+            assert isinstance(got[0], dict), argv
+
+
+@pytest.mark.parametrize("flag, keywords, name", flag_cases(False))
+def test_flag_a_subcommand_does_not_read_is_the_same_usage_error(flag, keywords, name,
+                                                                 monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = [name, "F", flag, *flag_values(keywords)[0]]
+    got = parsed(cli.build_parser(argv), argv)
+    assert got == parsed(full_parser(), argv)
+    assert got[0] == 2 and "unrecognized arguments: " + flag in got[2]
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["-h"], ["complete", "--help"], ["monomial", "-h"], ["bogus"],
+    ["complete"], ["--json", "complete", "F"], ["--", "complete", "F"], ["-1", "complete"],
+    ["complete", "--", "F"], ["complete", "monomial"], ["hilbert", "F", "--s=3"],
+    ["monomial", "F", "--act", "axioms"], ["complete", "F", "--div"], ["Complete", "F"],
+], ids=repr)
+def test_odd_argvs_parse_as_with_the_full_parser(argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert parsed(cli.build_parser(argv), argv) == parsed(full_parser(), argv)
+
+
+USAGE = "usage: involute [-h] {complete,verify,ivp,hilbert,symmetry,monomial} ...\n"
+COMPLETE_HELP = """\
+usage: involute complete [-h] [--division {janet,lexinduced,pommaret}]
+                         [--ranking {lex,grlex,degrevlex}]
+                         [--tie {term,indet}]
+                         [--completion-ranking {lex,grlex,degrevlex}]
+                         [--cap CAP] [--criterion {on,off}] [--json] [--trace]
+                         file
+
+positional arguments:
+  file                  problem file
+
+options:
+  -h, --help            show this help message and exit
+  --division {janet,lexinduced,pommaret}
+  --ranking {lex,grlex,degrevlex}
+  --tie {term,indet}
+  --completion-ranking {lex,grlex,degrevlex}
+  --cap CAP
+  --criterion {on,off}
+  --json
+  --trace
+"""
+
+
+# argparse's wording differs between Python versions (the full-parser
+# comparisons above hold on each); these bytes are those of 3.11
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11), reason="bytes pinned under Python 3.11")
+@pytest.mark.parametrize("argv, expected", [
+    ([], (1, "", USAGE + "involute: error: the following arguments are required: "
+                         "subcommand\n")),
+    (["--help"], (0, USAGE + "\ncompletion of linear PDE systems to involutive form\n\n"
+                            "positional arguments:\n"
+                            "  {complete,verify,ivp,hilbert,symmetry,monomial}\n\n"
+                            "options:\n"
+                            "  -h, --help            show this help message and exit\n", "")),
+    (["complete", "--help"], (0, COMPLETE_HELP, "")),
+    (["bogus"], (1, "", USAGE + "involute: error: argument subcommand: invalid choice: "
+                              "'bogus' (choose from 'complete', 'verify', 'ivp', 'hilbert', "
+                              "'symmetry', 'monomial')\n")),
+], ids=repr)
+def test_help_and_usage_bytes_are_pinned(argv, expected, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run_cli(capsys, *argv) == expected

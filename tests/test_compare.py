@@ -45,3 +45,24 @@ def test_first_difference_names_the_stream_and_line():
     assert first_difference((0, "a\nb\n", ""), (1, "a\nb\n", "")) == "exit 0 != 1"
     assert first_difference((0, "a\nb\n", ""), (0, "a\n", "")) == "stdout line 2: 'b' != '<end>'"
     assert first_difference((1, "", "x\n"), (1, "", "y\n")) == "stderr line 1: 'x' != 'y'"
+
+
+def test_run_records_its_seconds():
+    result, seconds = load_compare().run(ROOT, ["--help"])
+    assert result[0] == 0 and result[1].startswith("usage: involute")
+    assert 0 < seconds < 30
+
+
+def test_run_finished_on_one_side_carries_its_seconds():
+    # the first run finished here in 7.9 s and passed the limit on the other
+    # side; the second the reverse; the third finished on both, identically
+    report = load_compare().report
+    runs = [["complete", "a.pde"], ["complete", "b.pde"], ["hilbert", "c.pde"]]
+    done = (0, "out\n", "")
+    mine = [(done, 7.9), (None, 8), (done, 0.2)]
+    theirs = [(None, 8), (done, 3.25), (done, 0.3)]
+    assert report(runs, mine, theirs) == {
+        "runs": 3, "identical": 1, "differing": [],
+        "past_limit": {"this": [runs[1]], "other": [runs[0]]},
+        "finished_one_side": {"this": [{"argv": runs[0], "seconds": 7.9}],
+                              "other": [{"argv": runs[1], "seconds": 3.25}]}}

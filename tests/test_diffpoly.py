@@ -245,3 +245,61 @@ def test_order_of_low_derivatives_is_pinned(scheme, tie):
     got = " ".join("uv"[d.indet] + "".join(map(str, d.index))
                    for d in sorted(ds, key=r.key, reverse=True))
     assert got == RANKED_DERIVATIVES[scheme, tie]
+
+
+def message(call):
+    """The message of the ValueError that ``call()`` raises."""
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+class TestMessages:
+    """The misuse a library caller can make, each with its exact message."""
+
+    def test_lcm_of_different_functions(self):
+        assert message(lambda: D(0, 1, 0, 2).lcm(D(1, 0, 1, 0))) == \
+            "lcm of derivatives of different functions is undefined"
+
+    def test_derivative_outside_context(self):
+        one = RationalFunction.one(3)
+        assert message(lambda: LinearDiffPoly(CTX3, {D(1, 1, 0, 0): one})) == \
+            "derivative Derivative(indet=1, index=MultiIndex(1, 0, 0)) outside context"
+        assert message(lambda: LinearDiffPoly(CTX3, {D(0, 1, 0): one})) == \
+            "derivative Derivative(indet=0, index=MultiIndex(1, 0)) outside context"
+
+    def test_constant_has_no_leading_derivative(self):
+        two = LinearDiffPoly(CTX3, const=RationalFunction.const(3, 2))
+        assert message(lambda: two.ld(Ranking())) == \
+            "zero or constant polynomial has no leading derivative"
+        assert message(lambda: two.normalize(Ranking())) == \
+            "cannot normalize a constant polynomial by a leading term"
+        assert message(lambda: LinearDiffPoly.zero(CTX3).normalize(Ranking())) == \
+            "cannot normalize the zero polynomial"
+
+    def test_mixed_contexts(self):
+        f = poly(CTX3, "D[y,{1,0,0}]")
+        g = poly(Context(("x1", "x2", "x3"), ("z",)), "D[z,{1,0,0}]")
+        assert message(lambda: f + g) == "mixed contexts"
+        assert message(lambda: f - g) == "mixed contexts"
+
+
+class TestSmallCases:
+    def test_zero_coefficients_are_dropped(self):
+        zero, one = RationalFunction.zero(3), RationalFunction.one(3)
+        f = LinearDiffPoly(CTX3, {D(0, 1, 0, 0): zero, D(0, 0, 1, 0): one})
+        assert f.terms == {D(0, 0, 1, 0): one}
+        assert LinearDiffPoly(CTX3, {D(0, 1, 0, 0): zero}) == LinearDiffPoly.zero(CTX3)
+
+    def test_truth_is_nonzero(self):
+        assert not LinearDiffPoly.zero(CTX3)
+        assert LinearDiffPoly(CTX3, const=RationalFunction.one(3))
+        assert poly(CTX3, "D[y,{0,0,1}]")
+
+    def test_scale_by_zero(self):
+        f = poly(CTX3, "x1*D[y,{1,0,0}] + 2")
+        assert f.scale(RationalFunction.zero(3)) == LinearDiffPoly.zero(CTX3)
+
+    def test_repr(self):
+        assert repr(poly(CTX3, "x1*D[y,{1,0,0}] - 2*y + 3")) == \
+            "LinearDiffPoly(x1*D[y,{1,0,0}] - 2*y + 3)"

@@ -11,7 +11,8 @@ division at a shorter per-run limit.  Exit code, stdout and stderr are
 compared with the timing values blanked.  Prints one JSON line per set: the
 number of runs, how many were identical, the differing runs (argv and first
 differing line), the runs past the per-run limit on each side, and the runs
-that finished on one side only.
+that finished on one side only, each with its seconds on that side (a run
+close to the limit may finish on one side by chance).
 
     python tools/compare.py OTHER_ROOT     # e.g. a git archive of the parent commit
 """
@@ -23,6 +24,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import time
 from concurrent.futures import ThreadPoolExecutor
 from itertools import product
 from pathlib import Path
@@ -82,15 +84,18 @@ def corpus_table(names):
 
 
 def run(root, argv, cwd=ROOT, limit=LIMIT_S):
-    """(exit code, stdout, stderr) of one invocation from ``root`` in ``cwd``,
-    timing blanked, or None past ``limit`` seconds."""
+    """((exit code, stdout, stderr) with timing blanked, or None past ``limit``
+    seconds; the seconds taken) of one invocation from ``root`` in ``cwd``."""
     env = dict(os.environ, PYTHONPATH=str(Path(root) / "src"), PYTHONHASHSEED="0")
+    start = time.perf_counter()
     try:
         done = subprocess.run([sys.executable, "-m", "involute.cli", *argv], cwd=cwd, env=env,
                               capture_output=True, text=True, timeout=limit)
     except subprocess.TimeoutExpired:
-        return None
-    return (done.returncode, *(TIMING.sub(r"\1\3<t>\2", s) for s in (done.stdout, done.stderr)))
+        return None, limit
+    seconds = round(time.perf_counter() - start, 2)
+    blanked = (TIMING.sub(r"\1\3<t>\2", s) for s in (done.stdout, done.stderr))
+    return (done.returncode, *blanked), seconds
 
 
 def first_difference(a, b):
@@ -112,23 +117,29 @@ def compare(this, other, runs, cwd=ROOT, limit=LIMIT_S):
     with ThreadPoolExecutor(WORKERS) as pool:
         mine = list(pool.map(lambda argv: run(this, argv, cwd, limit), runs))
         theirs = list(pool.map(lambda argv: run(other, argv, cwd, limit), runs))
-    report = {"runs": len(runs), "identical": 0, "differing": [],
-              "past_limit": {"this": [], "other": []},
-              "finished_one_side": {"this": [], "other": []}}
-    for argv, a, b in zip(runs, mine, theirs):
-        for side, result, rival in (("this", a, b), ("other", b, a)):
+    return report(runs, mine, theirs)
+
+
+def report(runs, mine, theirs):
+    """The report on ``runs`` from the (result, seconds) pairs of each side."""
+    out = {"runs": len(runs), "identical": 0, "differing": [],
+           "past_limit": {"this": [], "other": []},
+           "finished_one_side": {"this": [], "other": []}}
+    for argv, (a, a_seconds), (b, b_seconds) in zip(runs, mine, theirs):
+        for side, result, seconds, rival in (("this", a, a_seconds, b),
+                                             ("other", b, b_seconds, a)):
             if result is None:
-                report["past_limit"][side].append(argv)
+                out["past_limit"][side].append(argv)
             elif rival is None:
-                report["finished_one_side"][side].append(argv)
+                out["finished_one_side"][side].append({"argv": argv, "seconds": seconds})
         if a is None or b is None:
             continue
         diff = first_difference(a, b)
         if diff is None:
-            report["identical"] += 1
+            out["identical"] += 1
         else:
-            report["differing"].append({"argv": argv, "first_difference": diff})
-    return report
+            out["differing"].append({"argv": argv, "first_difference": diff})
+    return out
 
 
 def main():
@@ -140,8 +151,8 @@ def main():
     other = Path(argv[0]).resolve()
     print(json.dumps({"inputs": "checked-in", **compare(ROOT, other, table())}), flush=True)
     with tempfile.TemporaryDirectory() as tmp:
-        report = compare(ROOT, other, corpus_table(write_corpus(tmp)), tmp, CORPUS_LIMIT_S)
-    print(json.dumps({"inputs": "corpus", **report}))
+        corpus = compare(ROOT, other, corpus_table(write_corpus(tmp)), tmp, CORPUS_LIMIT_S)
+    print(json.dumps({"inputs": "corpus", **corpus}))
     return 0
 
 
