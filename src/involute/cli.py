@@ -1,55 +1,55 @@
 """Command-line front end.
 
-Subcommands: complete, verify, ivp, hilbert, symmetry, monomial.  ``FLAGS``
+Subcommands: complete, verify, ivp, hilbert, symmetry, monomial.  ``flags()``
 lists each option with the subcommands that read it, and a subcommand
 accepts no other.  ``main`` parses the problem file once, and each ``cmd_*``
 returns its report as text lines and as a JSON document; ``main`` prints
-one of the two, the document under ``--json``.  ``analysis`` and ``symmetry``
-are imported by the commands that use them, so the others never compile them.
-Exit codes: 0 success, 1 input or usage error, 2 prolongation cap exceeded
-or, under Pommaret division, no finite basis (a leading ideal that is not
-quasi-stable, so any cap would be exceeded), 3 inconsistent system (an
-equation or a prolongation reduces to 0 = c).
+one of the two, the document under ``--json``.  Each layer is imported
+where a command uses it, so loading this module imports only ``argparse``,
+``gc``, ``sys`` and ``time``: ``involute --help``, a bare ``involute`` and a
+usage error compile no engine module, and a command compiles only what it
+runs (``analysis`` for ``ivp``, ``hilbert`` and ``symmetry``, ``symmetry``
+for ``symmetry`` alone).  Exit codes: 0 success, 1 input or usage error,
+2 prolongation cap exceeded or, under Pommaret division, no finite basis (a
+leading ideal that is not quasi-stable, so any cap would be exceeded),
+3 inconsistent system (an equation or a prolongation reduces to 0 = c).
 """
-
-from __future__ import annotations
 
 import argparse
 import gc
-import json
 import sys
 import time
 
-from .completion import (CompletionOptions, InconsistentSystem, basis_from,
-                         groebner_oracle, minimal_involutive_basis, verify_involutive)
-from .diffpoly import SCHEMES, TIEBREAKS
-from .monomial import (CapExceeded, Division, axioms_check, cartan_characters,
-                       complementary_decomposition, complete as complete_monomials,
-                       separations)
-from .probfile import ProblemError, parse_problem
-
 COMPLETING = ("complete", "ivp", "hilbert", "symmetry")  # run the completion algorithm
-FLAGS = (  # (flag, subcommands that read it, argparse keywords)
-    ("--division", COMPLETING + ("verify", "monomial"),
-     dict(choices=sorted(d.value for d in Division))),
-    ("--ranking", COMPLETING + ("verify",), dict(choices=SCHEMES)),
-    ("--tie", COMPLETING + ("verify",), dict(choices=TIEBREAKS)),
-    ("--completion-ranking", COMPLETING, dict(choices=SCHEMES)),
-    ("--cap", COMPLETING + ("monomial",), dict(type=int, default=10000)),
-    ("--criterion", COMPLETING, dict(choices=["on", "off"], default="on")),
-    ("--json", COMPLETING + ("verify", "monomial"), dict(action="store_true")),
-    ("--trace", ("complete",), dict(action="store_true")),
-    ("--s", ("hilbert",), dict(type=int)),
-    ("--action", ("monomial",), dict(default="separations", choices=[
-        "separations", "complete", "decompose", "cartan", "axioms"])),
-)
+
+
+def flags():
+    """(flag, subcommands that read it, argparse keywords) of every option."""
+    from .diffpoly import SCHEMES, TIEBREAKS
+    from .monomial import Division
+    return (
+        ("--division", COMPLETING + ("verify", "monomial"),
+         dict(choices=sorted(d.value for d in Division))),
+        ("--ranking", COMPLETING + ("verify",), dict(choices=SCHEMES)),
+        ("--tie", COMPLETING + ("verify",), dict(choices=TIEBREAKS)),
+        ("--completion-ranking", COMPLETING, dict(choices=SCHEMES)),
+        ("--cap", COMPLETING + ("monomial",), dict(type=int, default=10000)),
+        ("--criterion", COMPLETING, dict(choices=["on", "off"], default="on")),
+        ("--json", COMPLETING + ("verify", "monomial"), dict(action="store_true")),
+        ("--trace", ("complete",), dict(action="store_true")),
+        ("--s", ("hilbert",), dict(type=int)),
+        ("--action", ("monomial",), dict(default="separations", choices=[
+            "separations", "complete", "decompose", "cartan", "axioms"])),
+    )
 
 
 def _division(args):
+    from .monomial import Division
     return Division(args.division) if args.division else Division.JANET
 
 
 def _options(problem, args):
+    from .completion import CompletionOptions
     return CompletionOptions(division=_division(args),
                              main=problem.ranking(args.ranking, args.tie),
                              completion=problem.completion_ranking(args.completion_ranking,
@@ -102,6 +102,8 @@ def _dimension(dim):
 
 
 def cmd_complete(problem, args):
+    import json
+    from .completion import minimal_involutive_basis
     ctx = problem.context()
     opts = _options(problem, args)
     system = problem.linear_system()
@@ -127,6 +129,8 @@ def cmd_complete(problem, args):
 
 
 def cmd_verify(problem, args):
+    from .completion import CompletionOptions, basis_from, groebner_oracle, verify_involutive
+    from .monomial import Division
     system = problem.linear_system()
     kinds = [Division(args.division)] if args.division else list(Division)
     main = problem.ranking(args.ranking, args.tie)
@@ -141,6 +145,7 @@ def cmd_verify(problem, args):
 
 def cmd_ivp(problem, args):
     from . import analysis
+    from .completion import minimal_involutive_basis
     ctx = problem.context()
     opts = _options(problem, args)
     analysis.require_orderly(opts.main)
@@ -161,6 +166,7 @@ def cmd_ivp(problem, args):
 
 def cmd_hilbert(problem, args):
     from . import analysis
+    from .completion import minimal_involutive_basis
     opts = _options(problem, args)
     analysis.require_orderly(opts.main)
     basis = minimal_involutive_basis(problem.linear_system(), opts)
@@ -208,6 +214,9 @@ def cmd_symmetry(problem, args):
 
 
 def cmd_monomial(problem, args):
+    from .monomial import (Division, axioms_check, cartan_characters,
+                           complementary_decomposition, complete as complete_monomials,
+                           separations)
     kind = Division(args.division or "pommaret") if args.action == "cartan" else _division(args)
     U = problem.monomials()
     names = problem.variables
@@ -255,6 +264,7 @@ def _read(path):
         with open(path, encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
+        from .probfile import ProblemError
         raise ProblemError(f"cannot read {path}: {exc}") from exc
 
 
@@ -272,7 +282,7 @@ def build_parser(argv):
         if name != chosen:
             continue
         p.add_argument("file", help="problem file")
-        for flag, readers, keywords in FLAGS:
+        for flag, readers, keywords in flags():
             if name in readers:
                 p.add_argument(flag, **keywords)
     return ap
@@ -284,6 +294,9 @@ def main(argv=None):
         args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
         return 1 if exc.code else 0
+    from .completion import InconsistentSystem
+    from .monomial import CapExceeded
+    from .probfile import ProblemError, parse_problem
     try:
         lines, doc = args.fn(parse_problem(_read(args.file)), args)
     except CapExceeded as exc:
@@ -296,6 +309,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if args.json:
+        import json
         print(json.dumps({"subcommand": args.subcommand, **doc, "exit": 0}, indent=2))
     else:
         print("\n".join(lines))

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import bisect
 from collections import defaultdict
-from functools import partial
+from functools import partial, reduce
 from itertools import count
-from operator import attrgetter, sub
+from operator import attrgetter, mul, sub
 from typing import NamedTuple
 
 from .diffpoly import Derivative, Ranking
@@ -168,13 +168,29 @@ def _over(h, m):
                   RationalFunction(h.const, m))
 
 
+def _quotient(num, factors):
+    """num over the product of ``factors``, all polynomials, as a reduced
+    RationalFunction, without the gcd of num and the whole product: num is
+    cancelled against each factor in turn, since gcd(n, ab) = gcd(n, a) *
+    gcd(n/gcd(n, a), b), and only the reduced factors are multiplied."""
+    reduced = []
+    for f in factors:
+        if not (num.is_constant() or f.is_constant()):
+            g = poly_gcd(num, f)
+            if not g.is_one():
+                num, f = num.divexact(g), f.divexact(g)
+        reduced.append(f)
+    return RationalFunction.coprime(num, reduce(mul, reduced))
+
+
 def _reduce(p, ranking, reducer_for):
     """Full reduction of p over Z[x]; ``reducer_for`` gives the triple that
-    reduces a derivative, or None.  Returns (h, m): h is m*p minus prolongations
-    of reducers, for m the product of the pseudo-division multipliers.  Each
-    step reduces the highest-ranked term that has a reducer; a derivative's
+    reduces a derivative, or None.  Returns (h, ms): h is m*p minus
+    prolongations of reducers, for m the product of the pseudo-division
+    multipliers listed in ``ms``, which is left unmultiplied.  Each step
+    reduces the highest-ranked term that has a reducer; a derivative's
     reducer, and its key if it has one, are found once per call."""
-    h, m = p, p.const._one()
+    h, ms = p, []
     found = {}  # derivative -> (key, derivative, reducer), or None without a reducer
     while True:
         for d in h.terms:
@@ -196,8 +212,8 @@ def _reduce(p, ranking, reducer_for):
             if not g.is_one():
                 lc, a = lc.divexact(g), a.divexact(g)
             h = h.scale(lc) + theta_f.scale(-a)
-            m = m * lc
-    return h, m
+            ms.append(lc)
+    return h, ms
 
 
 def _involutive_nf(p, triples, indexes, ranking):
@@ -226,8 +242,8 @@ def involutive_normal_form(p, G, division, ranking):
     """
     triples = _by_leader(G, ranking)
     lcm, q = _cleared(p)
-    h, m = _involutive_nf(q, triples, _cone_indexes(triples, division), ranking)
-    return _over(h, lcm * m)
+    h, ms = _involutive_nf(q, triples, _cone_indexes(triples, division), ranking)
+    return _over(h, reduce(mul, ms, lcm))
 
 
 def conventional_normal_form(p, G, ranking):
@@ -239,8 +255,8 @@ def conventional_normal_form(p, G, ranking):
                     and t.leader.index.divides(term.index)), key=_key, default=None)
 
     lcm, q = _cleared(p)
-    h, m = _reduce(q, ranking, reducer_for)
-    return _over(h, lcm * m)
+    h, ms = _reduce(q, ranking, reducer_for)
+    return _over(h, reduce(mul, ms, lcm))
 
 
 def s_polynomial(f, g, ranking):
@@ -430,13 +446,15 @@ def minimal_involutive_basis(F, opts=None, trace=None):
                                                       comp_key)
         status = "criterion"
         if not skip:
-            r, m = _involutive_nf(p, triples, indexes, main)
+            r, ms = _involutive_nf(p, triples, indexes, main)
             if r.is_zero():
                 status = "zero"
             elif not r.terms:  # r/(lc*m) is a normal form of p/lc, for t.poly = lc*f
                 lc = t.poly.terms[t.leader]
                 f = _over(t.poly, lc).format(main)
-                raise _nonzero_constant(_over(r, lc * m), f"the equation {f} = 0" if x is None else
+                const = _quotient(r.const, [lc, *ms])
+                raise _nonzero_constant(r._raw({}, const),
+                                        f"the equation {f} = 0" if x is None else
                                         f"the prolongation of {f} = 0 by {p.ctx.variables[x]}")
             else:
                 status = "added"

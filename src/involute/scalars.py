@@ -390,6 +390,15 @@ def content(polys):
     return g._raw({(0,) * g.nvars: exact(r)})
 
 
+def _monic(num, den):
+    """num and den divided by the leading coefficient of den."""
+    lc = den.leading()[1]
+    if lc == 1:
+        return num, den
+    c = Fraction(1) / lc
+    return num.scale(c), den.scale(c)
+
+
 class RationalFunction:
     """Reduced quotient of two multivariate polynomials over Q."""
 
@@ -406,11 +415,12 @@ class RationalFunction:
             g = poly_gcd(num, den)
             if not g.is_one():
                 num, den = num.divexact(g), den.divexact(g)
-        lc = den.leading()[1]
-        if lc != 1:  # make den monic
-            num, den = num.scale(Fraction(1) / lc), den.scale(Fraction(1) / lc)
-        self.num = num
-        self.den = den
+        self.num, self.den = _monic(num, den)
+
+    @classmethod
+    def coprime(cls, num, den):
+        """num/den for polynomials whose gcd is constant: no gcd is taken."""
+        return cls._raw(*_monic(num, den))
 
     @classmethod
     def zero(cls, nvars):

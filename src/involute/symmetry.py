@@ -419,9 +419,10 @@ def determining_system(problem):
                     apart.append((sym, e))
                 else:
                     coeff_exp[pos[sym]] += e
-            if len(apart) != 1 or apart[0][1] != 1:
-                raise AssertionError("invariance condition is not linear in the ansatz")
-            (asym, _), = apart
+            # the prolonged field is linear in the ansatz, and the substituted
+            # right-hand sides hold no ansatz symbol: one, to the first power
+            (asym, e), = apart
+            assert e == 1, "invariance condition is not linear in the ansatz"
             bucket = buckets.setdefault(tuple(dpart), {})
             bucket.setdefault(asym, {})[tuple(coeff_exp)] = c
         for bucket in buckets.values():

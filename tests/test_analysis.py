@@ -180,6 +180,11 @@ class TestSolutionDimension:
         pf, basis = completed("janet3.pde", Division.POMMARET)
         assert solution_dimension(basis).value == 12
 
+    def test_repr_names_the_value(self):
+        assert repr(solution_dimension(completed("janet3.pde")[1])) == "SolutionDimension(12)"
+        assert repr(solution_dimension(completed("lewy.pde")[1])) == (
+            "SolutionDimension(infinite)")
+
     # the dimension is read off the cones alone; the Hilbert polynomial must
     # agree: constant, and equal to the cone count, iff no cone has multipliers
     @pytest.mark.parametrize("name, division", [

@@ -563,6 +563,10 @@ class TestCli:
          "left side must be a single derivative (line 3)"),
         (["symmetry"], "vars: t x\nfuncs: y\nsolve: D[y,t] = D[y,t,x]\n",
          "rhs contains the lead or one of its derivatives (line 3)"),
+        (["symmetry"], "vars: x t\nfuncs: u v\nsolve: D[u,t] = D[v,x]\nsolve: D[v,x] = D[u,t]\n",
+         "substitution did not reach a fixed point; circular leads?"),
+        (["symmetry"], "vars: x t\nfuncs: u\ndetvars: u x\nsolve: D[u,t] = D[u,x,x]\n",
+         "determining order must list every coordinate once"),
         (["monomial", "--action", "decompose", "--division", "pommaret"],
          "vars: x1 x2\nfuncs: y\neq: D[y,{0,1}]\neq: D[y,{0,2}]\n",
          "set is not pommaret-involutive"),
@@ -640,13 +644,13 @@ class TestCli:
         ["symmetry", "diffusion.pde"],
     ])
     def test_non_orderly_ranking_fails_before_completing(self, capsys, monkeypatch, argv):
-        from involute import cli, symmetry
+        from involute import completion, symmetry
         calls = []
 
         def record(name):
             return lambda *args, **kwargs: calls.append(name)
 
-        monkeypatch.setattr(cli, "minimal_involutive_basis", record("complete"))
+        monkeypatch.setattr(completion, "minimal_involutive_basis", record("complete"))
         monkeypatch.setattr(symmetry, "minimal_involutive_basis", record("complete"))
         monkeypatch.setattr(symmetry, "determining_system", record("determining_system"))
         code, out, err = run_cli(capsys, argv[0], str(PROBLEMS / argv[1]), "--ranking", "lex")
@@ -821,7 +825,7 @@ def full_parser():
     for name, fn in cli.COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("file", help="problem file")
-        for flag, readers, keywords in cli.FLAGS:
+        for flag, readers, keywords in cli.flags():
             if name in readers:
                 p.add_argument(flag, **keywords)
         p.set_defaults(fn=fn)
@@ -850,7 +854,7 @@ def flag_cases(reads):
     """(flag, its argparse keywords, subcommand) for each subcommand that
     reads the flag (``reads``) or does not."""
     return [pytest.param(flag, keywords, name, id=f"{name} {flag}")
-            for flag, readers, keywords in cli.FLAGS for name in cli.COMMANDS
+            for flag, readers, keywords in cli.flags() for name in cli.COMMANDS
             if (name in readers) == reads]
 
 

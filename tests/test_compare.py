@@ -22,7 +22,9 @@ def test_tree_compared_with_itself_is_identical():
             ["monomial", "problems/example1.pde", "--action", "decompose"]]
     table = compare.table()
     assert all(argv in table for argv in runs)
-    assert compare.compare(ROOT, ROOT, runs) == {
+    got = compare.compare(ROOT, ROOT, runs)
+    assert set(got.pop("finished_both_seconds")) == {"this", "other"}
+    assert got == {
         "runs": 3, "identical": 3, "differing": [], "past_limit": {"this": [], "other": []},
         "finished_one_side": {"this": [], "other": []}}
 
@@ -34,7 +36,9 @@ def test_corpus_compared_with_itself_is_identical(tmp_path):
     runs = [["complete", names[k], "--cap", "200", *division]
             for k, division in zip(CORPUS_PICKS, compare.DIVISIONS[1:])]
     assert all(argv in compare.corpus_table(names) for argv in runs)
-    assert compare.compare(ROOT, ROOT, runs, tmp_path, compare.CORPUS_LIMIT_S) == {
+    got = compare.compare(ROOT, ROOT, runs, tmp_path, compare.CORPUS_LIMIT_S)
+    assert set(got.pop("finished_both_seconds")) == {"this", "other"}
+    assert got == {
         "runs": 3, "identical": 3, "differing": [], "past_limit": {"this": [], "other": []},
         "finished_one_side": {"this": [], "other": []}}
 
@@ -65,4 +69,31 @@ def test_run_finished_on_one_side_carries_its_seconds():
         "runs": 3, "identical": 1, "differing": [],
         "past_limit": {"this": [runs[1]], "other": [runs[0]]},
         "finished_one_side": {"this": [{"argv": runs[0], "seconds": 7.9}],
-                              "other": [{"argv": runs[1], "seconds": 3.25}]}}
+                              "other": [{"argv": runs[1], "seconds": 3.25}]},
+        "finished_both_seconds": {"this": 0.2, "other": 0.3}}
+
+
+def test_seconds_are_added_up_before_they_are_rounded():
+    report = load_compare().report
+    runs = [["complete", name] for name in ("a.pde", "b.pde", "c.pde")]
+    done = (0, "out\n", "")
+    got = report(runs, [(done, 0.004)] * 3, [(done, 0.0049)] * 3)
+    assert got["finished_both_seconds"] == {"this": 0.01, "other": 0.01}
+
+
+def test_the_two_runs_of_each_argv_are_submitted_together(monkeypatch):
+    # one worker starts the runs in the order they were submitted
+    compare = load_compare()
+    started = []
+
+    def recorded(root, argv, cwd, limit):
+        started.append((root, argv[1]))
+        return (0, argv[1], ""), 0.5
+
+    monkeypatch.setattr(compare, "run", recorded)
+    monkeypatch.setattr(compare, "WORKERS", 1)
+    runs = [["complete", name] for name in ("a.pde", "b.pde", "c.pde")]
+    got = compare.compare("this", "other", runs)
+    assert started == [(root, name) for name in ("a.pde", "b.pde", "c.pde")
+                       for root in ("this", "other")]
+    assert got["identical"] == 3 and got["finished_both_seconds"] == {"this": 1.5, "other": 1.5}

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import sys
 
 import pytest
 
@@ -8,7 +9,7 @@ from involute import (CapExceeded, CompletionOptions, Division, NoFiniteBasis, R
                       involutive_normal_form, minimal_involutive_basis,
                       parse_problem, s_polynomial, verify_involutive)
 from involute import completion
-from involute.scalars import RationalFunction
+from involute.scalars import MultivarPolynomial, RationalFunction
 from involute.symmetry import determining_system
 from conftest import PROBLEMS, load_problem, norm_set, system, verify_partial_involutive
 
@@ -327,6 +328,12 @@ class TestPartialInvolutivity:
         assert s == (f.prolong(gamma.index / f.ld(GRL).index)
                      - g.prolong(gamma.index / g.ld(GRL).index))
 
+    def test_s_polynomial_of_two_functions(self):
+        _, (f, g) = system("vars: x1 x2\nfuncs: y z\neq: D[y,{1,0}]\neq: D[z,{0,1}]\n")
+        with pytest.raises(ValueError) as err:
+            s_polynomial(f, g, GRL)
+        assert str(err.value) == "S-polynomial requires leaders of the same function"
+
 
 class TestChainCriterionDirect:
     def _setup(self, division=Division.JANET):
@@ -608,6 +615,54 @@ class TestFractionFreeLoop:
         basis = minimal_involutive_basis(eqs, CompletionOptions(main=Ranking("degrevlex")))
         assert calls["loop"] == 0
         assert calls["basis"] > 0 and len(basis) > 0
+
+
+class TestMultipliersKeptAsAList:
+    """The pseudo-division multipliers of a normal form are listed, not
+    multiplied: only an exit-3 message and the public normal forms read them."""
+
+    def test_normal_forms_build_no_product_of_multipliers(self, monkeypatch):
+        # the NLS determining system has leading coefficients that are not
+        # constants, so its normal forms pseudo-divide
+        problem = parse_problem((PROBLEMS.parent / "perfbench" / "inputs" / "nls.pde").read_text())
+        _, eqs = determining_system(problem.symmetry_problem())
+        reduce_code = completion._reduce.__code__
+        calls = {"__mul__": [], "poly_gcd": []}
+
+        def from_reduce(name, inner):
+            def counted(*args):
+                if sys._getframe(1).f_code is reduce_code:
+                    calls[name].append(args)
+                return inner(*args)
+            return counted
+
+        monkeypatch.setattr(MultivarPolynomial, "__mul__",
+                            from_reduce("__mul__", MultivarPolynomial.__mul__))
+        # _reduce takes a gcd only for a leading coefficient that is not 1
+        monkeypatch.setattr(completion, "poly_gcd", from_reduce("poly_gcd", completion.poly_gcd))
+        minimal_involutive_basis(eqs, CompletionOptions(main=Ranking("degrevlex")))
+        assert any(not lc.is_constant() for lc, _ in calls["poly_gcd"])
+        assert calls["__mul__"] == []
+
+    def test_exit_3_quotient_is_the_reduced_one(self):
+        x1, x2 = (MultivarPolynomial.variable(2, i) for i in range(2))
+        one = MultivarPolynomial.const(2, 1)
+        num = (x1 + one) * (x1 + one) * (x2 - x1).scale(3)
+        factors = [(x1 + one).scale(2), (x1 + one) * x2, (x2 - x1) * x1.scale(6),
+                   MultivarPolynomial.const(2, 5), x2 + one]
+        want = RationalFunction(num, factors[0] * factors[1] * factors[2] * factors[3]
+                                * factors[4])
+        got = completion._quotient(num, factors)
+        assert (got.num, got.den) == (want.num, want.den)
+        assert got.format(["x1", "x2"]) == "1/20/(x1*x2^2 + x1*x2)"
+
+    def test_public_normal_forms_divide_by_every_multiplier(self):
+        # x1*D[y,x1] - y reduces D[y,{3,0}] in two steps, each multiplying by x1
+        pf, eqs = system("vars: x1 x2\nfuncs: y\neq: x1*D[y,{1,0}] - y\n")
+        p = system("vars: x1 x2\nfuncs: y\neq: D[y,{3,0}] + D[y,{0,1}]\n")[1][0]
+        nf = involutive_normal_form(p, eqs, Division.JANET, pf.ranking())
+        assert nf == conventional_normal_form(p, eqs, pf.ranking())
+        assert nf.format(pf.ranking()) == "D[y,{0,1}]"
 
 
 class TestStoredLeaders:

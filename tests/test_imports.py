@@ -56,22 +56,21 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert out == "[]\n"
 
 
-def modules_loaded(*argv):
+def modules_loaded(*argv, status=0):
     """The package modules a fresh interpreter holds after ``involute argv``
-    exits 0 (-S: no site .pth imports)."""
+    exits with ``status`` (-S: no site .pth imports)."""
     code = ("import sys\nfrom involute.cli import main\nexit_code = main(sys.argv[1:])\n"
             "print([exit_code, sorted(m for m in sys.modules if m.startswith('involute.'))])")
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run([sys.executable, "-S", "-c", code, *argv], env=env, cwd=ROOT,
                          capture_output=True, text=True, check=True).stdout
     exit_code, modules = ast.literal_eval(out.splitlines()[-1])
-    assert exit_code == 0
+    assert exit_code == status
     return set(modules)
 
 
 # (argv, the modules it loads beyond those every command loads)
 SUBCOMMANDS = [
-    (["--help"], set()),
     (["complete", "problems/janet3.pde"], set()),
     (["verify", "problems/janet3.pde"], set()),
     (["monomial", "problems/pommaret_basis.pde", "--action", "complete"], set()),
@@ -89,6 +88,18 @@ def test_subcommand_loads_only_what_it_runs(argv, optional):
     base = {f"involute.{m}" for m in ("cli", "probfile", "completion", "diffpoly",
                                       "monomial", "scalars")}
     assert modules_loaded(*argv) == base | optional
+
+
+@pytest.mark.parametrize("argv, status", [(["--help"], 0), (["-h"], 0), ([], 1), (["bogus"], 1)],
+                         ids=repr)
+def test_help_and_usage_errors_load_only_the_command_line(argv, status):
+    assert modules_loaded(*argv, status=status) == {"involute.cli"}
+
+
+def test_subcommand_help_loads_only_the_layers_of_its_choices():
+    # --division from monomial, --ranking and --tie from diffpoly
+    assert modules_loaded("complete", "--help") == {
+        f"involute.{m}" for m in ("cli", "diffpoly", "monomial", "scalars")}
 
 
 # the names the package bound when __init__ imported every submodule, less

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from involute.scalars import (ExactDivisionError, MultivarPolynomial, RationalFunction, content,
-                              poly_gcd)
+                              exact, poly_gcd)
 
 OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": operator.truediv}
 
@@ -399,3 +399,44 @@ class TestCoefficientTypes:
         assert type((p + p).terms[(0, 1)]) is int
         assert p.scale(2).terms == {(1, 0): 4, (0, 1): 1}
         assert all(type(c) is int for c in p.scale(2).terms.values())
+
+
+class TestMisuseAndRepr:
+    """Messages for misuse from library code, which the parser never makes."""
+
+    def test_exact_converts_other_numbers(self):
+        assert exact(0.5) == Fraction(1, 2) and type(exact(0.5)) is Fraction
+        assert exact(2.0) == 2 and type(exact(2.0)) is int
+        assert exact(True) == 1 and type(exact(True)) is int
+
+    @pytest.mark.parametrize("key", [(1,), (1, 0, 0), (1, -1)])
+    def test_bad_exponent_vector(self, key):
+        with pytest.raises(ValueError) as err:
+            P(2, {key: 1})
+        assert str(err.value) == f"bad exponent vector {key!r} for 2 variables"
+
+    def test_mixed_contexts(self):
+        with pytest.raises(ValueError, match="^mixed polynomial contexts$"):
+            MultivarPolynomial.variable(2, 0) + MultivarPolynomial.variable(3, 0)
+
+    def test_constant_value(self):
+        assert MultivarPolynomial.zero(2).constant_value() == 0
+        assert MultivarPolynomial.const(2, 7).constant_value() == 7
+        with pytest.raises(ValueError, match="^not a constant polynomial$"):
+            MultivarPolynomial.variable(2, 0).constant_value()
+
+    def test_division_by_zero(self):
+        with pytest.raises(ZeroDivisionError, match="^polynomial division by zero$"):
+            MultivarPolynomial.variable(2, 0).divexact(MultivarPolynomial.zero(2))
+        with pytest.raises(ZeroDivisionError, match="^zero denominator$"):
+            RationalFunction(MultivarPolynomial.variable(2, 0), MultivarPolynomial.zero(2))
+
+    def test_truth_value(self):
+        assert not RationalFunction.zero(2)
+        assert RationalFunction.variable(2, 1)
+
+    def test_reprs(self):
+        p = P(2, {(1, 0): 2, (0, 0): -1})
+        assert repr(p) == "MultivarPolynomial(2, 2*x1 - 1)"
+        x2 = MultivarPolynomial.variable(2, 1)
+        assert repr(RationalFunction(p, x2)) == "RationalFunction((2*x1 - 1)/x2)"

@@ -489,3 +489,20 @@ class TestDetOrderOverride:
         dim, basis, det_ctx = symmetry_dimension(pf.symmetry_problem())
         assert det_ctx.variables == ("t", "x", "y")
         assert dim.finite and dim.value == 3
+
+
+class TestMisuse:
+    """Messages for misuse from library code, which the parser never makes."""
+
+    def test_equal_polynomials_hash_alike(self):
+        s = dp(2, 1)
+        a, b = s["x"](0) * s["d"](0, 1, 0), s["d"](0, 1, 0) * s["x"](0)
+        assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+
+    def test_total_derivative_of_an_unknown_symbol(self):
+        with pytest.raises(ValueError, match=r"^unknown symbol \('q', 0\)$"):
+            DiffPolynomial.symbol(1, 1, ("q", 0)).total_derivative(0)
+
+    def test_empty_prolongation_path(self):
+        with pytest.raises(ValueError, match="^empty prolongation path$"):
+            VectorFieldAnsatz(1, 1).zeta(0, ())

@@ -8,11 +8,14 @@ over a fixed table of invocations: every subcommand, ``monomial`` once per
 ``--json``; and ``complete --trace``.  Then a seeded corpus of generated
 systems (``write_corpus``), each through ``complete --cap 200`` under each
 division at a shorter per-run limit.  Exit code, stdout and stderr are
-compared with the timing values blanked.  Prints one JSON line per set: the
-number of runs, how many were identical, the differing runs (argv and first
-differing line), the runs past the per-run limit on each side, and the runs
-that finished on one side only, each with its seconds on that side (a run
-close to the limit may finish on one side by chance).
+compared with the timing values blanked.  The two runs of each invocation
+are started together, so that a drift in the host's speed meets both sides
+alike.  Prints one JSON line per set: the number of runs, how many were
+identical, the differing runs (argv and first differing line), the runs past
+the per-run limit on each side, the runs that finished on one side only,
+each with its seconds on that side (a run close to the limit may finish on
+one side by chance), and the seconds each side took over the runs that
+finished on both.
 
     python tools/compare.py OTHER_ROOT     # e.g. a git archive of the parent commit
 """
@@ -93,7 +96,7 @@ def run(root, argv, cwd=ROOT, limit=LIMIT_S):
                               capture_output=True, text=True, timeout=limit)
     except subprocess.TimeoutExpired:
         return None, limit
-    seconds = round(time.perf_counter() - start, 2)
+    seconds = time.perf_counter() - start
     blanked = (TIMING.sub(r"\1\3<t>\2", s) for s in (done.stdout, done.stderr))
     return (done.returncode, *blanked), seconds
 
@@ -113,32 +116,42 @@ def first_difference(a, b):
 
 
 def compare(this, other, runs, cwd=ROOT, limit=LIMIT_S):
-    """The report on ``runs`` in ``cwd`` from the checkouts ``this`` and ``other``."""
+    """The report on ``runs`` in ``cwd`` from the checkouts ``this`` and
+    ``other``; the two runs of each argv are submitted one after the other."""
     with ThreadPoolExecutor(WORKERS) as pool:
-        mine = list(pool.map(lambda argv: run(this, argv, cwd, limit), runs))
-        theirs = list(pool.map(lambda argv: run(other, argv, cwd, limit), runs))
+        pairs = [[pool.submit(run, root, argv, cwd, limit) for root in (this, other)]
+                 for argv in runs]
+        mine = [a.result() for a, _ in pairs]
+        theirs = [b.result() for _, b in pairs]
     return report(runs, mine, theirs)
 
 
 def report(runs, mine, theirs):
-    """The report on ``runs`` from the (result, seconds) pairs of each side."""
+    """The report on ``runs`` from the (result, seconds) pairs of each side;
+    seconds are rounded to 0.01 only in the report."""
     out = {"runs": len(runs), "identical": 0, "differing": [],
            "past_limit": {"this": [], "other": []},
-           "finished_one_side": {"this": [], "other": []}}
+           "finished_one_side": {"this": [], "other": []},
+           "finished_both_seconds": {"this": 0, "other": 0}}
     for argv, (a, a_seconds), (b, b_seconds) in zip(runs, mine, theirs):
         for side, result, seconds, rival in (("this", a, a_seconds, b),
                                              ("other", b, b_seconds, a)):
             if result is None:
                 out["past_limit"][side].append(argv)
             elif rival is None:
-                out["finished_one_side"][side].append({"argv": argv, "seconds": seconds})
+                out["finished_one_side"][side].append({"argv": argv,
+                                                       "seconds": round(seconds, 2)})
         if a is None or b is None:
             continue
+        out["finished_both_seconds"]["this"] += a_seconds
+        out["finished_both_seconds"]["other"] += b_seconds
         diff = first_difference(a, b)
         if diff is None:
             out["identical"] += 1
         else:
             out["differing"].append({"argv": argv, "first_difference": diff})
+    for side, seconds in out["finished_both_seconds"].items():
+        out["finished_both_seconds"][side] = round(seconds, 2)
     return out
 
 

@@ -8,6 +8,12 @@ instruction to.  Only in-process lines are seen: a test that starts
 ``python -m involute.cli`` as a child process reaches nothing here.  Needs no
 coverage package.
 
+It is a gate: ``tools/unreached_allowed.json`` lists the lines that may stay
+unreached, each as its module, its source text (stripped) and the reason.
+The JSON line also names the unreached lines the list lacks and the listed
+lines that tier-1 now reaches, and the tool exits 1 if either is not empty,
+so the list cannot go stale.
+
     python tools/unreached.py            # from the root of a checkout
 
 The tracer slows the tests two- to threefold.
@@ -20,6 +26,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "involute"
+ALLOWED = ROOT / "tools" / "unreached_allowed.json"
 
 
 def executable_lines(path):
@@ -31,6 +38,24 @@ def executable_lines(path):
         lines.update(line for _, _, line in code.co_lines() if line)  # 0: module entry
         stack.extend(c for c in code.co_consts if hasattr(c, "co_lines"))
     return lines
+
+
+def gate(unreached, sources, allowed):
+    """({"not_allowed": the unreached lines that ``allowed`` does not list,
+    by module, "allowed_but_reached": the listed lines that are reached}, the
+    exit code: 1 if either is not empty), for ``allowed`` a list of
+    {"module", "line", "reason"} and ``sources`` each module's source lines."""
+    listed = {(entry["module"], entry["line"]) for entry in allowed}
+    seen, missing = set(), {}
+    for module, lines in unreached.items():
+        for number in lines:
+            key = (module, sources[module][number - 1].strip())
+            if key in listed:
+                seen.add(key)
+            else:
+                missing.setdefault(module, []).append(number)
+    stale = [{"module": m, "line": text} for m, text in sorted(listed - seen)]
+    return {"not_allowed": missing, "allowed_but_reached": stale}, int(bool(missing or stale))
 
 
 def main():
@@ -67,10 +92,12 @@ def main():
         if missing:
             unreached[path.stem] = missing
     count = sum(map(len, unreached.values()))
-    print(json.dumps({"pytest_exit": int(code), "executable": total,
-                      "reached": total - count, "unreached_count": count,
-                      "unreached": unreached}))
-    return 0
+    out = {"pytest_exit": int(code), "executable": total, "reached": total - count,
+           "unreached_count": count, "unreached": unreached}
+    sources = {p.stem: p.read_text(encoding="utf-8").splitlines() for p in files.values()}
+    verdict, exit_code = gate(unreached, sources, json.loads(ALLOWED.read_text(encoding="utf-8")))
+    print(json.dumps({**out, **verdict}))
+    return exit_code
 
 
 if __name__ == "__main__":
