@@ -20,8 +20,9 @@ newly found lower leader is displaced back into Q, in one re-filing of each
 index it touches, which keeps the final basis minimal.
 ``monomial.complete`` is this routine on the equations D[y, u] = 0.
 It works over Z[x], on primitive elements (polynomial coefficients of content 1),
-by pseudo-division (Geddes, Czapor and Labahn, 1992, ch. 7); monic elements over
-Q(x) are built only for the basis, InconsistentSystem and the public normal forms.
+by pseudo-division (Geddes, Czapor and Labahn, 1992, ch. 7).  Equations enter
+through ``LinearDiffPoly.cleared``; ``LinearDiffPoly.over`` returns to Q(x) only
+for the monic basis, InconsistentSystem and the public normal forms.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ def _by_leader(polys, ranking):
     for i, f in enumerate(polys):
         lead = f.ld(ranking)
         if lead not in triples:
-            f = _primitive(_cleared(f)[1], lead)
+            f = _primitive(f.cleared()[1], lead)
             triples[lead] = Triple(f, lead, (), i, lead, ranking.key(lead))
     return triples
 
@@ -136,19 +137,6 @@ def _by_leader(polys, ranking):
 def _cone_indexes(leaders, division):
     """One cone index per function over the multiindices of its leaders."""
     return {j: ConeIndex(division, us) for j, us in _leader_sets(leaders).items()}
-
-
-def _cleared(f):
-    """(L, L*f) for the lcm L of the denominators of f's coefficients."""
-    lcm = f.const.den  # 1 or the denominator of a nonzero constant
-    for c in f.terms.values():
-        if not c.den.is_one() and c.den != lcm:
-            lcm = c.den if lcm.is_one() else lcm * c.den.divexact(poly_gcd(lcm, c.den))
-
-    def clear(c):
-        return c.num if c.den == lcm else c.num * lcm.divexact(c.den)
-
-    return lcm, f._raw({d: clear(c) for d, c in f.terms.items()}, clear(f.const))
 
 
 def _primitive(h, lead):
@@ -160,12 +148,6 @@ def _primitive(h, lead):
     if g.is_one():
         return h
     return h._raw({d: c.divexact(g) for d, c in h.terms.items()}, h.const.divexact(g))
-
-
-def _over(h, m):
-    """h / m, for a polynomial m, with rational-function coefficients."""
-    return h._raw({d: RationalFunction(c, m) for d, c in h.terms.items()},
-                  RationalFunction(h.const, m))
 
 
 def _quotient(num, factors):
@@ -241,9 +223,9 @@ def involutive_normal_form(p, G, division, ranking):
     derivative of G; of two elements with one leader, the first reduces.
     """
     triples = _by_leader(G, ranking)
-    lcm, q = _cleared(p)
+    lcm, q = p.cleared()
     h, ms = _involutive_nf(q, triples, _cone_indexes(triples, division), ranking)
-    return _over(h, reduce(mul, ms, lcm))
+    return h.over(reduce(mul, ms, lcm))
 
 
 def conventional_normal_form(p, G, ranking):
@@ -254,9 +236,9 @@ def conventional_normal_form(p, G, ranking):
         return min((t for t in triples if t.leader.indet == term.indet
                     and t.leader.index.divides(term.index)), key=_key, default=None)
 
-    lcm, q = _cleared(p)
+    lcm, q = p.cleared()
     h, ms = _reduce(q, ranking, reducer_for)
-    return _over(h, reduce(mul, ms, lcm))
+    return h.over(reduce(mul, ms, lcm))
 
 
 def s_polynomial(f, g, ranking):
@@ -303,7 +285,7 @@ def chain_criterion(lead, theta, triples, indexes, ranking_c, key_lead):
 def _basis_of(triples, indexes, opts, examined=0):
     order = sorted(triples.values(), key=_key, reverse=True)
     seps = tuple(indexes[t.leader.indet].separation(t.leader.index) for t in order)
-    return InvolutiveBasis(tuple(_over(t.poly, t.poly.terms[t.leader]) for t in order),
+    return InvolutiveBasis(tuple(t.poly.over(t.poly.terms[t.leader]) for t in order),
                            tuple(t.leader for t in order), seps, opts, examined)
 
 
@@ -411,7 +393,7 @@ def minimal_involutive_basis(F, opts=None, trace=None):
         return None
 
     lds = [f.ld(main) for f in work]
-    work = [_primitive(_cleared(f)[1], d) for f, d in zip(work, lds)]
+    work = [_primitive(f.cleared()[1], d) for f, d in zip(work, lds)]
     start = min(range(len(work)), key=lambda i: (main.key(lds[i]), i))
     adjoin(new_triple(work[start], lds[start], set(), lds[start]))
     Q = []  # the queue, sorted lowest first: (main key, serial, triple)
@@ -451,7 +433,7 @@ def minimal_involutive_basis(F, opts=None, trace=None):
                 status = "zero"
             elif not r.terms:  # r/(lc*m) is a normal form of p/lc, for t.poly = lc*f
                 lc = t.poly.terms[t.leader]
-                f = _over(t.poly, lc).format(main)
+                f = t.poly.over(lc).format(main)
                 const = _quotient(r.const, [lc, *ms])
                 raise _nonzero_constant(r._raw({}, const),
                                         f"the equation {f} = 0" if x is None else

@@ -3,19 +3,21 @@
 A linear differential polynomial is a finite sum  c0 + sum c_k * D_k  where
 the c's are rational functions of the independent variables (polynomials, in
 the fraction-free completion loop) and each D_k is a derivative of one of the
-dependent functions (order 0 included).  Rankings are total orders on
+dependent functions (order 0 included).  ``cleared`` and ``over`` are the one
+passage between the two: the first multiplies the denominators out, the second
+divides polynomial coefficients by a polynomial into reduced quotients, and
+``normalize`` is the first followed by the second.  Rankings are total orders on
 derivatives compatible with differentiation; they are realized as sort keys,
 so the maximum key picks the leading derivative.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import neg
 from typing import NamedTuple
 
 from .monomial import MultiIndex
-from .scalars import RationalFunction, signed_sum
+from .scalars import RationalFunction, poly_gcd, signed_sum
 
 
 class Context(NamedTuple("Context", [("variables", tuple), ("functions", tuple)])):
@@ -205,19 +207,34 @@ class LinearDiffPoly:
             raise ValueError("cannot normalize the zero polynomial")
         if not self.terms:
             raise ValueError("cannot normalize a constant polynomial by a leading term")
-        lead = self.ld(ranking)
-        lc = self.terms[lead]
-        if lc.is_one():
-            return self
-        if lc.num.is_constant() and lc.den.is_one():
-            # a constant divides every reduced coefficient to a reduced one
-            c = Fraction(1) / lc.num.constant_value()
-            return self._raw({d: cc.scale(c) for d, cc in self.terms.items()},
-                             self.const.scale(c))
-        # lc * inv is 1 without a gcd; every other quotient takes one
-        inv, one = lc.inverse(), RationalFunction.one(self.ctx.n)
-        return self._raw({d: one if d == lead else c * inv for d, c in self.terms.items()},
-                         self.const * inv)
+        h = self.cleared()[1]
+        return h.over(h.terms[self.ld(ranking)])
+
+    def cleared(self):
+        """(L, L*self) for the lcm L of the denominators of the Q(x) coefficients:
+        L*self has polynomial coefficients."""
+        lcm = self.const.den  # 1 or the denominator of a nonzero constant
+        for c in self.terms.values():
+            if not c.den.is_one() and c.den != lcm:
+                lcm = c.den if lcm.is_one() else lcm * c.den.divexact(poly_gcd(lcm, c.den))
+
+        def clear(c):
+            return c.num if c.den == lcm else c.num * lcm.divexact(c.den)
+
+        return lcm, self._raw({d: clear(c) for d, c in self.terms.items()}, clear(self.const))
+
+    def over(self, m):
+        """self / m, for polynomial coefficients and a nonzero polynomial m, with
+        reduced Q(x) coefficients.  A coefficient equal to m gives 1 and a
+        constant m divides every coefficient without a gcd."""
+        one, constant = RationalFunction.one(m.nvars), m.is_constant()
+
+        def quotient(c):
+            if c == m:
+                return one
+            return RationalFunction.coprime(c, m) if constant else RationalFunction(c, m)
+
+        return self._raw({d: quotient(c) for d, c in self.terms.items()}, quotient(self.const))
 
     def sorted_terms(self, ranking):
         return sorted(self.terms.items(), key=lambda item: ranking.key(item[0]), reverse=True)

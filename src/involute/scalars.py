@@ -428,7 +428,7 @@ class RationalFunction:
 
     @classmethod
     def one(cls, nvars):
-        return cls(MultivarPolynomial.const(nvars, 1))
+        return cls._raw(MultivarPolynomial.const(nvars, 1), MultivarPolynomial.const(nvars, 1))
 
     @classmethod
     def const(cls, nvars, value):
@@ -461,7 +461,7 @@ class RationalFunction:
     def __neg__(self):
         return self._raw(-self.num, self.den)
 
-    # no fast paths: Q(x) arithmetic serves only parsing, normalize and output
+    # no fast paths: Q(x) arithmetic serves only parsing and the verification oracles
 
     def __add__(self, other):
         return RationalFunction(self.num * other.den + other.num * self.den, self.den * other.den)
@@ -483,9 +483,6 @@ class RationalFunction:
     def __pow__(self, k):
         # powers of coprime polynomials are coprime, and of a monic one monic
         return self._raw(self.num ** k, self.den ** k)
-
-    def scale(self, c):
-        return self._raw(self.num.scale(c), self.den) if c else RationalFunction.zero(self.nvars)
 
     def partial(self, i):
         # quotient rule

@@ -7,7 +7,8 @@ dependent function, each a function of all x's and y's).  Applying the
 prolonged vector field to an equation and eliminating the equation's lead
 and its differential consequences leaves a polynomial in the surviving
 derivative symbols whose coefficients, linear in the xi/eta derivatives,
-form the determining system.
+form the determining system.  Each determining equation is built with
+polynomial coefficients and made monic by one ``LinearDiffPoly.over``.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .analysis import solution_dimension
 from .completion import CompletionOptions, minimal_involutive_basis
 from .diffpoly import Context, Derivative, LinearDiffPoly, Ranking
 from .monomial import MultiIndex
-from .scalars import (MultivarPolynomial, RationalFunction, SparsePolynomial, exact,
-                      power_product, signed_sum, signed_term)
+from .scalars import (MultivarPolynomial, SparsePolynomial, exact, power_product, signed_sum,
+                      signed_term)
 
 
 def _add_index(alpha, i):
@@ -268,7 +269,7 @@ def apply_prolonged_field(f, ansatz, q):
     if q < f.max_order():
         raise ValueError(f"prolongation order {q} below the order of the equation")
     out = DiffPolynomial.zero(f.n, f.m)
-    for sym in f.symbols():
+    for sym in sorted(f.symbols()):
         if sym[0] == "x":
             coeff = ansatz.xi(sym[1])
         elif sym[0] == "y":
@@ -338,7 +339,7 @@ class _LeadSubstituter:
     def reduce(self, p):
         for _ in range(200):  # passes before the leads are taken to be circular
             mapping = {}
-            for sym in p.symbols():
+            for sym in sorted(p.symbols()):
                 idx = self._match(sym)
                 if idx is not None:
                     j, alpha = self.eqs[idx].lead
@@ -402,7 +403,7 @@ def determining_system(problem):
         raw.append(subst.reduce(g))
 
     internal = Ranking("grlex", "term")
-    one = MultivarPolynomial.const(nv, 1)
+    zero = MultivarPolynomial.zero(nv)
     collected = []
     for g in raw:
         # buckets[surviving derivative symbols][ansatz symbol] = coefficient
@@ -434,10 +435,9 @@ def determining_system(problem):
                     gamma[pos[("x", i)]] = beta[i]
                 for j in range(m):
                     gamma[pos[("y", j)]] = beta[n + j]
-                # a polynomial over 1 is a reduced quotient with a monic denominator
-                terms[Derivative(k, MultiIndex(gamma))] = RationalFunction._raw(one._raw(coeffs),
-                                                                                one)
-            collected.append(LinearDiffPoly(det_ctx, terms).normalize(internal))
+                terms[Derivative(k, MultiIndex(gamma))] = zero._raw(coeffs)
+            h = LinearDiffPoly(det_ctx, terms, zero)
+            collected.append(h.over(h.terms[h.ld(internal)]))
     # distinct equations by leader, then length, then printed form; only
     # equations tied on the first two are formatted
     ranked = sorted(((internal.key(e.ld(internal)), len(e.terms)), i, e)

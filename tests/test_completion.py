@@ -597,7 +597,7 @@ class TestFractionFreeLoop:
         calls = {"loop": 0, "basis": 0}
         where = ["loop"]
         for name in ("__init__", "__add__", "__sub__", "__mul__", "__truediv__", "__neg__",
-                     "__pow__", "inverse", "scale", "partial"):
+                     "__pow__", "inverse", "partial"):
             def counted(*args, _inner=getattr(RationalFunction, name), **kw):
                 calls[where[-1]] += 1
                 return _inner(*args, **kw)
@@ -615,6 +615,21 @@ class TestFractionFreeLoop:
         basis = minimal_involutive_basis(eqs, CompletionOptions(main=Ranking("degrevlex")))
         assert calls["loop"] == 0
         assert calls["basis"] > 0 and len(basis) > 0
+
+    def test_monic_basis_takes_no_gcd_for_the_leader(self, monkeypatch):
+        # the leader's coefficient over itself is 1, and y's coefficient 1
+        # over x is reduced: making x*D[y,x] + y monic needs no gcd
+        from involute import diffpoly, scalars
+        calls = []
+        for module in (scalars, diffpoly, completion):
+            def counted(*args, _inner=module.poly_gcd):
+                calls.append(args)
+                return _inner(*args)
+            monkeypatch.setattr(module, "poly_gcd", counted)
+        pf, eqs = system("vars: x\nfuncs: y\neq: x*D[y,x] + y\n")
+        basis = minimal_involutive_basis(eqs, CompletionOptions(main=pf.ranking()))
+        assert basis.format() == "D[y,{1}] + 1/x*y"
+        assert calls == []
 
 
 class TestMultipliersKeptAsAList:

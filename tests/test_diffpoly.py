@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from involute import (Context, Derivative, LinearDiffPoly, MultiIndex,
                       Ranking, RationalFunction)
+from involute.scalars import MultivarPolynomial
 from conftest import mi, system
 
 
@@ -217,6 +219,65 @@ class TestNormalizeByConstant:
         assert got.terms[got.ld(r)].is_one()
         for c in (*got.terms.values(), got.const):
             assert c == RationalFunction(c.num, c.den)
+
+
+# the passage between Q(x) and Z[x]: small polynomials in two variables
+CTX2 = Context(("x1", "x2"), ("y",))
+DERIVATIVES2 = [D(0, a, b) for a in range(2) for b in range(2)]
+small_polys = st.dictionaries(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                              st.fractions(-3, 3, max_denominator=3).filter(bool),
+                              max_size=3).map(lambda terms: MultivarPolynomial(2, terms))
+nonzero_polys = small_polys.filter(bool)
+
+
+@st.composite
+def with_polynomial_coefficients(draw):
+    """(h, m): h has polynomial coefficients and at least one derivative term;
+    m is a nonzero polynomial, a nonzero constant or one of h's coefficients."""
+    terms = draw(st.dictionaries(st.sampled_from(DERIVATIVES2), nonzero_polys,
+                                 min_size=1, max_size=4))
+    h = LinearDiffPoly(CTX2, terms, draw(small_polys))
+    constants = st.fractions(-4, 4, max_denominator=3).filter(bool).map(
+        lambda c: MultivarPolynomial.const(2, c))
+    return h, draw(nonzero_polys | constants | st.sampled_from(list(terms.values())))
+
+
+@st.composite
+def with_rational_coefficients(draw):
+    """f with reduced Q(x) coefficients and at least one derivative term."""
+    quotients = st.builds(RationalFunction, nonzero_polys, nonzero_polys)
+    terms = draw(st.dictionaries(st.sampled_from(DERIVATIVES2), quotients,
+                                 min_size=1, max_size=4))
+    const = draw(st.builds(RationalFunction, small_polys, nonzero_polys))
+    return LinearDiffPoly(CTX2, terms, const)
+
+
+class TestPassage:
+    # over and normalize give the canonical quotients that the reducing
+    # constructor and Q(x) division give, coefficient by coefficient
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(with_polynomial_coefficients())
+    def test_over_is_the_reducing_constructor(self, pair):
+        h, m = pair
+        got = h.over(m)
+        assert got.terms == {d: RationalFunction(c, m) for d, c in h.terms.items()}
+        assert got.const == RationalFunction(h.const, m)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(with_rational_coefficients(), st.sampled_from(["lex", "grlex", "degrevlex"]))
+    def test_normalize_is_division_by_the_leading_coefficient(self, f, scheme):
+        r = Ranking(scheme)
+        lc = f.terms[f.ld(r)]
+        got = f.normalize(r)
+        assert got.terms == {d: c / lc for d, c in f.terms.items()}
+        assert got.const == f.const / lc
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(with_rational_coefficients())
+    def test_cleared_has_polynomial_coefficients(self, f):
+        lcm, h = f.cleared()
+        assert all(c.__class__ is MultivarPolynomial for c in (*h.terms.values(), h.const))
+        assert h.over(lcm) == f
 
 
 # all derivatives of order <= 2 of u and v over three variables, highest first;

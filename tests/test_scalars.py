@@ -384,7 +384,7 @@ class TestCoefficientTypes:
     def test_arithmetic_stays_exact(self, pair, i, c):
         a, b = pair
         i %= a.nvars
-        assert_exact(a, b, a + b, a - b, a * b, a.scale(c), a.partial(i), -a)
+        assert_exact(a, b, a + b, a - b, a * b, a.partial(i), -a)
         if not b.is_zero():
             assert_exact(a / b, a / b * b)
         p, q = a.num, b.den

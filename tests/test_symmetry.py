@@ -373,6 +373,37 @@ class TestDeterminingSystems:
         assert eqs and calls == []
 
 
+# (poly_gcd calls, RationalFunction constructor calls) of one in-process
+# `involute symmetry` run on each benchmark input.  Counters are deterministic
+# where times are not; the jet arithmetic iterates its symbols sorted, so these
+# do not depend on the hash seed.  A change that moves one updates it and says why.
+COUNTER_PINS = {
+    "harrydym": (70, 87), "diffusion": (191, 62), "transport": (0, 0), "kdv": (39, 25),
+    "burgers": (49, 17), "heat": (6, 0), "nls": (311, 154), "zk": (54, 94), "kp": (74, 12),
+    "boussinesq": (58, 12), "euler2d": (0, 0),
+}
+
+
+class TestCounterPins:
+    @pytest.mark.parametrize("name", sorted(COUNTER_PINS))
+    def test_symmetry_run(self, monkeypatch, capsys, name):
+        from involute import cli, completion, diffpoly
+        calls = [0, 0]
+
+        def counter(slot, inner):
+            def counted(*args, **kw):
+                calls[slot] += 1
+                return inner(*args, **kw)
+            return counted
+
+        for module in (scalars, diffpoly, completion):
+            monkeypatch.setattr(module, "poly_gcd", counter(0, module.poly_gcd))
+        monkeypatch.setattr(RationalFunction, "__init__", counter(1, RationalFunction.__init__))
+        assert cli.main(["symmetry", str(INPUTS / f"{name}.pde")]) == 0
+        capsys.readouterr()
+        assert tuple(calls) == COUNTER_PINS[name]
+
+
 class TestKnownSolutionsAnnihilate:
     def test_diffusion_three_parameter_family(self):
         # xi_t = c1*t, xi_x = c1*x + c2*t + c3, eta = c2 over (y, x, t, c1, c2, c3)
