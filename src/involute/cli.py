@@ -95,9 +95,9 @@ def _basis(basis, ctx):
     return lines, blob
 
 
-def _dimension(dim):
-    if dim.finite:
-        return f"solution space dimension: {dim.value}", dim.value
+def _dimension(finite, value):
+    if finite:
+        return f"solution space dimension: {value}", value
     return "solution space dimension: infinite (arbitrary functions remain)", "infinite"
 
 
@@ -151,7 +151,7 @@ def cmd_ivp(problem, args):
     analysis.require_orderly(opts.main)
     basis = minimal_involutive_basis(problem.linear_system(), opts)
     spec = analysis.ivp_spec(basis)
-    dim_text, dim_json = _dimension(spec.dimension)
+    dim_text, dim_json = _dimension(spec.dimension.finite, spec.dimension.value)
     lines, blob = _basis(basis, ctx)
     lines += ["", "initial data for a unique solution:"]
     lines.extend("  " + ln for ln in spec.format(ctx).splitlines())
@@ -171,7 +171,8 @@ def cmd_hilbert(problem, args):
     analysis.require_orderly(opts.main)
     basis = minimal_involutive_basis(problem.linear_system(), opts)
     data = analysis.hilbert_data(basis)
-    dim_text, dim_json = _dimension(analysis.solution_dimension(basis))
+    # the dimension is finite iff the Hilbert polynomial is a constant, its value
+    dim_text, dim_json = _dimension(len(data.hp) == 1, int(data.hp[0]))
     samples = list(range(0, data.stabilization + 4))
     if args.s is not None and args.s not in samples:
         samples.append(args.s)
@@ -193,7 +194,7 @@ def cmd_symmetry(problem, args):
     require_orderly(opts.main)
     det_ctx, eqs = determining_system(sym)
     dim, basis, _ = symmetry_dimension(sym, opts)
-    dim_text, dim_json = _dimension(dim)
+    dim_text, dim_json = _dimension(dim.finite, dim.value)
     names = det_ctx.variables
     formatted = [e.format(opts.main) for e in eqs]
     lines = [f"determining system ({len(eqs)} equations) for "

@@ -4,7 +4,9 @@ The completion routine keeps its basis G as bookkeeping triples (poly,
 ancestor, processed-variables) keyed by leading derivative, and one
 ``monomial.ConeIndex`` per function over those leaders, which finds involutive
 divisors and keeps their separations as elements come and go, re-filing only
-the leaders below one node of its Janet tree under Janet division.  Leaders
+the leaders a change can reach: those below one node of the Janet tree under
+Janet division, those from the lowest one that came or went under
+lex-induced division, and the new leader alone under Pommaret.  Leaders
 in G are pairwise distinct: an adjoined normal form's leader lies in no cone,
 and every leader lies in its own.  The loop repeats one examination step:
 take the lowest nonmultiplicative prolongation, under the completion ranking,

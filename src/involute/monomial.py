@@ -107,34 +107,22 @@ def _check_set(U):
 
 
 def _pommaret_multiplicative(u):
-    n = len(u)
-    trailing = max((i for i, e in enumerate(u) if e), default=None)
-    if trailing is None:
-        return set(range(n))
-    return set(range(trailing, n))
+    # x_i is multiplicative iff no variable after x_i occurs in u
+    return set(range(max((i for i, e in enumerate(u) if e), default=0), len(u)))
 
 
-def _lex_induced_separations(U):
-    # U is lex-sorted, so the elements lexicographically below u are exactly
-    # those before it: x_i is nonmultiplicative for u iff some earlier element
-    # has a larger i-th exponent
-    n = len(U[0])
+def _lex_induced_separations(U, before):
+    # U is a run of lex-sorted tips and ``before`` the tips ahead of it, so the
+    # elements lexicographically below u are those of ``before`` and those
+    # before u in U: x_i is nonmultiplicative for u iff one of them has a
+    # larger i-th exponent
+    positions = range(len(U[0]))
+    running = [max(column) for column in zip(*before)] or [0] * len(positions)
     out = {}
-    running = [0] * n
     for u in U:
-        out[u] = {i for i in range(n) if u[i] >= running[i]}
-        running = [max(a, b) for a, b in zip(running, u)]
+        out[u] = {i for i in positions if u[i] >= running[i]}
+        running = list(map(max, running, u))
     return out
-
-
-def _multiplicative(U, kind):
-    """Multiplicative positions of each element of a lex-sorted distinct list,
-    under Pommaret or lex-induced division (``ConeIndex`` keeps Janet ones)."""
-    if kind is Division.POMMARET:
-        return {u: _pommaret_multiplicative(u) for u in U}
-    if kind is Division.LEX_INDUCED:
-        return _lex_induced_separations(U)
-    raise ValueError(f"unknown division {kind!r}")
 
 
 def separations(U, kind):
@@ -162,73 +150,66 @@ class ConeIndex:
     the cone of v iff the two agree on v's nonmultiplicative variables and
     w >= v on the others.  Tips are grouped by their set of nonmultiplicative
     variables, and inside a group a dict maps the exponents on those
-    variables to the tips, so a query makes one lookup per group.  Under Janet
-    division the index keeps the Janet tree of its tips (Gerdt, Blinkov,
-    Yanovich, CASC 2001) in nested dicts, the node at u[:i] keyed by the i-th
-    exponents below it, so a tip that comes or goes re-files only the tips
-    below one node on its path.
+    variables to the tips, so a query makes one lookup per group.  The tips
+    that extend a prefix are one run of the sorted tips, the tips below one
+    node of a Janet tree (Gerdt, Blinkov, Yanovich, CASC 2001); separations
+    and the tips a change can reach are read off these runs by bisection.
     """
 
-    __slots__ = ("kind", "tips", "groups", "filed", "tree")
+    __slots__ = ("kind", "tips", "groups", "filed")
 
     def __init__(self, kind, U=()):
         # nonmultiplicative set -> (that set, getter of the exponents on it,
         # {exponents: tips}, multiplicative positions); tip -> its group's set
+        if not isinstance(kind, Division):
+            raise ValueError(f"unknown division {kind!r}")
         self.kind = kind
         self.tips = _check_set(U)
         self.groups = {}
         self.filed = {}
-        self.tree = {}
-        for v in self.tips if kind is Division.JANET else ():
-            self._grow(v)
         self._refile(self.tips)
 
     def add(self, v, drop=()):
         """Adjoin tip v, after dropping the tips in ``drop``, in one re-filing
         pass; returns (tip, variables new to its nonmultiplicative set) for v
         and for every tip whose separation that changed."""
-        prefixes = [self._drop(u) for u in drop]
+        marks = [self._drop(u) for u in drop] + [self._toggled(v)]
         bisect.insort(self.tips, v)
-        if self.kind is Division.JANET:
-            return self._refile(self._below(prefixes + [self._grow(v)], v))
-        # Pommaret separations are local, so only v itself is filed
-        return self._refile([v] if self.kind is Division.POMMARET else self.tips)
+        return self._refile(self._reach(marks, v))
 
     def remove(self, *vs):
         """Drop tips vs and re-file, in one pass, the tips whose separation
         that changes."""
-        if len(vs) == len(self.tips):  # all of them: start afresh
-            return self.__init__(self.kind)
-        prefixes = [self._drop(v) for v in vs]
-        if self.kind is not Division.POMMARET:
-            self._refile(self._below(prefixes) if self.kind is Division.JANET else self.tips)
+        self._refile(self._reach([self._drop(v) for v in vs]))
 
     def _drop(self, v):
         del self.tips[bisect.bisect_left(self.tips, v)]
         self._unfile(v)
-        return self._prune(v) if self.kind is Division.JANET else None
+        return self._toggled(v)
 
-    def _grow(self, v):
-        # put v in the tree; returns u[:i+1] for the tips u that lose x_i as
-        # v[i] tops the keys at v[:i], the node where v leaves the tree, or None
-        node, raised = self.tree, None
-        for i, e in enumerate(v):
-            if e not in node:
-                if node and e > (top := max(node)):
-                    raised = v[:i] + (top,)
-                node[e] = {}
-            node = node[e]
-        return raised
+    def _toggled(self, v):
+        # on the tips without v: under Janet division u[:i+1] for the tips u
+        # whose x_i v's coming or going toggles, or None; v itself otherwise.
+        # v[:i] is v's longest common prefix with a neighbour at its
+        # insertion point, and v[i] tops the run of v[:i] iff the tip after
+        # v leaves that run; the tip before v then ends it
+        if self.kind is not Division.JANET:
+            return v
+        tips, k = self.tips, bisect.bisect_left(self.tips, v)
+        before = _common_prefix(v, tips[k - 1]) if k else -1
+        after = _common_prefix(v, tips[k]) if k < len(tips) else -1
+        return tips[k - 1][:before + 1] if before > after else None
 
-    def _prune(self, v):
-        # take v out of the tree, up to the deepest node v[:i] with another
-        # key; returns u[:i+1] for the tips u that regain x_i, or None
-        path = list(itertools.accumulate(v[:-1], dict.__getitem__, initial=self.tree))
-        for i in reversed(range(len(v))):
-            del path[i][v[i]]
-            if path[i]:
-                return v[:i] + (top,) if v[i] > (top := max(path[i])) else None
-        return None
+    def _reach(self, marks, *new):
+        # the tips whose separation a change can alter, in lex order, from the
+        # marks of the tips that came or went and the tip added, if any: under
+        # Janet the runs below the toggled prefixes, under lex-induced every
+        # tip from the lowest one that came or went, under Pommaret the new tip
+        if self.kind is Division.JANET:
+            return self._below(marks, *new)
+        if self.kind is Division.POMMARET:
+            return list(new)
+        return self.tips[bisect.bisect_left(self.tips, min(marks)):] if marks else []
 
     def _below(self, prefixes, *extra):
         # the tips that extend a prefix (a run of the lex-sorted tips), then
@@ -251,9 +232,13 @@ class ConeIndex:
         if not tips:
             return changed
         allv = frozenset(range(len(tips[0])))
-        seps = (_multiplicative(tips, self.kind).items() if self.kind is not Division.JANET
-                else self._janet(tips))
-        for v, mult in seps:
+        if self.kind is Division.JANET:
+            seps = self._janet(tips)
+        elif self.kind is Division.LEX_INDUCED:  # a lex reach is a suffix of the tips
+            seps = _lex_induced_separations(tips, self.tips[:len(self.tips) - len(tips)])
+        else:
+            seps = {u: _pommaret_multiplicative(u) for u in tips}
+        for v, mult in seps.items():
             nonmult, old = allv - mult, self.filed.get(v)
             if nonmult == old:
                 continue
@@ -272,16 +257,19 @@ class ConeIndex:
         return changed
 
     def _janet(self, tips):
-        # (tip, multiplicative positions) for each of tips: x_i is
-        # multiplicative for u iff u[i] is the largest key at u[:i]
-        out = []
+        # multiplicative positions of each of tips: x_i is multiplicative for
+        # u iff u[i] is the i-th exponent of the last tip that extends u[:i],
+        # which ends the run of u[:i]; the runs of u's prefixes narrow from
+        # the whole list, so each end is found by bisection inside the last
+        every, out = self.tips, {}
         for u in tips:
-            node, mult = self.tree, set()
+            hi, mult = len(every), set()
             for i, e in enumerate(u):
-                if len(node) == 1 or e == max(node):
+                if every[hi - 1][i] == e:
                     mult.add(i)
-                node = node[e]
-            out.append((u, mult))
+                else:
+                    hi = bisect.bisect_left(every, u[:i] + (e + 1,), 0, hi)
+            out[u] = mult
         return out
 
     def _unfile(self, v):
@@ -304,6 +292,14 @@ class ConeIndex:
     def covers(self, w, skip=None):
         """True iff w lies in the involutive cone of a tip other than ``skip``."""
         return next(self.divisors(w, skip), None) is not None
+
+
+def _common_prefix(u, v):
+    # the length of the longest common prefix of two distinct tips
+    i = 0
+    while u[i] == v[i]:
+        i += 1
+    return i
 
 
 def _exponents_on(positions):
@@ -506,20 +502,15 @@ def _normalized_lex_decomposition(U, n):
             gens.append((v, frozenset(s)))
             continue
         svars = sorted(s)
-        for extra in monomials_up_to(len(svars), q - v.degree - 1):
+        for extra in monomials_up_to(len(svars), q - v.degree):
             w = list(v)
             for pos, e in zip(svars, extra):
                 w[pos] += e
-            finite.append(MultiIndex(w))
-        for extra in monomials_of_degree(len(svars), q - v.degree):
-            w = list(v)
-            trailing = None
-            for local, (pos, e) in enumerate(zip(svars, extra)):
-                w[pos] += e
-                if e:
-                    trailing = local
-            mult = frozenset(svars[trailing:]) if trailing is not None else frozenset(svars)
-            gens.append((MultiIndex(w), mult))
+            if v.degree + extra.degree < q:
+                finite.append(MultiIndex(w))
+            else:
+                gens.append((MultiIndex(w), frozenset(
+                    svars[i] for i in _pommaret_multiplicative(extra))))
     finite = sorted(set(finite))
     gens = sorted(gens, key=operator.itemgetter(0))
     return ComplementaryDecomposition(tuple(finite), tuple(gens), n)

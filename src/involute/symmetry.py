@@ -373,7 +373,7 @@ def _default_det_order(n, m):
 def determining_context(problem):
     """Context of the determining system induced by the problem's ordering."""
     order = problem.det_order or _default_det_order(problem.n, problem.m)
-    if len(order) != problem.n + problem.m:
+    if sorted(order) != sorted(_default_det_order(problem.n, problem.m)):
         raise ValueError("determining order must list every coordinate once")
     names = []
     for head, k in order:

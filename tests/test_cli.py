@@ -584,6 +584,8 @@ class TestCli:
         (["complete"], "vars: x\nfuncs: y\ncompletion-ranking: lex\n"
                        "completion-ranking: grlex\neq: D[y,x]\n",
          "repeated key 'completion-ranking' (line 4)"),
+        (["symmetry"], "vars: x t\nfuncs: y\ndetvars: x x y\nsolve: D[y,t] = D[y,x,x]\n",
+         "determining order must list every coordinate once"),
     ])
     def test_input_errors_name_the_fault(self, tmp_path, capsys, argv, text, message):
         f = tmp_path / "bad.pde"
@@ -614,7 +616,9 @@ class TestCli:
         assert options == json.loads(by_file)["options"]
         assert options["completion_ranking"] == "lex, tiebreak=indet"
 
-    def test_ivp_decomposes_each_function_once(self, capsys, monkeypatch):
+    @staticmethod
+    def decompositions(capsys, monkeypatch, *argv):
+        """The complementary decompositions a successful invocation builds."""
         from involute import analysis
         decompose, calls = analysis.complementary_decomposition, []
 
@@ -623,8 +627,15 @@ class TestCli:
             return decompose(*args, **kwargs)
 
         monkeypatch.setattr(analysis, "complementary_decomposition", counted)
-        assert run_cli(capsys, "ivp", str(PROBLEMS / "janet3.pde"))[0] == 0
-        assert len(calls) == 1  # janet3 has one function
+        assert run_cli(capsys, *argv)[0] == 0
+        return calls
+
+    def test_ivp_decomposes_each_function_once(self, capsys, monkeypatch):
+        # janet3 has one function
+        assert len(self.decompositions(capsys, monkeypatch, "ivp", str(PROBLEMS / "janet3.pde"))) == 1
+
+    def test_hilbert_reads_the_dimension_off_the_polynomial(self, capsys, monkeypatch):
+        assert self.decompositions(capsys, monkeypatch, "hilbert", str(PROBLEMS / "janet3.pde")) == []
 
     def test_symmetry_formats_each_equation_once(self, capsys, monkeypatch):
         plain = LinearDiffPoly.format

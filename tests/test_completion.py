@@ -711,25 +711,25 @@ class TestSeparationCache:
         plain = minimal_involutive_basis(eqs, opts)
 
         passes, calls = [], []
-        real_pass, real = monomial._multiplicative, monomial.separations
+        real_pass, real = monomial._lex_induced_separations, monomial.separations
 
-        def counting_pass(U, kind):
-            passes.append(kind)
-            return real_pass(U, kind)
+        def counting_pass(U, before):
+            passes.append((len(U), len(before)))
+            return real_pass(U, before)
 
         def counting(U, kind):
             calls.append(kind)
             return real(U, kind)
 
-        monkeypatch.setattr(monomial, "_multiplicative", counting_pass)
+        monkeypatch.setattr(monomial, "_lex_induced_separations", counting_pass)
         monkeypatch.setattr(monomial, "separations", counting)
         trace = []
         basis = minimal_involutive_basis(eqs, opts, trace=trace)
         # G grows by at most one element per added prolongation and per queue
         # merge not skipped by the criterion; each such change, with the
-        # displacement it causes, is one lex-induced separation pass per
-        # function, while Janet separations are re-filed from the cone index's
-        # tree with no whole-set pass
+        # displacement it causes, is at most one lex-induced separation pass
+        # per function, over the tips from the lowest one that came or went,
+        # while Janet separations are read off the sorted tips with no such pass
         changes = sum(1 for e in trace
                       if e.get("result") == "added"
                       or (e["stage"] == "queue" and not e["criterion"]))
@@ -738,6 +738,8 @@ class TestSeparationCache:
             assert not passes
         else:
             assert 1 <= len(passes) <= pf.context().m * (1 + changes)
+            # some change re-separates fewer tips than the whole set
+            assert any(before for _, before in passes)
         assert basis.elements == plain.elements
         assert basis.separations == plain.separations
         assert basis.prolongations_examined == plain.prolongations_examined

@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import random
 
@@ -149,6 +150,17 @@ def toggle_runs(draw):
     return draw(st.lists(st.tuples(*[st.integers(0, 2)] * n), min_size=1, max_size=16))
 
 
+def filed_by_definition(U, kind):
+    """The nonmultiplicative set of each element of U, from the definitions."""
+    return {u: frozenset(range(len(u))) - frozenset(mult)
+            for u, mult in (multiplicative_by_definition(U, kind) if U else {}).items()}
+
+
+def divisors_by_definition(w, U, kind):
+    mult = multiplicative_by_definition(U, kind) if U else {}
+    return sorted(v for v in U if in_involutive_cone(w, v, mult[v]))
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(toggle_runs())
 def test_cone_index_add_and_remove_keep_separations(run):
@@ -164,18 +176,16 @@ def test_cone_index_add_and_remove_keep_separations(run):
                 tips.add(u)
                 index.add(u)
             assert index.tips == sorted(tips)
-            seps = separations(tips, kind)
-            assert index.filed == {v: sep.nonmultiplicative for v, sep in seps.items()}
+            assert index.filed == filed_by_definition(tips, kind)
             queries = set(tips) | {v.prolongation(i) for v in tips for i in range(n)}
             for w in queries:
-                want = [v for v in tips if in_involutive_cone(w, v, seps[v].multiplicative)]
-                assert sorted(index.divisors(w)) == sorted(want)
+                assert sorted(index.divisors(w)) == divisors_by_definition(w, tips, kind)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(toggle_runs(), st.data())
 def test_cone_index_drops_several_tips_at_once(run, data):
-    # remove(*vs) and add(v, drop) file the tips as an index built afresh does
+    # remove(*vs) and add(v, drop) file the tips as the definitions do
     tips = sorted(set(map(MultiIndex, run)))
     drop = data.draw(st.lists(st.sampled_from(tips), unique=True))
     kept = [u for u in tips if u not in drop]
@@ -184,15 +194,48 @@ def test_cone_index_drops_several_tips_at_once(run, data):
         index = ConeIndex(kind, tips)
         index.remove(*drop)
         assert index.tips == kept
-        assert index.filed == ConeIndex(kind, kept).filed
+        assert index.filed == filed_by_definition(kept, kind)
         if v not in kept:
             index = ConeIndex(kind, tips)
             index.add(v, drop)
-            fresh = ConeIndex(kind, kept + [v])
-            assert index.tips == fresh.tips
-            assert index.filed == fresh.filed
-            for w in fresh.tips:
-                assert sorted(index.divisors(w)) == sorted(fresh.divisors(w))
+            assert index.tips == sorted(kept + [v])
+            assert index.filed == filed_by_definition(index.tips, kind)
+            for w in index.tips:
+                assert sorted(index.divisors(w)) == divisors_by_definition(w, index.tips, kind)
+
+
+class RefileSpy(ConeIndex):
+    """A cone index that keeps the tips its last re-filing pass was given."""
+
+    __slots__ = ("refiled",)
+
+    def _refile(self, tips):
+        self.refiled = list(tips)
+        return super()._refile(tips)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(toggle_runs())
+def test_cone_index_refiles_only_what_a_change_can_reach(run):
+    # Janet: exactly the tips whose separation changes, the added tip among
+    # them; lex-induced: those tips and others, but none below the tip that
+    # came or went; Pommaret: the added tip alone
+    for kind in Division:
+        index = RefileSpy(kind)
+        for u in map(MultiIndex, run):
+            before = dict(index.filed)
+            if u in before:
+                index.remove(u)
+            else:
+                index.add(u)
+            changed = {v for v in index.tips if index.filed[v] != before.get(v)}
+            if kind is Division.JANET:
+                assert set(index.refiled) == changed
+            elif kind is Division.LEX_INDUCED:
+                assert changed <= set(index.refiled)
+                assert set(index.refiled) <= set(index.tips[bisect.bisect_left(index.tips, u):])
+            else:
+                assert index.refiled == ([] if u in before else [u])
 
 
 class TestInvolutiveDivides:
@@ -569,9 +612,8 @@ class TestAxioms:
          ["(d) violated for x1 in subset {x1}", "(d) violated for x1^2 in subset {x1^2}"]),
     ])
     def test_violation_reports(self, monkeypatch, rule, U, report):
-        # _multiplicative is the whole-set pass behind lex-induced separations;
-        # Janet ones come from the cone index's tree
-        monkeypatch.setattr(monomial, "_multiplicative", lambda U, kind: rule(U))
+        # a fresh index separates the whole set in one lex-induced pass
+        monkeypatch.setattr(monomial, "_lex_induced_separations", lambda U, before: rule(U))
         assert axioms_check(U, Division.LEX_INDUCED) == report
 
 
