@@ -67,7 +67,7 @@ class IVPSpec(NamedTuple):
             else:
                 ncon += 1
                 rhs = f"c{ncon}   (arbitrary constant)"
-            lines.append(f"{head} | {pin} = {rhs}")
+            lines.append(f"{head} | {pin} = {rhs}" if pin else f"{head} = {rhs}")
         return "\n".join(lines)
 
 

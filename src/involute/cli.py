@@ -262,7 +262,7 @@ COMMANDS = {"complete": cmd_complete, "verify": cmd_verify, "ivp": cmd_ivp,
 
 def _read(path):
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:  # a byte-order mark is not text
             return fh.read()
     except OSError as exc:
         from .probfile import ProblemError

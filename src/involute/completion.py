@@ -4,9 +4,9 @@ The completion routine keeps its basis G as bookkeeping triples (poly,
 ancestor, processed-variables) keyed by leading derivative, and one
 ``monomial.ConeIndex`` per function over those leaders, which finds involutive
 divisors and keeps their separations as elements come and go, re-filing only
-the leaders a change can reach: those below one node of the Janet tree under
-Janet division, those from the lowest one that came or went under
-lex-induced division, and the new leader alone under Pommaret.  Leaders
+the leaders a change can reach: under Janet division the runs of its sorted
+tips below the prefixes it toggles, under lex-induced division those from the
+lowest one that came or went, and under Pommaret the new leader alone.  Leaders
 in G are pairwise distinct: an adjoined normal form's leader lies in no cone,
 and every leader lies in its own.  The loop repeats one examination step:
 take the lowest nonmultiplicative prolongation, under the completion ranking,
@@ -24,7 +24,7 @@ index it touches, which keeps the final basis minimal.
 It works over Z[x], on primitive elements (polynomial coefficients of content 1),
 by pseudo-division (Geddes, Czapor and Labahn, 1992, ch. 7).  Equations enter
 through ``LinearDiffPoly.cleared``; ``LinearDiffPoly.over`` returns to Q(x) only
-for the monic basis, InconsistentSystem and the public normal forms.
+for the monic basis and the public normal forms.
 """
 
 from __future__ import annotations
@@ -38,7 +38,9 @@ from typing import NamedTuple
 
 from .diffpoly import Derivative, Ranking
 from .monomial import CapExceeded, ConeIndex, Division, NoFiniteBasis, quasi_stability_witness
-from .scalars import RationalFunction, content, poly_gcd
+from .scalars import content, poly_gcd
+
+MESSAGE_LIMIT = 200  # characters, at most, of an InconsistentSystem message from the loop
 
 class CompletionOptions(NamedTuple("CompletionOptions", [
         ("division", Division), ("main", Ranking), ("completion", Ranking), ("cap", int),
@@ -60,8 +62,17 @@ class InconsistentSystem(ValueError):
     """An equation or a prolongation reduced to a nonzero constant: 0 = c."""
 
 
-def _nonzero_constant(poly, what):
-    return InconsistentSystem(f"{what} reduces to {poly.const.format(poly.ctx.variables)} = 0")
+def _inconsistent(t, c, x, ranking):
+    """InconsistentSystem for triple t's element, or its prolongation by x unless x is None,
+    with fraction-free remainder c; past MESSAGE_LIMIT, t goes by its leader, c by its size."""
+    names, f = t.poly.ctx.variables, t.poly.format(ranking)
+    text = (f"the equation {f} = 0" if x is None else
+            f"the prolongation of {f} = 0 by {names[x]}") + f" reduces to {c.format(names)} = 0"
+    if len(text) > MESSAGE_LIMIT:
+        text = (("" if x is None else f"the prolongation by {names[x]} of ") + "the equation led by "
+                f"{t.leader.format(t.poly.ctx)} reduces to c = 0, c of total degree "
+                f"{c.total_degree()} with {len(c.terms)} terms")
+    return InconsistentSystem(text)
 
 
 def _input_system(F):
@@ -71,7 +82,8 @@ def _input_system(F):
         raise ValueError("input system is empty or all zero")
     for f in work:
         if not f.terms:
-            raise _nonzero_constant(f, "an input equation")
+            raise InconsistentSystem(
+                f"an input equation reduces to {f.const.format(f.ctx.variables)} = 0")
     return work
 
 
@@ -152,28 +164,12 @@ def _primitive(h, lead):
     return h._raw({d: c.divexact(g) for d, c in h.terms.items()}, h.const.divexact(g))
 
 
-def _quotient(num, factors):
-    """num over the product of ``factors``, all polynomials, as a reduced
-    RationalFunction, without the gcd of num and the whole product: num is
-    cancelled against each factor in turn, since gcd(n, ab) = gcd(n, a) *
-    gcd(n/gcd(n, a), b), and only the reduced factors are multiplied."""
-    reduced = []
-    for f in factors:
-        if not (num.is_constant() or f.is_constant()):
-            g = poly_gcd(num, f)
-            if not g.is_one():
-                num, f = num.divexact(g), f.divexact(g)
-        reduced.append(f)
-    return RationalFunction.coprime(num, reduce(mul, reduced))
-
-
 def _reduce(p, ranking, reducer_for):
     """Full reduction of p over Z[x]; ``reducer_for`` gives the triple that
-    reduces a derivative, or None.  Returns (h, ms): h is m*p minus
-    prolongations of reducers, for m the product of the pseudo-division
-    multipliers listed in ``ms``, which is left unmultiplied.  Each step
-    reduces the highest-ranked term that has a reducer; a derivative's
-    reducer, and its key if it has one, are found once per call."""
+    reduces a derivative, or None.  Returns (h, ms): h is m*p minus prolongations
+    of reducers, for m the product of the pseudo-division multipliers in the
+    list ``ms``.  Each step reduces the highest-ranked term that has a reducer;
+    a derivative's reducer, and its key if it has one, are found once per call."""
     h, ms = p, []
     found = {}  # derivative -> (key, derivative, reducer), or None without a reducer
     while True:
@@ -430,16 +426,11 @@ def minimal_involutive_basis(F, opts=None, trace=None):
                                                       comp_key)
         status = "criterion"
         if not skip:
-            r, ms = _involutive_nf(p, triples, indexes, main)
+            r = _involutive_nf(p, triples, indexes, main)[0]
             if r.is_zero():
                 status = "zero"
-            elif not r.terms:  # r/(lc*m) is a normal form of p/lc, for t.poly = lc*f
-                lc = t.poly.terms[t.leader]
-                f = t.poly.over(lc).format(main)
-                const = _quotient(r.const, [lc, *ms])
-                raise _nonzero_constant(r._raw({}, const),
-                                        f"the equation {f} = 0" if x is None else
-                                        f"the prolongation of {f} = 0 by {p.ctx.variables[x]}")
+            elif not r.terms:
+                raise _inconsistent(t, r.const, x, main)
             else:
                 status = "added"
                 adjoin_normal_form(r, lead, t.ancestor, processed)

@@ -113,6 +113,16 @@ class TestIVP:
         text = ivp_spec(basis).format(pf.context())
         assert "x1=x1°" in text and "f1(x4)" in text
 
+    @pytest.mark.parametrize("division", list(Division))
+    def test_free_function_fixes_no_coordinate(self, division):
+        # z has no leader, so every variable is a multiplier and none is fixed
+        pf, eqs = system("vars: x1 x2\nfuncs: y z\neq: D[y,{1,0}]\n")
+        basis = minimal_involutive_basis(eqs, CompletionOptions(division=division,
+                                                                main=pf.ranking()))
+        lines = ivp_spec(basis).format(pf.context()).splitlines()
+        assert lines[-1] == "z = f2(x1, x2)   (arbitrary function)"
+        assert all(" | " in line for line in lines[:-1])
+
 
 class TestHilbert:
     def test_empty_leading_set_formula(self):

@@ -634,7 +634,7 @@ class TestFractionFreeLoop:
 
 class TestMultipliersKeptAsAList:
     """The pseudo-division multipliers of a normal form are listed, not
-    multiplied: only an exit-3 message and the public normal forms read them."""
+    multiplied: only the public normal forms read them."""
 
     def test_normal_forms_build_no_product_of_multipliers(self, monkeypatch):
         # the NLS determining system has leading coefficients that are not
@@ -658,18 +658,6 @@ class TestMultipliersKeptAsAList:
         minimal_involutive_basis(eqs, CompletionOptions(main=Ranking("degrevlex")))
         assert any(not lc.is_constant() for lc, _ in calls["poly_gcd"])
         assert calls["__mul__"] == []
-
-    def test_exit_3_quotient_is_the_reduced_one(self):
-        x1, x2 = (MultivarPolynomial.variable(2, i) for i in range(2))
-        one = MultivarPolynomial.const(2, 1)
-        num = (x1 + one) * (x1 + one) * (x2 - x1).scale(3)
-        factors = [(x1 + one).scale(2), (x1 + one) * x2, (x2 - x1) * x1.scale(6),
-                   MultivarPolynomial.const(2, 5), x2 + one]
-        want = RationalFunction(num, factors[0] * factors[1] * factors[2] * factors[3]
-                                * factors[4])
-        got = completion._quotient(num, factors)
-        assert (got.num, got.den) == (want.num, want.den)
-        assert got.format(["x1", "x2"]) == "1/20/(x1*x2^2 + x1*x2)"
 
     def test_public_normal_forms_divide_by_every_multiplier(self):
         # x1*D[y,x1] - y reduces D[y,{3,0}] in two steps, each multiplying by x1
