@@ -6,17 +6,20 @@ accepts no other.  ``main`` parses the problem file once, and each ``cmd_*``
 returns its report as text lines and as a JSON document; ``main`` prints
 one of the two, the document under ``--json``.  Each layer is imported
 where a command uses it, so loading this module imports only ``argparse``,
-``gc``, ``sys`` and ``time``: ``involute --help``, a bare ``involute`` and a
-usage error compile no engine module, and a command compiles only what it
-runs (``analysis`` for ``ivp``, ``hilbert`` and ``symmetry``, ``symmetry``
+``gc``, ``os``, ``sys`` and ``time``: ``involute --help``, a bare ``involute``
+and a usage error compile no engine module, and a command compiles only what
+it runs (``analysis`` for ``ivp``, ``hilbert`` and ``symmetry``, ``symmetry``
 for ``symmetry`` alone).  Exit codes: 0 success, 1 input or usage error,
 2 prolongation cap exceeded or, under Pommaret division, no finite basis (a
 leading ideal that is not quasi-stable, so any cap would be exceeded),
-3 inconsistent system (an equation or a prolongation reduces to 0 = c).
+3 inconsistent system (an equation or a prolongation reduces to 0 = c),
+4 the report could not be written (a full disk, say); a reader that closes
+the pipe early, as ``head`` does, is no fault and changes no code.
 """
 
 import argparse
 import gc
+import os
 import sys
 import time
 
@@ -289,12 +292,25 @@ def build_parser(argv):
     return ap
 
 
+def _written(text, code):
+    """``code``, once ``text`` and all that stdout holds are written; 4, with
+    one line on stderr, if that fails, but a closed pipe leaves ``code`` as it is."""
+    try:
+        print(text, end="", flush=True)
+    except BrokenPipeError:  # the reader took what it wanted
+        pass
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 4
+    return code
+
+
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = build_parser(argv).parse_args(argv)
     except SystemExit as exc:  # argparse exits 0 after --help, 2 on a usage error
-        return 1 if exc.code else 0
+        return _written("", 1 if exc.code else 0)
     from .completion import InconsistentSystem
     from .monomial import CapExceeded
     from .probfile import ProblemError, parse_problem
@@ -311,18 +327,21 @@ def main(argv=None):
         return 1
     if args.json:
         import json
-        print(json.dumps({"subcommand": args.subcommand, **doc, "exit": 0}, indent=2))
+        text = json.dumps({"subcommand": args.subcommand, **doc, "exit": 0}, indent=2)
     else:
-        print("\n".join(lines))
-    return 0
+        text = "\n".join(lines)
+    return _written(text + "\n", 0)
 
 
 def run():
     """Process entry of ``involute`` and ``python -m involute.cli``.  What
     ``main`` left alive is moved out of the collector's reach first, so the
-    full collections at interpreter exit do not walk it."""
+    full collections at interpreter exit do not walk it, and fd 1 is pointed
+    at ``os.devnull``, so the exit flush of what a failed write left in the
+    buffer of stdout cannot fail again."""
     code = main()
     gc.freeze()
+    os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
     sys.exit(code)
 
 

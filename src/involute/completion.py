@@ -23,8 +23,8 @@ index it touches, which keeps the final basis minimal.
 ``monomial.complete`` is this routine on the equations D[y, u] = 0.
 It works over Z[x], on primitive elements (polynomial coefficients of content 1),
 by pseudo-division (Geddes, Czapor and Labahn, 1992, ch. 7).  Equations enter
-through ``LinearDiffPoly.cleared``; ``LinearDiffPoly.over`` returns to Q(x) only
-for the monic basis and the public normal forms.
+through ``LinearDiffPoly.cleared`` and ``.primitive``; ``LinearDiffPoly.over`` returns to
+Q(x) only for the monic basis and the public normal forms.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 from .diffpoly import Derivative, Ranking
 from .monomial import CapExceeded, ConeIndex, Division, NoFiniteBasis, quasi_stability_witness
-from .scalars import content, poly_gcd
+from .scalars import _rat_normalize, poly_gcd
 
 MESSAGE_LIMIT = 200  # characters, at most, of an InconsistentSystem message from the loop
 
@@ -64,8 +64,8 @@ class InconsistentSystem(ValueError):
 
 def _inconsistent(t, c, x, ranking):
     """InconsistentSystem for triple t's element, or its prolongation by x unless x is None,
-    with fraction-free remainder c; past MESSAGE_LIMIT, t goes by its leader, c by its size."""
-    names, f = t.poly.ctx.variables, t.poly.format(ranking)
+    with remainder c, primitive over Z; past MESSAGE_LIMIT, t goes by its leader, c by its size."""
+    names, f, c = t.poly.ctx.variables, t.poly.format(ranking), _rat_normalize(c)
     text = (f"the equation {f} = 0" if x is None else
             f"the prolongation of {f} = 0 by {names[x]}") + f" reduces to {c.format(names)} = 0"
     if len(text) > MESSAGE_LIMIT:
@@ -143,7 +143,7 @@ def _by_leader(polys, ranking):
     for i, f in enumerate(polys):
         lead = f.ld(ranking)
         if lead not in triples:
-            f = _primitive(f.cleared()[1], lead)
+            f = f.cleared()[1].primitive(lead)
             triples[lead] = Triple(f, lead, (), i, lead, ranking.key(lead))
     return triples
 
@@ -151,17 +151,6 @@ def _by_leader(polys, ranking):
 def _cone_indexes(leaders, division):
     """One cone index per function over the multiindices of its leaders."""
     return {j: ConeIndex(division, us) for j, us in _leader_sets(leaders).items()}
-
-
-def _primitive(h, lead):
-    """h, with polynomial coefficients and leader ``lead``, divided by their
-    content and signed so that the leading coefficient's leading term is positive."""
-    g = content([c for c in (*h.terms.values(), h.const) if c])
-    if h.terms[lead].leading()[1] < 0:
-        g = -g
-    if g.is_one():
-        return h
-    return h._raw({d: c.divexact(g) for d, c in h.terms.items()}, h.const.divexact(g))
 
 
 def _reduce(p, ranking, reducer_for):
@@ -357,7 +346,7 @@ def minimal_involutive_basis(F, opts=None, trace=None):
     def adjoin_normal_form(r, leader, ancestor, processed):
         """Adjoin r, the nonzero normal form of an element led by ``leader``."""
         lead = r.ld(main)
-        r = _primitive(r, lead)
+        r = r.primitive(lead)
         dropped = defaultdict(list)
         if lead != leader:
             # a lower leader starts its own ancestry and displaces every
@@ -391,7 +380,7 @@ def minimal_involutive_basis(F, opts=None, trace=None):
         return None
 
     lds = [f.ld(main) for f in work]
-    work = [_primitive(f.cleared()[1], d) for f, d in zip(work, lds)]
+    work = [f.cleared()[1].primitive(d) for f, d in zip(work, lds)]
     start = min(range(len(work)), key=lambda i: (main.key(lds[i]), i))
     adjoin(new_triple(work[start], lds[start], set(), lds[start]))
     Q = []  # the queue, sorted lowest first: (main key, serial, triple)

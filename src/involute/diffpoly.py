@@ -6,9 +6,10 @@ the fraction-free completion loop) and each D_k is a derivative of one of the
 dependent functions (order 0 included).  ``cleared`` and ``over`` are the one
 passage between the two: the first multiplies the denominators out, the second
 divides polynomial coefficients by a polynomial into reduced quotients, and
-``normalize`` is the first followed by the second.  Rankings are total orders on
-derivatives compatible with differentiation; they are realized as sort keys,
-so the maximum key picks the leading derivative.
+``normalize`` is the first followed by the second; ``primitive`` is the one
+canonical form over Z[x].  Rankings are total orders on derivatives compatible
+with differentiation; they are realized as sort keys, so the maximum key picks
+the leading derivative.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from operator import neg
 from typing import NamedTuple
 
 from .monomial import MultiIndex
-from .scalars import RationalFunction, poly_gcd, signed_sum
+from .scalars import RationalFunction, content, poly_gcd, signed_sum
 
 
 class Context(NamedTuple("Context", [("variables", tuple), ("functions", tuple)])):
@@ -222,6 +223,15 @@ class LinearDiffPoly:
             return c.num if c.den == lcm else c.num * lcm.divexact(c.den)
 
         return lcm, self._raw({d: clear(c) for d, c in self.terms.items()}, clear(self.const))
+
+    def primitive(self, lead):
+        """self, with polynomial coefficients and leader ``lead``, divided by their
+        content and signed so that the leading coefficient's leading term is positive."""
+        g = content([c for c in (*self.terms.values(), self.const) if c])
+        g = -g if self.terms[lead].leading()[1] < 0 else g
+        if g.is_one():
+            return self
+        return self._raw({d: c.divexact(g) for d, c in self.terms.items()}, self.const.divexact(g))
 
     def over(self, m):
         """self / m, for polynomial coefficients and a nonzero polynomial m, with

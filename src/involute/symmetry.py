@@ -8,7 +8,7 @@ prolonged vector field to an equation and eliminating the equation's lead
 and its differential consequences leaves a polynomial in the surviving
 derivative symbols whose coefficients, linear in the xi/eta derivatives,
 form the determining system.  Each determining equation is built with
-polynomial coefficients and made monic by one ``LinearDiffPoly.over``.
+polynomial coefficients and kept primitive (``LinearDiffPoly.primitive``).
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ from .analysis import solution_dimension
 from .completion import CompletionOptions, minimal_involutive_basis
 from .diffpoly import Context, Derivative, LinearDiffPoly, Ranking
 from .monomial import MultiIndex
-from .scalars import (MultivarPolynomial, SparsePolynomial, exact, power_product, signed_sum,
-                      signed_term)
+from .scalars import (MultivarPolynomial, RationalFunction, SparsePolynomial, exact,
+                      power_product, signed_sum, signed_term)
 
 
 def _add_index(alpha, i):
@@ -386,8 +386,8 @@ def determining_context(problem):
 def determining_system(problem):
     """Generate the linear determining system for the infinitesimal coefficients.
 
-    Returns the determining-system context and the monic, deduplicated list
-    of determining equations.
+    Returns the determining-system context and the deduplicated determining
+    equations, primitive over Z[x] on denominator 1 (``cleared`` takes no gcd).
     """
     n, m = problem.n, problem.m
     ansatz = VectorFieldAnsatz(n, m)
@@ -403,7 +403,7 @@ def determining_system(problem):
         raw.append(subst.reduce(g))
 
     internal = Ranking("grlex", "term")
-    zero = MultivarPolynomial.zero(nv)
+    zero, one = MultivarPolynomial.zero(nv), MultivarPolynomial.const(nv, 1)
     collected = []
     for g in raw:
         # buckets[surviving derivative symbols][ansatz symbol] = coefficient
@@ -437,7 +437,7 @@ def determining_system(problem):
                     gamma[pos[("y", j)]] = beta[n + j]
                 terms[Derivative(k, MultiIndex(gamma))] = zero._raw(coeffs)
             h = LinearDiffPoly(det_ctx, terms, zero)
-            collected.append(h.over(h.terms[h.ld(internal)]))
+            collected.append(h.primitive(h.ld(internal)))
     # distinct equations by leader, then length, then printed form; only
     # equations tied on the first two are formatted
     ranked = sorted(((internal.key(e.ld(internal)), len(e.terms)), i, e)
@@ -446,7 +446,8 @@ def determining_system(problem):
     for _, group in groupby(ranked, key=itemgetter(0)):
         group = [e for _, _, e in group]
         eqs += sorted(group, key=lambda e: e.format(internal)) if len(group) > 1 else group
-    return det_ctx, eqs
+    return det_ctx, [LinearDiffPoly(det_ctx, {d: RationalFunction.coprime(c, one)
+                                              for d, c in e.terms.items()}) for e in eqs]
 
 
 def symmetry_dimension(problem, opts=None):

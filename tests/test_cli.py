@@ -293,17 +293,17 @@ README_COMMANDS = [ln.split()[1:] for ln in README_BLOCK.splitlines()
 # each with a division under which it exits 3 and the message it gives
 INCONSISTENT_WITH_COEFFICIENTS = [
     ("x2*D[y,x1] = 1; D[y,x2] = x1", "janet",
-     "the prolongation of D[y,{0,1}] - x1 = 0 by x1 reduces to -x2^2 - 1 = 0"),
+     "the prolongation of D[y,{0,1}] - x1 = 0 by x1 reduces to x2^2 + 1 = 0"),
     ("x2*D[y,x1] = 1; D[y,x2] = x1", "lexinduced",
      "the prolongation of x2*D[y,{1,0}] - 1 = 0 by x2 reduces to x2^2 + 1 = 0"),
     ("x1*D[y,x1] = 1; D[y,x1] = x2", "janet",
-     "the equation D[y,{1,0}] - x2 = 0 reduces to -x1*x2 + 1 = 0"),
+     "the equation D[y,{1,0}] - x2 = 0 reduces to x1*x2 - 1 = 0"),
     ("D[y,x1] = 1; x2*D[y,x2] = x1", "pommaret",
-     "the prolongation of x2*D[y,{0,1}] - x1 = 0 by x1 reduces to -1 = 0"),
+     "the prolongation of x2*D[y,{0,1}] - x1 = 0 by x1 reduces to 1 = 0"),
     ("D[y,x1] = 1; x2*D[y,x2] = x1", "lexinduced",
      "the prolongation of D[y,{1,0}] - 1 = 0 by x2 reduces to 1 = 0"),
     ("x2*D[y,x1] = x1; x1*D[y,x2] = 1", "janet",
-     "the prolongation of x1*D[y,{0,1}] - 1 = 0 by x1 reduces to -x1^3 + x2^2 = 0"),
+     "the prolongation of x1*D[y,{0,1}] - 1 = 0 by x1 reduces to x1^3 - x2^2 = 0"),
 ]
 
 
@@ -484,10 +484,10 @@ class TestCli:
         assert code == 3
         assert out == ""
         assert err == ("inconsistent system: the prolongation of D[y,{0,1}] - x1 = 0 "
-                       "by x1 reduces to -1 = 0\n")
+                       "by x1 reduces to 1 = 0\n")
 
     @pytest.mark.parametrize("flags, message", [
-        ((), "the equation D[y,{1,0}] - x1 = 0 reduces to -x1 + 1 = 0"),
+        ((), "the equation D[y,{1,0}] - x1 = 0 reduces to x1 - 1 = 0"),
     ])
     def test_inconsistent_input_equations(self, tmp_path, capsys, flags, message):
         bad = tmp_path / "inconsistent.pde"
@@ -514,6 +514,20 @@ class TestCli:
         bad.write_text(inconsistent_problem(equations))
         code, out, err = run_cli(capsys, "complete", str(bad), "--division", division)
         assert (code, out, err) == (3, "", f"inconsistent system: {message}\n")
+
+    # the remainder is printed divided by its integer content, with a positive
+    # leading coefficient: 4*D[u,y] - 6*x leaves -3 under Janet and Pommaret
+    # division and 3 under lex-induced division, each the condition 1 = 0
+    @pytest.mark.parametrize("division, element", [
+        ("janet", "2*D[u,{0,1}] - 3*x"), ("pommaret", "2*D[u,{0,1}] - 3*x"),
+        ("lexinduced", "D[u,{1,0}] - 2")])
+    def test_one_condition_per_inconsistency(self, tmp_path, capsys, division, element):
+        bad = tmp_path / "inconsistent.pde"
+        bad.write_text("vars: x y\nfuncs: u\neq: D[u,x] - 2\neq: 4*D[u,y] - 6*x\n")
+        code, out, err = run_cli(capsys, "complete", str(bad), "--division", division)
+        assert (code, out) == (3, "")
+        assert err == (f"inconsistent system: the prolongation of {element} = 0 by "
+                       f"{'y' if division == 'lexinduced' else 'x'} reduces to 1 = 0\n")
 
     @pytest.mark.parametrize("division", ["janet", "pommaret", "lexinduced"])
     def test_inconsistency_builds_no_rational_function(self, monkeypatch, division):
@@ -842,6 +856,47 @@ def test_main_freezes_nothing(capsys):
     before = gc.get_freeze_count()
     assert main(["hilbert", str(PROBLEMS / "janet3.pde")]) == 0
     assert gc.get_freeze_count() == before
+
+
+class Unwritable(io.StringIO):
+    """A stdout whose every write raises ``error``."""
+
+    def __init__(self, error):
+        super().__init__()
+        self.error = error
+
+    def write(self, text):
+        raise self.error
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("error, code, err", [
+    (OSError(28, "No space left on device"), 4,
+     "error: cannot write the report: [Errno 28] No space left on device\n"),
+    (BrokenPipeError(32, "Broken pipe"), 0, ""),
+], ids=["full disk", "closed pipe"])
+def test_write_errors_end_with_a_report(error, code, err, json_flag, capsys):
+    with redirect_stdout(Unwritable(error)):
+        assert main(["complete", str(PROBLEMS / "janet3.pde"), *json_flag]) == code
+    assert capsys.readouterr() == ("", err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["hilbert", str(PROBLEMS / "janet3.pde")],
+    ["symmetry", str(ROOT / "perfbench" / "inputs" / "kdv.pde"), "--json"],
+], ids=["small report", "large report"])
+def test_closed_pipe_ends_the_process_quietly(argv):
+    # the reader is gone before the report is written.  stdout is buffered, as
+    # it is by default on a pipe: a small report stays in the buffer after the
+    # failed write, and the exit flush meets the closed pipe again
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(ROOT / "src")
+    argv = [sys.executable, "-m", "involute.cli", *argv]
+    with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.wait(timeout=60)
+    assert (proc.returncode, err) == (0, b"")
 
 
 def test_installed_script_and_module_run_the_same_entry():

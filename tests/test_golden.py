@@ -104,33 +104,33 @@ PINS = {
     "verify problems/lewy.pde --division lexinduced":
         "508b80f630bbb1bd4a6f5dbee279951f10c76e6e656a09b32754cab229b05162",
     "symmetry problems/diffusion.pde":
-        "7c6ef9bb95e58486c03f082dac0f93c2b373306823e0baa52711c4ea0234c6e5",
+        "7b0597c7e818a930d5a3bf74cf4e9f932c75add65ac4f7bf8aebd79dd066c0fe",
     "symmetry problems/harrydym.pde":
-        "a1a61d05165e2ca1f09e9863663f670f4d8c462bbfb1e9351b6de83502c1f1db",
+        "9c1f0ed80623e1d27ba97f34ad6073ea751d8a60bf687b09704885c2c1071592",
     "symmetry problems/transport.pde":
         "9002c5f992d017f4e77838c02dc88225d24cfb81fe8f321ca9a296a4c5cd92b8",
     "symmetry perfbench/inputs/harrydym.pde":
-        "a1a61d05165e2ca1f09e9863663f670f4d8c462bbfb1e9351b6de83502c1f1db",
+        "9c1f0ed80623e1d27ba97f34ad6073ea751d8a60bf687b09704885c2c1071592",
     "symmetry perfbench/inputs/diffusion.pde":
-        "7c6ef9bb95e58486c03f082dac0f93c2b373306823e0baa52711c4ea0234c6e5",
+        "7b0597c7e818a930d5a3bf74cf4e9f932c75add65ac4f7bf8aebd79dd066c0fe",
     "symmetry perfbench/inputs/transport.pde":
         "9002c5f992d017f4e77838c02dc88225d24cfb81fe8f321ca9a296a4c5cd92b8",
     "symmetry perfbench/inputs/kdv.pde":
-        "be581aa984da1b86f56dcca0cbfa347dbe037ecc565a772f02a87ecf0d201f29",
+        "57f4f61a30b968259f3c47eb26d30dfe343f8de6fdc36e353db45fc52f8b04f7",
     "symmetry perfbench/inputs/burgers.pde":
-        "59ab3f298b77488088724f77a463220967a7ddd51c7237a3e813b8a102223257",
+        "0dc0a62a93af9fea6350bedf03f327ba3c99d7cd6a4b1a76f757210497dc3f0e",
     "symmetry perfbench/inputs/heat.pde":
-        "a4b9f17a9a57af2cbf1a70af2ea330aa18c222fead083021d1500cf9efbdde79",
+        "0386d2ac0ca35a8624a83eaa4c3dbc4237d23ba77ebe5903e11b77a9518b4e22",
     "symmetry perfbench/inputs/nls.pde":
-        "be5ba3b79e9fd1b61a61e4ddf5194b4f55ec987a224fcbc6726d4f8dbf020038",
+        "1d88eb0811e9b79b6f7470406ffbbb2c2a9c1e76b9d730987edf4d720939d5df",
     "symmetry perfbench/inputs/zk.pde":
-        "457f90daef79780442181bd34884417bd25b6531998b8cb43ce8fe74b3a0a57b",
+        "ec895ccb7736158d5e2977d98cbd1c938d3d58311a4e56d86f81415cc7c17c13",
     "symmetry perfbench/inputs/kp.pde":
-        "a92993a971907b7f29c8aac200ebed6f61e9f026d75727b1c24d3d1c72f35f3e",
+        "366185a28731c908bc0f261dea9cb6b4e0e216fdbf0d0d8c6c39c3de666ae67a",
     "symmetry perfbench/inputs/boussinesq.pde":
-        "ca6e07db6fcf972cbf928b8b8810476deeab9c8d422349f728da41c0d7d0883f",
+        "57a5911d06424626ebae229c2e8d6270503f8ccdc15aad79bd7738b482227b5e",
     "symmetry perfbench/inputs/euler2d.pde":
-        "ceedd51152c0142c620b20b2d48eb0e31b14ad3199284db25393aa3a4d090793",
+        "5be9fa8d728b24c7af23ed8c99e2eff2aa278cfe70b8a75a5627d6a1c29cf60e",
     "ivp problems/example1.pde --division janet --json":
         "aca6073a7e063134167658024051557c731bc82d3d342236e7554229b5579b45",
     "hilbert problems/example1.pde --division janet --json":
@@ -156,33 +156,33 @@ PINS = {
     "verify problems/lewy.pde --division janet --json":
         "70df694c522bd93f7c75a02a10533bb7ea3eab2b7921d14b87f4dc87074b00a9",
     "symmetry problems/diffusion.pde --json":
-        "b07e529c4756bc824f62adf84c22ea270dc0eaecf7867f21ae152939d112451d",
+        "b7cfdf874363c88b1aadc1f12efcadd1e210dc3551b1bee16c112e967294d6de",
     "symmetry problems/harrydym.pde --json":
-        "33fe983edadf75b0299f64f28db16bfb974dacdff4da5fea9347d7d5f8cb8488",
+        "63e63c29a79d464e07efec12b18de4e41a94b061d7252c04269be5893bac9c6c",
     "symmetry problems/transport.pde --json":
         "a4d5143aee4e3cd6501af4666ed917ad446debf87bbd12fc459f7ba9f1d5bdfb",
     "symmetry perfbench/inputs/harrydym.pde --json":
-        "33fe983edadf75b0299f64f28db16bfb974dacdff4da5fea9347d7d5f8cb8488",
+        "63e63c29a79d464e07efec12b18de4e41a94b061d7252c04269be5893bac9c6c",
     "symmetry perfbench/inputs/diffusion.pde --json":
-        "b07e529c4756bc824f62adf84c22ea270dc0eaecf7867f21ae152939d112451d",
+        "b7cfdf874363c88b1aadc1f12efcadd1e210dc3551b1bee16c112e967294d6de",
     "symmetry perfbench/inputs/transport.pde --json":
         "a4d5143aee4e3cd6501af4666ed917ad446debf87bbd12fc459f7ba9f1d5bdfb",
     "symmetry perfbench/inputs/kdv.pde --json":
-        "ba87b8f73088d2e828d07112c40cbe8ea08d7a62cc35070d18440e01d7a0de3c",
+        "a11bcba8cfe72498cb3947ede5a14d0b8196be797b48dde435dd277917925e10",
     "symmetry perfbench/inputs/burgers.pde --json":
-        "4d934dbe04d8d3a02925ba38257131c4ad4002870940c5109492667343a3b40f",
+        "99248634932a283174303454e7263d4a1e8d8f71e9bed1a478d9ea198fd3a999",
     "symmetry perfbench/inputs/heat.pde --json":
-        "4c4d0c2aa9516e1dc829680ef63b506445db07e9e931509a07fa3b3da089b2c3",
+        "c91757ae2347f799b74a25dc6808e9079f0da310ea3336ad3463f5bda23548ea",
     "symmetry perfbench/inputs/nls.pde --json":
-        "6d748ba381c6934a6d1d438fbf5f617dadcb70ee5711db73773caa1002106d01",
+        "e30fd18c6e1e956c553308f13057633fddf86984dda851b966c561dd6b47c263",
     "symmetry perfbench/inputs/zk.pde --json":
-        "fbf710074ef6469be387f8e321bfbc2e2e4a866f497522b852ba864a47eb37dc",
+        "3621fe216b4246ce385d4603c2b98f74cc6c88254486f282cb32080ff54781e7",
     "symmetry perfbench/inputs/kp.pde --json":
-        "295761da1d44e76d55c9896b8a6e1e03ae8d02fcf58bda71fa4086c08b7a05b8",
+        "82a27c979b42e19de95ba20d9d291fdf0f58164e636dd634559ed2499d677d83",
     "symmetry perfbench/inputs/boussinesq.pde --json":
-        "f0bd4c4997065c4be6f30e86dc4754409b417abd000b2a14d9f6129952ea7bf6",
+        "d45562d02c8afa5b056bc0ccce3d4b566e257ac7271edad53607e07b6b2335d7",
     "symmetry perfbench/inputs/euler2d.pde --json":
-        "f9f7677e2c5396f5dad373654e813592f3705913bfd82f865a2f1f09f2d4fd4c",
+        "94a026546b9ef688c1307d809eeca476774d8ed6e911a611fb6c4e04d0efd3f3",
     "monomial problems/example1.pde --action separations":
         "90f821dcc65047908c0584d6a145da1c125535b7c9e11c0beb227ee060354944",
     "monomial problems/example1.pde --action separations --json":

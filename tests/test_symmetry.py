@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -378,9 +379,9 @@ class TestDeterminingSystems:
 # where times are not; the jet arithmetic iterates its symbols sorted, so these
 # do not depend on the hash seed.  A change that moves one updates it and says why.
 COUNTER_PINS = {
-    "harrydym": (70, 87), "diffusion": (191, 62), "transport": (0, 0), "kdv": (39, 25),
-    "burgers": (49, 17), "heat": (6, 0), "nls": (311, 154), "zk": (54, 94), "kp": (74, 12),
-    "boussinesq": (58, 12), "euler2d": (0, 0),
+    "harrydym": (64, 5), "diffusion": (172, 4), "transport": (0, 0), "kdv": (39, 9),
+    "burgers": (49, 11), "heat": (6, 0), "nls": (237, 18), "zk": (54, 12), "kp": (74, 12),
+    "boussinesq": (58, 8), "euler2d": (0, 0),
 }
 
 
@@ -402,6 +403,49 @@ class TestCounterPins:
         assert cli.main(["symmetry", str(INPUTS / f"{name}.pde")]) == 0
         capsys.readouterr()
         assert tuple(calls) == COUNTER_PINS[name]
+
+
+class TestPrintedDeterminingSystems:
+    """The determining equations are primitive over Z[x], and what ``symmetry``
+    prints of them is input that completes to the basis it prints."""
+
+    @pytest.mark.parametrize("name", sorted(COUNTER_PINS))
+    def test_printed_system_reads_back_and_completes_to_the_printed_basis(self, capsys, name):
+        from involute import cli
+        from involute.symmetry import determining_context
+        path = INPUTS / f"{name}.pde"
+        pf = parse_problem(path.read_text())
+        ctx = determining_context(pf.symmetry_problem())[0]
+        assert cli.main(["symmetry", str(path), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert cli.main(["symmetry", str(path)]) == 0
+        out = capsys.readouterr().out.split("\n\n")[1].splitlines()
+        text = (f"vars: {' '.join(ctx.variables)}\nfuncs: {' '.join(ctx.functions)}\n"
+                + "".join(f"eq: {e}\n" for e in doc["determining_system"]))
+        eqs = parse_problem(text).linear_system()
+        opts = CompletionOptions(main=pf.ranking(), completion=pf.completion_ranking())
+        basis = minimal_involutive_basis(eqs, opts)
+        assert cli._basis(basis, ctx) == (out, doc["basis"])
+
+    def test_equations_are_primitive_without_a_reduced_quotient(self, monkeypatch):
+        # no reducing RationalFunction constructor and no division into
+        # quotients: each equation is its primitive form over denominator 1
+        from involute.diffpoly import LinearDiffPoly
+
+        def fail(*args):
+            raise AssertionError("a reduced quotient was built")
+
+        problems = [parse_problem((INPUTS / f"{name}.pde").read_text()).symmetry_problem()
+                    for name in sorted(COUNTER_PINS)]
+        monkeypatch.setattr(RationalFunction, "__init__", fail)
+        monkeypatch.setattr(LinearDiffPoly, "over", fail)
+        grlex = Ranking("grlex")
+        for problem in problems:
+            _, eqs = determining_system(problem)
+            for e in eqs:
+                assert e.const.is_zero() and all(c.den.is_one() for c in e.terms.values())
+                assert scalars.content([c.num for c in e.terms.values()]).is_one()
+                assert e.terms[e.ld(grlex)].num.leading()[1] > 0
 
 
 class TestKnownSolutionsAnnihilate:
