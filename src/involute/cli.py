@@ -14,7 +14,8 @@ for ``symmetry`` alone).  Exit codes: 0 success, 1 input or usage error,
 leading ideal that is not quasi-stable, so any cap would be exceeded),
 3 inconsistent system (an equation or a prolongation reduces to 0 = c),
 4 the report could not be written (a full disk, say); a reader that closes
-the pipe early, as ``head`` does, is no fault and changes no code.
+the pipe early, as ``head`` does, is no fault and changes no code, nor does
+a stderr that cannot take the one line (``_said``) that other codes write.
 """
 
 import argparse
@@ -300,8 +301,16 @@ def _written(text, code):
     except BrokenPipeError:  # the reader took what it wanted
         pass
     except OSError as exc:
-        print(f"error: cannot write the report: {exc}", file=sys.stderr)
-        return 4
+        return _said(f"error: cannot write the report: {exc}", 4)
+    return code
+
+
+def _said(line, code):
+    """``code``, once ``line`` is written to stderr or could not be."""
+    try:
+        print(line, file=sys.stderr, flush=True)
+    except OSError:
+        pass
     return code
 
 
@@ -317,14 +326,11 @@ def main(argv=None):
     try:
         lines, doc = args.fn(parse_problem(_read(args.file)), args)
     except CapExceeded as exc:
-        print(f"cap exceeded: {exc}", file=sys.stderr)
-        return 2
+        return _said(f"cap exceeded: {exc}", 2)
     except InconsistentSystem as exc:
-        print(f"inconsistent system: {exc}", file=sys.stderr)
-        return 3
+        return _said(f"inconsistent system: {exc}", 3)
     except (ProblemError, ValueError, ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _said(f"error: {exc}", 1)
     if args.json:
         import json
         text = json.dumps({"subcommand": args.subcommand, **doc, "exit": 0}, indent=2)

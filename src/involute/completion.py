@@ -1,30 +1,27 @@
 """Involutive reduction and completion of linear differential systems.
 
-The completion routine keeps its basis G as bookkeeping triples (poly,
-ancestor, processed-variables) keyed by leading derivative, and one
-``monomial.ConeIndex`` per function over those leaders, which finds involutive
-divisors and keeps their separations as elements come and go, re-filing only
-the leaders a change can reach: under Janet division the runs of its sorted
-tips below the prefixes it toggles, under lex-induced division those from the
-lowest one that came or went, and under Pommaret the new leader alone.  Leaders
-in G are pairwise distinct: an adjoined normal form's leader lies in no cone,
-and every leader lies in its own.  The loop repeats one examination step:
-take the lowest nonmultiplicative prolongation, under the completion ranking,
-whose leader ranks below the lowest element of the queue Q, or else that queue
-element; skip it if the chain criterion holds for its leader; otherwise reduce
-it to its involutive normal form and adjoin that unless it is zero (a nonzero
-constant raises InconsistentSystem).  Prolongations come from one sorted list
-of candidates, each holding its leader, derived once when queued, fed with the
-variables each re-filing of a cone index makes nonmultiplicative; an entry
-whose triple has left G, or whose variable has turned multiplicative or been
-processed, is dropped when reached.  Every element whose leader exceeds a
-newly found lower leader is displaced back into Q, in one re-filing of each
-index it touches, which keeps the final basis minimal.
-``monomial.complete`` is this routine on the equations D[y, u] = 0.
-It works over Z[x], on primitive elements (polynomial coefficients of content 1),
-by pseudo-division (Geddes, Czapor and Labahn, 1992, ch. 7).  Equations enter
-through ``LinearDiffPoly.cleared`` and ``.primitive``; ``LinearDiffPoly.over`` returns to
-Q(x) only for the monic basis and the public normal forms.
+The completion loop keeps its basis G as bookkeeping triples (poly, ancestor,
+processed variables) keyed by leading derivative, and one ``monomial.ConeIndex``
+per function over those leaders, which finds involutive divisors and keeps
+their separations as elements come and go.  It runs under Janet or lex-induced
+division; under Pommaret it runs under Janet (``minimal_involutive_basis``).
+Leaders in G are pairwise distinct: an adjoined normal form's leader lies in
+no cone, and every leader lies in its own.  One examination step takes the
+lowest nonmultiplicative prolongation, under the completion ranking, led below
+the lowest element of the queue Q, or else that queue element; skips it if the
+chain criterion holds for its leader; otherwise reduces it to its involutive
+normal form and adjoins that unless it is zero (a nonzero constant raises
+InconsistentSystem).  Prolongations come from one sorted list of candidates,
+fed with the variables each re-filing of a cone index makes nonmultiplicative;
+an entry whose triple has left G, or whose variable has turned multiplicative
+or been processed, is dropped when reached.  Every element led above a newly
+found lower leader is displaced back into Q, in one re-filing of each index it
+touches, which keeps the final basis minimal.  ``monomial.complete`` is this
+routine on the equations D[y, u] = 0.  It works over Z[x], on primitive
+elements (polynomial coefficients of content 1), by pseudo-division (Geddes,
+Czapor and Labahn, 1992, ch. 7).  Equations enter through
+``LinearDiffPoly.cleared`` and ``.primitive``; ``LinearDiffPoly.over`` returns
+to Q(x) only for the monic basis and the public normal forms.
 """
 
 from __future__ import annotations
@@ -82,8 +79,8 @@ def _input_system(F):
         raise ValueError("input system is empty or all zero")
     for f in work:
         if not f.terms:
-            raise InconsistentSystem(
-                f"an input equation reduces to {f.const.format(f.ctx.variables)} = 0")
+            c = _rat_normalize(f.const.num).format(f.ctx.variables)  # c/d = 0 states c = 0
+            raise InconsistentSystem(f"an input equation reduces to {c} = 0")
     return work
 
 
@@ -276,48 +273,37 @@ def _basis_of(triples, indexes, opts, examined=0):
                            tuple(t.leader for t in order), seps, opts, examined)
 
 
-def _check_pommaret_finite(F, opts):
-    """Raise NoFiniteBasis if the system has no finite Pommaret basis.
-
-    The leaders of any involutive basis generate the leading ideal of each
-    function, which depends on the ranking only; the Janet basis, which
-    always exists, gives them.  If its completion caps, its CapExceeded ends
-    the run.  If every input is one derivative, so is every normal form: the
-    input leaders decide, and only a failure needs the Janet basis.
-    """
-    if all(len(f.terms) == 1 and f.const.is_zero() for f in F) and all(
-            quasi_stability_witness(us) is None
-            for us in _leader_sets(f.ld(opts.main) for f in F).values()):
-        return
-    janet = minimal_involutive_basis(F, opts._replace(division=Division.JANET))
-    ctx = janet.elements[0].ctx
-    for j, leaders in sorted(janet.monomial_sets().items()):
-        witness = quasi_stability_witness(leaders)
-        if witness is not None:
-            raise NoFiniteBasis(
-                f"no finite Pommaret basis, so any cap is exceeded: the leaders of "
-                f"{ctx.functions[j]} are not quasi-stable (witness "
-                f"{Derivative(j, witness).format(ctx)})", partial=janet)
-
-
 def minimal_involutive_basis(F, opts=None, trace=None):
     """Complete a finite system to its minimal involutive basis.
 
     Raises CapExceeded (with the partial basis attached) once the number of
     examined nonmultiplicative prolongations passes ``opts.cap``.  Pommaret
-    division is not noetherian: under it the system is first completed,
-    untraced, under Janet division with the same rankings and cap, and
-    NoFiniteBasis, a CapExceeded with that Janet basis attached, is raised
-    at once if the leaders of some function are not quasi-stable (quasi-stable
-    single derivatives skip it).  If the Janet completion caps, its CapExceeded,
-    with the partial Janet basis, is raised and the Pommaret loop never runs.
-    ``prolongations_examined`` counts the Pommaret loop alone.
+    division is not noetherian: under it the loop, traced and capped, runs under
+    Janet, and NoFiniteBasis, a CapExceeded with that basis attached, is raised
+    if the leaders of some function are not quasi-stable; else the Janet basis
+    with Pommaret separations is the minimal Pommaret basis.  The leaders generate
+    the leading ideal I of their function, which depends on the ranking alone,
+    and a quasi-stable I has its minimal Janet basis J(I) as Pommaret basis.
+    Proof, with the positions of ``monomial`` and k(w) the last one where w is
+    nonzero: let P(I) hold the w in I that are 1 or have w / x_k(w) outside I.
+    (i) A Pommaret basis of I is P(I): w in I is u * x^b for one u in it, b
+    zero before k(u); b != 0 puts x_k(w) in x^b, and w = u with w / x_k(w) =
+    u' * x^b' in I puts w in the cone of u' too, as k(u') <= k(w).  (ii) The
+    slices I_a = {w' : (a, w') in I} ascend from the first nonempty one, at
+    lo, to the first of the constant ones, at s.  As the first position is
+    Janet multiplicative on the elements of largest first exponent d alone,
+    the Janet bases of I are the unions over a in [lo, d] of {a} x (a Janet
+    basis of I_a), d >= s, and J(I), inside each and returned by the loop, is
+    the union over [lo, s] of {a} x J(I_a).  (iii) If P(I) is finite, the
+    slices are the whole ring from s on, or each nonempty one would hold an
+    element of P(I), so P(I) slices as {1} = J(I_s) at s and as P(I_a) = J(I_a)
+    at a in [lo, s), by induction on the number of positions.  The system's
+    elements all reduce to 0 under either division: each leader lies in a cone.
     """
     opts = opts or CompletionOptions()
+    run = opts._replace(division=Division.JANET) if opts.division is Division.POMMARET else opts
     main, comp = opts.main, opts.completion
     work = _input_system(F)
-    if opts.division is Division.POMMARET:
-        _check_pommaret_finite(work, opts)
 
     serials = count(1)
 
@@ -325,7 +311,7 @@ def minimal_involutive_basis(F, opts=None, trace=None):
         return Triple(poly, ancestor, processed, next(serials), leader, main.key(leader))
 
     # G, keyed by leader, and one cone index per function (module docstring)
-    triples, indexes = {}, defaultdict(partial(ConeIndex, opts.division))
+    triples, indexes = {}, defaultdict(partial(ConeIndex, run.division))
     # the nonmultiplicative prolongations, sorted lowest first under the
     # completion ranking: (completion key, serial, x, main key, leader of the
     # triple, leader of the prolongation)
@@ -401,7 +387,7 @@ def minimal_involutive_basis(F, opts=None, trace=None):
             if examined > opts.cap:
                 raise CapExceeded(
                     f"completion exceeded {opts.cap} prolongation examinations",
-                    partial=_basis_of(triples, indexes, opts, examined))
+                    partial=_basis_of(triples, indexes, run, examined))
             t.processed.add(x)
             p, processed = t.poly.differentiate(x), ()
         elif Q:
@@ -428,6 +414,15 @@ def minimal_involutive_basis(F, opts=None, trace=None):
                          else {"stage": "prolongation", "leader": t.leader, "variable": x,
                                "criterion": skip, "result": status})
 
+    if run is not opts:  # Pommaret: the Janet basis, if its leaders are quasi-stable
+        for j, index in sorted(indexes.items()):
+            if (witness := quasi_stability_witness(index.tips)) is not None:
+                ctx = work[0].ctx
+                raise NoFiniteBasis(f"no finite Pommaret basis, so any cap is exceeded: the "
+                                    f"leaders of {ctx.functions[j]} are not quasi-stable "
+                                    f"(witness {Derivative(j, witness).format(ctx)})",
+                                    partial=_basis_of(triples, indexes, run, examined))
+        indexes = _cone_indexes(triples, Division.POMMARET)
     return _basis_of(triples, indexes, opts, examined)
 
 

@@ -93,7 +93,7 @@ class CapExceeded(RuntimeError):
 
 class NoFiniteBasis(CapExceeded):
     """No finite Pommaret basis exists, so any cap would be exceeded; the
-    Janet basis is attached as the partial result."""
+    completed Janet basis, whose leaders showed it, is the partial result."""
 
 
 def _check_set(U):
@@ -203,12 +203,10 @@ class ConeIndex:
     def _reach(self, marks, *new):
         # the tips whose separation a change can alter, in lex order, from the
         # marks of the tips that came or went and the tip added, if any: under
-        # Janet the runs below the toggled prefixes, under lex-induced every
-        # tip from the lowest one that came or went, under Pommaret the new tip
+        # Janet the runs below the toggled prefixes, otherwise every tip from
+        # the lowest one that came or went (under Pommaret, only the tip added changes)
         if self.kind is Division.JANET:
             return self._below(marks, *new)
-        if self.kind is Division.POMMARET:
-            return list(new)
         return self.tips[bisect.bisect_left(self.tips, min(marks)):] if marks else []
 
     def _below(self, prefixes, *extra):

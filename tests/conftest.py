@@ -5,9 +5,10 @@ from pathlib import Path
 
 import pytest
 
-from involute import (MultiIndex, RationalFunction, in_cone, in_involutive_cone,
+from involute import (Division, MultiIndex, RationalFunction, in_cone, in_involutive_cone,
                       involutive_normal_form, monomials_up_to, parse_problem,
                       separations)
+from involute.monomial import ConeIndex
 from involute.scalars import MultivarPolynomial
 
 PROBLEMS = Path(__file__).resolve().parents[1] / "problems"
@@ -49,6 +50,18 @@ def system(text):
     return pf, pf.linear_system()
 
 
+def freeze_pommaret_indexes(monkeypatch):
+    """Make ``ConeIndex.add`` and ``.remove`` raise on a Pommaret index: the
+    completion reads such an index as built."""
+    for name in ("add", "remove"):
+        def guarded(self, *args, _method=getattr(ConeIndex, name), _name=name):
+            if self.kind is Division.POMMARET:
+                raise AssertionError(f"ConeIndex.{_name} on a Pommaret index")
+            return _method(self, *args)
+
+        monkeypatch.setattr(ConeIndex, name, guarded)
+
+
 def norm_set(eqs, ranking):
     return frozenset(f.normalize(ranking) for f in eqs)
 
@@ -70,8 +83,9 @@ def cones_pairwise_disjoint_bruteforce(U, kind, extra_degree=3):
         return True
     n = len(U[0])
     bound = max(u.degree for u in U) + extra_degree
+    seps = separations(U, kind)
     for w in monomials_up_to(n, bound):
-        if len(involutive_divisors_bruteforce(w, U, kind)) > 1:
+        if len(involutive_divisors_bruteforce(w, U, kind, seps)) > 1:
             return False
     return True
 

@@ -2,6 +2,7 @@ import argparse
 import ast
 import gc
 import io
+import itertools
 import json
 import os
 import re
@@ -17,7 +18,7 @@ from involute import (CompletionOptions, Context, Derivative, Division, Inconsis
 from involute.cli import main
 from involute.probfile import ProblemError
 from involute.scalars import RationalFunction, SparsePolynomial
-from conftest import PROBLEMS, load_problem, norm_set, system
+from conftest import PROBLEMS, freeze_pommaret_indexes, load_problem, norm_set, system
 
 
 class TestParsing:
@@ -497,13 +498,18 @@ class TestCli:
         assert err == f"inconsistent system: {message}\n"
 
     # complete and verify check the input system alike: a nonzero constant
-    # among the equations is 0 = c before any completion
+    # among the equations is 0 = c before any completion.  A constant c/d
+    # states c = 0, printed as the loop prints a condition: divided by its
+    # integer content, with a positive leading coefficient
+    @pytest.mark.parametrize("constant, condition", [
+        ("1", "1"), ("-2*x1/3", "x1"), ("-2/(x1 + 1)", "1"), ("(x1^2 - 1)/(-3*x2)", "x1^2 - 1"),
+        ("6 - 4*x1*x2", "2*x1*x2 - 3")])
     @pytest.mark.parametrize("subcommand", ["complete", "verify"])
-    def test_constant_input_equation(self, tmp_path, capsys, subcommand):
+    def test_constant_input_equation(self, tmp_path, capsys, subcommand, constant, condition):
         bad = tmp_path / "constant.pde"
-        bad.write_text("vars: x1 x2\nfuncs: y\neq: 1\neq: D[y,{1,0}]\n")
+        bad.write_text(f"vars: x1 x2\nfuncs: y\neq: {constant}\neq: D[y,{{1,0}}]\n")
         assert run_cli(capsys, subcommand, str(bad)) == (
-            3, "", "inconsistent system: an input equation reduces to 1 = 0\n")
+            3, "", f"inconsistent system: an input equation reduces to {condition} = 0\n")
 
     @pytest.mark.parametrize("equations, division, message", INCONSISTENT_WITH_COEFFICIENTS)
     def test_inconsistency_with_nonconstant_leading_coefficients(
@@ -851,6 +857,34 @@ def test_process_entry_matches_main(argv, code, tmp_path, monkeypatch, capsys):
         assert got == want
 
 
+CHECKED_IN = sorted(PROBLEMS.glob("*.pde")) + sorted((ROOT / "perfbench" / "inputs").glob("*.pde"))
+
+
+def test_pommaret_gives_the_janet_basis_or_exit_2(capsys, monkeypatch):
+    # on every checked-in input with a finite Pommaret basis the --json basis,
+    # separations included, is the Janet one, and no Pommaret cone index
+    # changes; the others exit 2 at once
+    freeze_pommaret_indexes(monkeypatch)
+    verdicts = set()
+    for path, sub in itertools.product(CHECKED_IN, ("complete", "symmetry")):
+        docs = []
+        for division in ("janet", "pommaret"):
+            code, out, err = run_cli(capsys, sub, str(path), "--division", division, "--json")
+            docs.append(json.loads(out)["basis"] if code == 0 else code)
+        if docs[0] == 1:  # not an input for this subcommand
+            continue
+        if docs[1] == 2:
+            assert err.startswith("cap exceeded: no finite Pommaret basis")
+            verdicts.add((sub, path.parent.name, path.name))
+        else:
+            assert docs[0] == docs[1]
+    assert verdicts == {("complete", "problems", "example1.pde"),
+                        ("complete", "inputs", "example1.pde"),
+                        ("complete", "inputs", "heat.pde"),
+                        ("symmetry", "problems", "transport.pde"),
+                        ("symmetry", "inputs", "transport.pde")}
+
+
 def test_main_freezes_nothing(capsys):
     # tests and the traced benchmark call main many times in one process
     before = gc.get_freeze_count()
@@ -879,6 +913,38 @@ def test_write_errors_end_with_a_report(error, code, err, json_flag, capsys):
     with redirect_stdout(Unwritable(error)):
         assert main(["complete", str(PROBLEMS / "janet3.pde"), *json_flag]) == code
     assert capsys.readouterr() == ("", err)
+
+
+INCONSISTENT = "vars: x1 x2\nfuncs: y\neq: D[y,x1] = 1\neq: D[y,x2] = x1\n"
+UNWRITABLE_STDERR = pytest.mark.parametrize("argv, code", [
+    (["complete", "inconsistent.pde"], 3),
+    (["complete", str(PROBLEMS / "example1.pde"), "--division", "pommaret"], 2),
+    (["complete", "missing.pde"], 1),
+    (["complete", str(PROBLEMS / "janet3.pde")], 4),
+], ids=["inconsistent", "no finite basis", "missing file", "unwritable report"])
+
+
+@UNWRITABLE_STDERR
+def test_an_unwritable_stderr_keeps_the_exit_code(argv, code, tmp_path, monkeypatch):
+    # stdout fails too, so the report's own error line goes to a full stderr
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "inconsistent.pde").write_text(INCONSISTENT)
+    full = Unwritable(OSError(28, "No space left on device"))
+    with redirect_stderr(full), redirect_stdout(full):
+        assert main(argv) == code
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@UNWRITABLE_STDERR
+def test_a_process_with_a_full_stderr_keeps_the_exit_code(argv, code, tmp_path):
+    # the exit flush of what a failed line left in a buffer must not change
+    # the code either
+    (tmp_path / "inconsistent.pde").write_text(INCONSISTENT)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "involute.cli", *argv], env=env,
+                              cwd=tmp_path, stdout=full, stderr=full, timeout=60)
+    assert done.returncode == code
 
 
 @pytest.mark.parametrize("argv", [

@@ -11,7 +11,8 @@ from involute import (CapExceeded, CompletionOptions, Division, NoFiniteBasis, R
 from involute import completion
 from involute.scalars import MultivarPolynomial, RationalFunction
 from involute.symmetry import determining_system
-from conftest import PROBLEMS, load_problem, norm_set, system, verify_partial_involutive
+from conftest import (PROBLEMS, freeze_pommaret_indexes, load_problem, norm_set, system,
+                      verify_partial_involutive)
 
 
 GRL = Ranking("grlex")
@@ -493,7 +494,8 @@ class TestTracePins:
 
     @pytest.mark.parametrize("name, division, pin", [
         ("janet3.pde", Division.JANET, (27, 18, "b42ce7d5003642e0")),
-        ("janet3.pde", Division.POMMARET, (19, 10, "92cabaa0b7d6a02b")),
+        # under Pommaret the loop runs under Janet: the same trace
+        ("janet3.pde", Division.POMMARET, (27, 18, "b42ce7d5003642e0")),
         ("janet3.pde", Division.LEX_INDUCED, (28, 16, "164f485098b013e6")),
     ])
     def test_janet3_lex_main_grlex_completion(self, name, division, pin):
@@ -503,7 +505,7 @@ class TestTracePins:
 
     @pytest.mark.parametrize("division, pin", [
         (Division.JANET, (7, 4, "5bcf149ef47b8571")),
-        (Division.POMMARET, (6, 3, "7e5b186c5603e777")),
+        (Division.POMMARET, (7, 4, "5bcf149ef47b8571")),
         (Division.LEX_INDUCED, (6, 3, "9d54ed90052bddfa")),
     ])
     def test_fourvar_grlex_main_lex_completion(self, division, pin):
@@ -521,53 +523,39 @@ class TestTracePins:
         assert _trace_pin(eqs, ctx, opts) == pin
 
 
-class TestPommaretPrePass:
-    """Under Pommaret division the loop first completes under Janet, to
-    decide whether a finite basis exists, unless the inputs are single
-    derivatives whose leaders are already quasi-stable."""
+class TestPommaretReadsTheJanetRun:
+    """Under Pommaret division the loop runs once, under Janet, and its basis
+    is read under Pommaret, or raises NoFiniteBasis with it attached."""
 
-    @staticmethod
-    def divisions_completed(monkeypatch):
-        """The divisions of the completions run from inside the loop."""
-        seen = []
-        inner = completion.minimal_involutive_basis
-
-        def spy(F, opts=None, trace=None):
-            seen.append(opts.division)
-            return inner(F, opts, trace)
-
-        monkeypatch.setattr(completion, "minimal_involutive_basis", spy)
-        return seen
-
-    def test_quasi_stable_single_derivatives_skip_the_janet_completion(self, monkeypatch):
-        pf = load_problem("pommaret_basis.pde")
-        seen = self.divisions_completed(monkeypatch)
+    @pytest.mark.parametrize("name", ["fourvar.pde", "janet3.pde", "lewy.pde",
+                                      "pommaret_basis.pde", "quotient_sums.pde"])
+    def test_the_janet_basis_with_pommaret_separations(self, monkeypatch, name):
+        freeze_pommaret_indexes(monkeypatch)
+        pf = load_problem(name)
         opts = CompletionOptions(division=Division.POMMARET, main=pf.ranking())
         basis = minimal_involutive_basis(pf.linear_system(), opts)
-        assert seen == []
         janet = minimal_involutive_basis(pf.linear_system(), opts._replace(division=Division.JANET))
-        assert set(basis.leaders) >= set(janet.leaders) and verify_involutive(basis)
+        assert basis.options.division is Division.POMMARET
+        assert basis.elements == janet.elements and basis.leaders == janet.leaders
+        assert basis.prolongations_examined == janet.prolongations_examined
+        # the Pommaret cones of a Pommaret basis lie in its Janet cones, and
+        # both partition the leading ideal: the separations agree
+        assert basis.separations == janet.separations
+        assert verify_involutive(basis)
 
     def test_a_failing_verdict_keeps_the_janet_partial(self, monkeypatch):
+        freeze_pommaret_indexes(monkeypatch)
         pf = load_problem("example1.pde")
-        seen = self.divisions_completed(monkeypatch)
         opts = CompletionOptions(division=Division.POMMARET, main=pf.ranking())
         with pytest.raises(NoFiniteBasis) as err:
             minimal_involutive_basis(pf.linear_system(), opts)
-        assert seen == [Division.JANET]
+        janet = minimal_involutive_basis(pf.linear_system(), opts._replace(division=Division.JANET))
         assert err.value.partial.options.division is Division.JANET
-
-    def test_systems_with_several_terms_keep_the_pre_pass(self, monkeypatch):
-        pf = load_problem("janet3.pde")
-        seen = self.divisions_completed(monkeypatch)
-        minimal_involutive_basis(pf.linear_system(),
-                                 CompletionOptions(division=Division.POMMARET, main=pf.ranking()))
-        assert seen == [Division.JANET]
+        assert err.value.partial.elements == janet.elements
 
     @pytest.mark.parametrize("cap", [1, 3])
-    def test_a_capped_pre_pass_ends_the_run(self, monkeypatch, cap):
-        # the Pommaret loop does not burn the same cap again: the run raises
-        # one CapExceeded, the pre-pass's, after cap + 1 examinations
+    def test_a_capped_janet_run_ends_the_run(self, monkeypatch, cap):
+        # one CapExceeded, the Janet run's, after cap + 1 examinations
         raised = []
 
         class Counted(CapExceeded):

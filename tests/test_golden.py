@@ -55,8 +55,9 @@ PINS = {
         "7c37b8574e4f85b222adeb3b065991b9aaaf5eee6906856bb7d6f830698522d1",
     "verify problems/fourvar.pde --division lexinduced":
         "4929eda7eba66ca2fec34c81e4ec753bb6e7815525d3d9f852078f2f519d347b",
+    # prolongations_examined counts the Janet run that Pommaret reads
     "complete problems/fourvar.pde --division pommaret --json":
-        "8c4f7be28389d56be60bd8f987bb20397f066a41fbc6423b97b4a4712f7b47fa",
+        "a61466aed383a342c803887f331c884b4cf03468367202e26a4f6f34d4868791",
     "ivp problems/fourvar.pde --division pommaret":
         "c7948099ebfa04bd96088ca61af32bb882e8833e49e0ef93d335143a00ea2ecb",
     "hilbert problems/fourvar.pde --division pommaret":

@@ -3,7 +3,7 @@ import hashlib
 import random
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from involute import (CapExceeded, CompletionOptions, Division, MultiIndex,
                       NoFiniteBasis, Ranking, autoreduce, axioms_check, cartan_characters,
@@ -218,8 +218,8 @@ class RefileSpy(ConeIndex):
 @given(toggle_runs())
 def test_cone_index_refiles_only_what_a_change_can_reach(run):
     # Janet: exactly the tips whose separation changes, the added tip among
-    # them; lex-induced: those tips and others, but none below the tip that
-    # came or went; Pommaret: the added tip alone
+    # them; lex-induced and Pommaret: those tips and others, but none below
+    # the tip that came or went; under Pommaret only an added tip changes
     for kind in Division:
         index = RefileSpy(kind)
         for u in map(MultiIndex, run):
@@ -231,11 +231,11 @@ def test_cone_index_refiles_only_what_a_change_can_reach(run):
             changed = {v for v in index.tips if index.filed[v] != before.get(v)}
             if kind is Division.JANET:
                 assert set(index.refiled) == changed
-            elif kind is Division.LEX_INDUCED:
+            else:
                 assert changed <= set(index.refiled)
                 assert set(index.refiled) <= set(index.tips[bisect.bisect_left(index.tips, u):])
-            else:
-                assert index.refiled == ([] if u in before else [u])
+            if kind is Division.POMMARET:
+                assert changed == (set() if u in before else {u})
 
 
 class TestInvolutiveDivides:
@@ -476,6 +476,19 @@ class TestClosedRecipeSet:
         assert len(janet) == 1256
         assert janet == complete(U, Division.POMMARET)
         assert is_involutive(janet, Division.JANET)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(2, 4).flatmap(
+    lambda n: st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=4)))
+def test_pommaret_basis_of_a_quasi_stable_set_is_its_janet_basis(U):
+    # complete(U, POMMARET) reads the minimal Janet basis under Pommaret; on
+    # quasi-stable sets it is the enumerated Pommaret completion
+    U = _closed_under_witnesses(map(MultiIndex, U))
+    assume(len(U) <= 40)
+    res = complete(U, Division.POMMARET)
+    assert set(res) == pommaret_completion_bruteforce(U, 2000)
+    assert cones_pairwise_disjoint_bruteforce(res, Division.POMMARET)
 
 
 def _digest(V):
