@@ -2,9 +2,10 @@
 
 Subcommands: complete, verify, ivp, hilbert, symmetry, monomial.  ``flags()``
 lists each option with the subcommands that read it, and a subcommand
-accepts no other.  ``main`` parses the problem file once, and each ``cmd_*``
-returns its report as text lines and as a JSON document; ``main`` prints
-one of the two, the document under ``--json``.  Each layer is imported
+accepts no other; none restates a key of the problem file, which states the
+ranking and its tiebreak.  ``main`` parses the problem file once, and each
+``cmd_*`` returns its report as text lines and as a JSON document; ``main``
+prints one of the two, the document under ``--json``.  Each layer is imported
 where a command uses it, so loading this module imports only ``argparse``,
 ``gc``, ``os``, ``sys`` and ``time``: ``involute --help``, a bare ``involute``
 and a usage error compile no engine module, and a command compiles only what
@@ -29,13 +30,11 @@ COMPLETING = ("complete", "ivp", "hilbert", "symmetry")  # run the completion al
 
 def flags():
     """(flag, subcommands that read it, argparse keywords) of every option."""
-    from .diffpoly import SCHEMES, TIEBREAKS
+    from .diffpoly import SCHEMES
     from .monomial import Division
     return (
         ("--division", COMPLETING + ("verify", "monomial"),
          dict(choices=sorted(d.value for d in Division))),
-        ("--ranking", COMPLETING + ("verify",), dict(choices=SCHEMES)),
-        ("--tie", COMPLETING + ("verify",), dict(choices=TIEBREAKS)),
         ("--completion-ranking", COMPLETING, dict(choices=SCHEMES)),
         ("--cap", COMPLETING + ("monomial",), dict(type=int, default=10000)),
         ("--criterion", COMPLETING, dict(choices=["on", "off"], default="on")),
@@ -53,11 +52,12 @@ def _division(args):
 
 
 def _options(problem, args):
+    # the file's ranking; the flag's completion ranking, with the file's tiebreak
     from .completion import CompletionOptions
-    return CompletionOptions(division=_division(args),
-                             main=problem.ranking(args.ranking, args.tie),
-                             completion=problem.completion_ranking(args.completion_ranking,
-                                                                   args.tie),
+    from .diffpoly import Ranking
+    scheme = args.completion_ranking
+    return CompletionOptions(division=_division(args), main=problem.ranking(),
+                             completion=scheme and Ranking(scheme, problem.tiebreak),
                              cap=args.cap, use_criterion=args.criterion == "on")
 
 
@@ -137,7 +137,7 @@ def cmd_verify(problem, args):
     from .monomial import Division
     system = problem.linear_system()
     kinds = [Division(args.division)] if args.division else list(Division)
-    main = problem.ranking(args.ranking, args.tie)
+    main = problem.ranking()
     results = {kind.value: verify_involutive(
                    basis_from(system, CompletionOptions(division=kind, main=main)))
                for kind in kinds}

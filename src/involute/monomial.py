@@ -203,11 +203,26 @@ class ConeIndex:
     def _reach(self, marks, *new):
         # the tips whose separation a change can alter, in lex order, from the
         # marks of the tips that came or went and the tip added, if any: under
-        # Janet the runs below the toggled prefixes, otherwise every tip from
-        # the lowest one that came or went (under Pommaret, only the tip added changes)
+        # Janet the runs below the toggled prefixes, otherwise the tips from
+        # the lowest one that came or went up to the first tip, past the one
+        # added, where the column maxima of the tips before it that stayed
+        # dominate every tip that came or went: from there on no running
+        # maximum, so no separation, can change (under Pommaret, only the
+        # tip added changes)
         if self.kind is Division.JANET:
             return self._below(marks, *new)
-        return self.tips[bisect.bisect_left(self.tips, min(marks)):] if marks else []
+        if not marks:
+            return []
+        tips = self.tips
+        lo = k = bisect.bisect_left(tips, min(marks))
+        end = bisect.bisect_right(tips, new[0], lo) if new else lo
+        top = [max(column) for column in zip(*marks)]
+        stayed = [max(column) for column in zip(*tips[:lo])] or [0] * len(top)
+        while k < len(tips) and (k < end or not all(map(operator.ge, stayed, top))):
+            if tips[k] not in new:
+                stayed = list(map(max, stayed, tips[k]))
+            k += 1
+        return tips[lo:k]
 
     def _below(self, prefixes, *extra):
         # the tips that extend a prefix (a run of the lex-sorted tips), then
@@ -232,8 +247,9 @@ class ConeIndex:
         allv = frozenset(range(len(tips[0])))
         if self.kind is Division.JANET:
             seps = self._janet(tips)
-        elif self.kind is Division.LEX_INDUCED:  # a lex reach is a suffix of the tips
-            seps = _lex_induced_separations(tips, self.tips[:len(self.tips) - len(tips)])
+        elif self.kind is Division.LEX_INDUCED:  # a lex reach is a run of the tips
+            seps = _lex_induced_separations(
+                tips, self.tips[:bisect.bisect_left(self.tips, tips[0])])
         else:
             seps = {u: _pommaret_multiplicative(u) for u in tips}
         for v, mult in seps.items():

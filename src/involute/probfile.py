@@ -119,19 +119,14 @@ class ProblemFile(NamedTuple):
     functions: tuple
     scheme: str = "grlex"
     tiebreak: str = "term"
-    completion_scheme: str = None
     detvars: tuple = ()
     equations: tuple = ()  # (lhs, rhs or None, line) from parse_expression
 
     def context(self):
         return Context(self.variables, self.functions)
 
-    def ranking(self, scheme=None, tiebreak=None):
-        return Ranking(scheme or self.scheme, tiebreak or self.tiebreak)
-
-    def completion_ranking(self, scheme=None, tiebreak=None):
-        scheme = scheme or self.completion_scheme
-        return Ranking(scheme, tiebreak or self.tiebreak) if scheme else None
+    def ranking(self):
+        return Ranking(self.scheme, self.tiebreak)
 
     def monomials(self):
         """The multiindices of equations that are bare derivatives of one function."""
@@ -185,8 +180,7 @@ class ProblemFile(NamedTuple):
         return SymmetryProblem(self.variables, self.functions, tuple(eqs), det_order)
 
 
-_CHOICES = {"ranking": ("scheme", SCHEMES), "tiebreak": ("tiebreak", TIEBREAKS),
-            "completion-ranking": ("completion_scheme", SCHEMES)}
+_CHOICES = {"ranking": ("scheme", SCHEMES), "tiebreak": ("tiebreak", TIEBREAKS)}
 
 
 def parse_problem(text):
@@ -207,7 +201,7 @@ def parse_problem(text):
         elif key in _CHOICES:
             field, choices = _CHOICES[key]
             if value not in choices:
-                raise ProblemError(f"unknown {key.replace('-', ' ')} {value!r}", lineno)
+                raise ProblemError(f"unknown {key} {value!r}", lineno)
             settings[field] = value
         elif key in ("eq", "solve"):
             equations.append((*parse_expression(value, lineno), lineno))

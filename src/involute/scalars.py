@@ -234,10 +234,6 @@ class MultivarPolynomial(SparsePolynomial):
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
-    def mul_term(self, exps, c):
-        return self._raw({tuple(a + b for a, b in zip(e, exps)): exact(cc * c)
-                          for e, cc in self.terms.items()})
-
     def partial(self, i):
         res = {}
         for e, c in self.terms.items():
@@ -261,18 +257,41 @@ class MultivarPolynomial(SparsePolynomial):
             # integers stay integers where c divides them
             return self._raw({e: v // c if v.__class__ is int and not v % c
                               else exact(Fraction(v, c)) for e, v in self.terms.items()})
-        rem = self
-        out = {}
+        # the remainder is one dict, updated in place; its leading exponent
+        # comes off a heap keyed by grlex, which may hold exponents that have
+        # cancelled since they were pushed: those are skipped.  Each step
+        # cancels the leading term and adds only smaller ones, so the
+        # quotient's exponents come out distinct.  heapq is imported here,
+        # so that a run that makes no such division does not load it
+        import heapq
+        rem = dict(self.terms)
+        heap = [(-sum(e), tuple(-x for x in e), e) for e in rem]
+        heapq.heapify(heap)
         le_g, lc_g = other.leading()
-        while rem.terms:
-            le_r, lc_r = rem.leading()
+        tail = [(e, c) for e, c in other.terms.items() if e != le_g]
+        out = {}
+        while heap:
+            le_r = heapq.heappop(heap)[2]
+            lc_r = rem.pop(le_r, None)
+            if lc_r is None:
+                continue
             q = tuple(a - b for a, b in zip(le_r, le_g))
             if any(x < 0 for x in q):
                 raise ExactDivisionError("inexact polynomial division")
-            c = exact(Fraction(lc_r, lc_g))
-            out[q] = exact(out.get(q, 0) + c)
-            rem = rem + other.mul_term(q, -c)
-        return self._raw({e: c for e, c in out.items() if c})
+            out[q] = c = exact(Fraction(lc_r, lc_g))
+            for e, cg in tail:
+                k = tuple(map(add, q, e))
+                prev = rem.get(k)
+                if prev is None:
+                    rem[k] = exact(-c * cg)
+                    heapq.heappush(heap, (-sum(k), tuple(-x for x in k), k))
+                else:
+                    s = exact(prev - c * cg)
+                    if s:
+                        rem[k] = s
+                    else:
+                        del rem[k]
+        return self._raw(out)
 
     # -- printing ------------------------------------------------------------
 

@@ -249,12 +249,11 @@ class TestParsing:
         pf = parse_problem("vars: x t\nfuncs: y\nsolve: +D[y,t] = y\n")
         assert pf.symmetry_problem().equations[0].lead == (0, MultiIndex((0, 1)))
 
-    @pytest.mark.parametrize("key, what", [("ranking", "ranking"), ("tiebreak", "tiebreak"),
-                                           ("completion-ranking", "completion ranking")])
-    def test_ranking_names_are_checked_on_their_line(self, key, what):
+    @pytest.mark.parametrize("key", ["ranking", "tiebreak"])
+    def test_ranking_names_are_checked_on_their_line(self, key):
         with pytest.raises(ProblemError) as exc:
             parse_problem(f"vars: x\nfuncs: y\n{key}: foo\neq: D[y,x]\n")
-        assert str(exc.value) == f"unknown {what} 'foo' (line 3)"
+        assert str(exc.value) == f"unknown {key} 'foo' (line 3)"
 
 
 def format_problem(ctx, ranking, equations):
@@ -368,8 +367,7 @@ class TestCli:
         assert "f1(x4)" in out
 
     def test_symmetry_diffusion(self, capsys):
-        code, out, _ = run_cli(capsys, "symmetry", str(PROBLEMS / "diffusion.pde"),
-                               "--ranking", "degrevlex")
+        code, out, _ = run_cli(capsys, "symmetry", str(PROBLEMS / "diffusion.pde"))
         assert code == 0
         assert "dimension: 3" in out
 
@@ -571,12 +569,13 @@ class TestCli:
         (["complete", "janet3.pde", "--cap", "x"], "invalid int value: 'x'"),
         (["ivp", "janet3.pde", "--trace"], "unrecognized arguments: --trace"),
         (["verify", "janet3.pde", "--cap", "5"], "unrecognized arguments: --cap 5"),
-        (["monomial", "example1.pde", "--ranking", "lex"], "unrecognized arguments: --ranking"),
         (["complete", "janet3.pde", "--autoreduce-input"],
          "unrecognized arguments: --autoreduce-input"),
-    ])
+    ] + [([name, "janet3.pde", flag, value], f"unrecognized arguments: {flag}")
+         for name in cli.COMMANDS for flag, value in [("--ranking", "lex"), ("--tie", "indet")]])
     def test_usage_error_exit_code(self, capsys, argv, message):
-        # a flag the subcommand does not read is a usage error, like a malformed one
+        # a flag the subcommand does not read is a usage error, like a malformed
+        # one; the problem file states the ranking and its tiebreak
         code, out, err = run_cli(capsys, argv[0], str(PROBLEMS / argv[1]), *argv[2:])
         assert (code, out) == (1, "")
         assert err.startswith("usage: involute ") and message in err
@@ -584,7 +583,7 @@ class TestCli:
     def test_help_exit_code(self, capsys):
         code, out, err = run_cli(capsys, "monomial", "--help")
         assert (code, err) == (0, "")
-        assert "--action" in out and "--ranking" not in out
+        assert "--action" in out and "--completion-ranking" not in out
 
     @pytest.mark.parametrize("funcs, message", [
         ("y", "unknown function 'q' (line 3, column 3)"),
@@ -631,9 +630,9 @@ class TestCli:
          "repeated key 'ranking' (line 4)"),
         (["complete"], "vars: x\nfuncs: y\ntiebreak: term\ntiebreak: term\neq: D[y,x]\n",
          "repeated key 'tiebreak' (line 4)"),
-        (["complete"], "vars: x\nfuncs: y\ncompletion-ranking: lex\n"
-                       "completion-ranking: grlex\neq: D[y,x]\n",
-         "repeated key 'completion-ranking' (line 4)"),
+        # the completion ranking is a choice of the run: --completion-ranking
+        (["complete"], "vars: x\nfuncs: y\ncompletion-ranking: lex\neq: D[y,x]\n",
+         "unknown key 'completion-ranking' (line 3)"),
         (["symmetry"], "vars: x t\nfuncs: y\ndetvars: x x y\nsolve: D[y,t] = D[y,x,x]\n",
          "determining order must list every coordinate once"),
     ])
@@ -655,16 +654,19 @@ class TestCli:
         assert code == 0
         assert "HF(-1) = 0" in out.splitlines()
 
-    def test_tie_flag_sets_both_rankings_like_the_file(self, tmp_path, capsys):
-        path = PROBLEMS / "janet3.pde"
+    @pytest.mark.parametrize("tiebreak", ["term", "indet"])
+    def test_the_file_tiebreak_sets_both_rankings(self, tmp_path, capsys, tiebreak):
         f = tmp_path / "tie.pde"
-        f.write_text(path.read_text() + "tiebreak: indet\n")
-        flags = ["--completion-ranking", "lex", "--json"]
-        _, by_flag, _ = run_cli(capsys, "complete", str(path), "--tie", "indet", *flags)
-        _, by_file, _ = run_cli(capsys, "complete", str(f), *flags)
-        options = json.loads(by_flag)["options"]
-        assert options == json.loads(by_file)["options"]
-        assert options["completion_ranking"] == "lex, tiebreak=indet"
+        f.write_text(re.sub(r"(?m)^ranking: .*$", f"ranking: degrevlex\ntiebreak: {tiebreak}",
+                            (PROBLEMS / "janet3.pde").read_text()))
+        main = f"degrevlex, tiebreak={tiebreak}"
+        _, out, _ = run_cli(capsys, "complete", str(f), "--completion-ranking", "lex", "--json")
+        options = json.loads(out)["options"]
+        assert (options["ranking"], options["completion_ranking"]) == (
+            main, f"lex, tiebreak={tiebreak}")
+        _, out, _ = run_cli(capsys, "complete", str(f), "--json")
+        options = json.loads(out)["options"]
+        assert options["ranking"] == options["completion_ranking"] == main
 
     @staticmethod
     def decompositions(capsys, monkeypatch, *argv):
@@ -704,7 +706,8 @@ class TestCli:
         ["hilbert", "janet3.pde"],
         ["symmetry", "diffusion.pde"],
     ])
-    def test_non_orderly_ranking_fails_before_completing(self, capsys, monkeypatch, argv):
+    def test_non_orderly_ranking_fails_before_completing(self, tmp_path, capsys, monkeypatch,
+                                                         argv):
         from involute import completion, symmetry
         calls = []
 
@@ -714,7 +717,10 @@ class TestCli:
         monkeypatch.setattr(completion, "minimal_involutive_basis", record("complete"))
         monkeypatch.setattr(symmetry, "minimal_involutive_basis", record("complete"))
         monkeypatch.setattr(symmetry, "determining_system", record("determining_system"))
-        code, out, err = run_cli(capsys, argv[0], str(PROBLEMS / argv[1]), "--ranking", "lex")
+        f = tmp_path / argv[1]
+        f.write_text(re.sub(r"(?m)^ranking: .*$", "ranking: lex",
+                            (PROBLEMS / argv[1]).read_text()))
+        code, out, err = run_cli(capsys, argv[0], str(f))
         assert (code, out, err) == (1, "", "error: an orderly main ranking is required\n")
         assert calls == []
 
@@ -764,13 +770,11 @@ class TestMoreCli:
         assert code == 0
         assert "all division axioms hold" in out
 
-    def test_completion_ranking_key(self, tmp_path, capsys):
+    def test_completion_ranking_flag(self, tmp_path, capsys):
         f = tmp_path / "p.pde"
-        f.write_text("vars: x1 x2 x3\nfuncs: y\ncompletion-ranking: lex\n"
+        f.write_text("vars: x1 x2 x3\nfuncs: y\n"
                      "eq: D[y,{2,0,0}] - x2*D[y,{0,0,2}]\neq: D[y,{0,2,0}]\n")
-        pf = parse_problem(f.read_text())
-        assert pf.completion_ranking().scheme == "lex"
-        code, out, _ = run_cli(capsys, "complete", str(f))
+        code, out, _ = run_cli(capsys, "complete", str(f), "--completion-ranking", "lex")
         assert code == 0 and out.count("= 0") == 7
 
     def test_symmetry_json(self, capsys):
@@ -1039,6 +1043,12 @@ def test_flag_a_subcommand_does_not_read_is_the_same_usage_error(flag, keywords,
     assert got[0] == 2 and "unrecognized arguments: " + flag in got[2]
 
 
+def test_no_setting_is_both_a_flag_and_a_file_key():
+    # the problem file states the ranking, the command line chooses the run
+    from involute import probfile
+    assert {flag[2:] for flag, _, _ in cli.flags()}.isdisjoint(probfile._CHOICES)
+
+
 @pytest.mark.parametrize("argv", [
     [], ["--help"], ["-h"], ["complete", "--help"], ["monomial", "-h"], ["bogus"],
     ["complete"], ["--json", "complete", "F"], ["--", "complete", "F"], ["-1", "complete"],
@@ -1053,8 +1063,6 @@ def test_odd_argvs_parse_as_with_the_full_parser(argv, monkeypatch):
 USAGE = "usage: involute [-h] {complete,verify,ivp,hilbert,symmetry,monomial} ...\n"
 COMPLETE_HELP = """\
 usage: involute complete [-h] [--division {janet,lexinduced,pommaret}]
-                         [--ranking {lex,grlex,degrevlex}]
-                         [--tie {term,indet}]
                          [--completion-ranking {lex,grlex,degrevlex}]
                          [--cap CAP] [--criterion {on,off}] [--json] [--trace]
                          file
@@ -1065,8 +1073,6 @@ positional arguments:
 options:
   -h, --help            show this help message and exit
   --division {janet,lexinduced,pommaret}
-  --ranking {lex,grlex,degrevlex}
-  --tie {term,indet}
   --completion-ranking {lex,grlex,degrevlex}
   --cap CAP
   --criterion {on,off}

@@ -22,6 +22,9 @@ def test_tree_compared_with_itself_is_identical():
             ["monomial", "problems/example1.pde", "--action", "decompose"]]
     table = compare.table()
     assert all(argv in table for argv in runs)
+    # the trace of every division is compared
+    assert all(["complete", "problems/janet3.pde", "--trace", *division] in table
+               for division in compare.DIVISIONS)
     got = compare.compare(ROOT, ROOT, runs)
     assert set(got.pop("finished_both_seconds")) == {"this", "other"}
     assert got == {

@@ -97,7 +97,7 @@ def test_help_and_usage_errors_load_only_the_command_line(argv, status):
 
 
 def test_subcommand_help_loads_only_the_layers_of_its_choices():
-    # --division from monomial, --ranking and --tie from diffpoly
+    # --division from monomial, --completion-ranking from diffpoly
     assert modules_loaded("complete", "--help") == {
         f"involute.{m}" for m in ("cli", "diffpoly", "monomial", "scalars")}
 

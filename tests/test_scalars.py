@@ -6,6 +6,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+try:
+    import sympy
+except ImportError:  # sympy is a test-only oracle
+    sympy = None
+
 from involute.scalars import (ExactDivisionError, MultivarPolynomial, RationalFunction, content,
                               exact, poly_gcd)
 
@@ -375,6 +380,65 @@ def assert_exact(*values):
         for p in (v.num, v.den) if isinstance(v, RationalFunction) else (v,):
             for c in p.terms.values():
                 assert type(c) is int or (type(c) is Fraction and c.denominator != 1), c
+
+
+@st.composite
+def factor_pairs(draw):
+    """(f, g) in 1-3 variables with g nonzero, both with integer or both with
+    rational coefficients."""
+    nvars = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    coeffs = draw(st.sampled_from([
+        st.integers(-5, 5), st.fractions(min_value=-4, max_value=4, max_denominator=4)]))
+    f = MultivarPolynomial(nvars, draw(st.dictionaries(exps, coeffs, max_size=5)))
+    g = MultivarPolynomial(nvars, draw(st.dictionaries(exps, coeffs.filter(bool),
+                                                       min_size=1, max_size=4)))
+    return f, g
+
+
+class TestDivexact:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(factor_pairs())
+    def test_a_product_divided_by_a_factor(self, pair):
+        f, g = pair
+        assert (f * g).divexact(g) == f
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(factor_pairs(), st.data())
+    def test_a_term_the_divisor_cannot_divide_raises(self, pair, data):
+        f, g = pair
+        assume(not g.is_constant())
+        a = data.draw(st.tuples(*[st.integers(0, 4)] * g.nvars))
+        # a term is a multiple of g only if g is a monomial whose exponent a dominates
+        assume(len(g.terms) > 1 or not all(map(operator.ge, a, g.leading()[0])))
+        c = data.draw(st.sampled_from([1, -3, Fraction(2, 3)]))
+        with pytest.raises(ExactDivisionError):
+            (f * g + P(g.nvars, {a: c})).divexact(g)
+
+    @pytest.mark.skipif(sympy is None, reason="sympy is the oracle")
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(factor_pairs(), st.booleans())
+    def test_agrees_with_sympy_div(self, pair, extra):
+        # over Q a single divisor leaves remainder 0 exactly when it divides
+        f, g = pair
+        h = f * g + (P(g.nvars, {(1,) * g.nvars: 1}) if extra else P(g.nvars, {}))
+        to_sympy = sympy_converter(sympy)
+        q, r = sympy.div(to_sympy(h), to_sympy(g), *sympy.symbols("x1:5")[:g.nvars],
+                         domain=sympy.QQ)
+        if r != 0:
+            with pytest.raises(ExactDivisionError):
+                h.divexact(g)
+        else:
+            assert sympy.expand(to_sympy(h.divexact(g)) - q) == 0
+
+    def test_degree_30_bivariate_quotient(self):
+        rng = random.Random(30)
+        f, g = (P(2, {(i, d - i): rng.randint(-9, 9) for d in range(31) for i in range(d + 1)
+                      if rng.random() < 0.5}) for _ in range(2))
+        assert f.total_degree() == g.total_degree() == 30
+        assert (f * g).divexact(g) == f
+        with pytest.raises(ExactDivisionError):
+            (f * g + P(2, {(0, 0): 1})).divexact(g)
 
 
 class TestCoefficientTypes:

@@ -423,7 +423,7 @@ class TestPrintedDeterminingSystems:
         text = (f"vars: {' '.join(ctx.variables)}\nfuncs: {' '.join(ctx.functions)}\n"
                 + "".join(f"eq: {e}\n" for e in doc["determining_system"]))
         eqs = parse_problem(text).linear_system()
-        opts = CompletionOptions(main=pf.ranking(), completion=pf.completion_ranking())
+        opts = CompletionOptions(main=pf.ranking())
         basis = minimal_involutive_basis(eqs, opts)
         assert cli._basis(basis, ctx) == (out, doc["basis"])
 

@@ -5,9 +5,9 @@ Runs ``python -m involute.cli`` from both source trees (each with its own
 ones, ``problems/*.pde`` and ``perfbench/inputs/*.pde`` of this checkout,
 over a fixed table of invocations: every subcommand, ``monomial`` once per
 ``--action``, under each ``--division`` and none, as text and as
-``--json``; and ``complete --trace``.  Then a seeded corpus of generated
-systems (``write_corpus``), each through ``complete --cap 200`` under each
-division at a shorter per-run limit.  Exit code, stdout and stderr are
+``--json``, and ``complete --trace`` under each of them.  Then a seeded
+corpus of generated systems (``write_corpus``), each through ``complete
+--cap 200`` under each division at a shorter per-run limit.  Exit code, stdout and stderr are
 compared with the timing values blanked.  The two runs of each invocation
 are started together, so that a drift in the host's speed meets both sides
 alike.  Prints one JSON line per set: the number of runs, how many were
@@ -57,7 +57,7 @@ def table():
         for sub, flags in VARIANTS:
             for division in DIVISIONS:
                 runs += [[sub, path, *flags, *division], [sub, path, *flags, *division, "--json"]]
-        runs.append(["complete", path, "--trace"])
+        runs += [["complete", path, "--trace", *division] for division in DIVISIONS]
     return runs
 
 
