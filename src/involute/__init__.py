@@ -22,8 +22,8 @@ _EXPORTS = {  # submodule: the public names it provides
                    "verify_involutive"),
     "analysis": ("HilbertData", "IVPEntry", "IVPSpec", "SolutionDimension",
                  "complementary_set", "hilbert_data", "ivp_spec", "solution_dimension"),
-    "symmetry": ("DiffPolynomial", "SolvedEquation", "SymmetryProblem", "VectorFieldAnsatz",
-                 "apply_prolonged_field", "determining_system", "symmetry_dimension"),
+    "symmetry": ("DiffPolynomial", "SolvedEquation", "SymmetryProblem", "apply_prolonged_field",
+                 "determining_system", "symmetry_dimension"),
     "probfile": ("ProblemError", "ProblemFile", "parse_problem"),
 }
 _SUBMODULE = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -31,12 +31,12 @@ COMPLETING = ("complete", "ivp", "hilbert", "symmetry")  # run the completion al
 def flags():
     """(flag, subcommands that read it, argparse keywords) of every option."""
     from .diffpoly import SCHEMES
-    from .monomial import Division
+    from .monomial import DEFAULT_CAP, Division
     return (
         ("--division", COMPLETING + ("verify", "monomial"),
          dict(choices=sorted(d.value for d in Division))),
         ("--completion-ranking", COMPLETING, dict(choices=SCHEMES)),
-        ("--cap", COMPLETING + ("monomial",), dict(type=int, default=10000)),
+        ("--cap", COMPLETING + ("monomial",), dict(type=int, default=DEFAULT_CAP)),
         ("--criterion", COMPLETING, dict(choices=["on", "off"], default="on")),
         ("--json", COMPLETING + ("verify", "monomial"), dict(action="store_true")),
         ("--trace", ("complete",), dict(action="store_true")),

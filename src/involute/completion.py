@@ -34,7 +34,8 @@ from operator import attrgetter, mul, sub
 from typing import NamedTuple
 
 from .diffpoly import Derivative, Ranking
-from .monomial import CapExceeded, ConeIndex, Division, NoFiniteBasis, quasi_stability_witness
+from .monomial import (DEFAULT_CAP, CapExceeded, ConeIndex, Division, NoFiniteBasis,
+                       quasi_stability_witness)
 from .scalars import _rat_normalize, poly_gcd
 
 MESSAGE_LIMIT = 200  # characters, at most, of an InconsistentSystem message from the loop
@@ -44,7 +45,7 @@ class CompletionOptions(NamedTuple("CompletionOptions", [
         ("use_criterion", bool)])):
     __slots__ = ()
 
-    def __new__(cls, division=Division.JANET, main=Ranking(), completion=None, cap=10000,
+    def __new__(cls, division=Division.JANET, main=Ranking(), completion=None, cap=DEFAULT_CAP,
                 use_criterion=True):
         if cap < 1:
             raise ValueError("cap must be at least 1")

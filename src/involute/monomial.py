@@ -83,6 +83,9 @@ class Separation(NamedTuple):
     nonmultiplicative: frozenset
 
 
+DEFAULT_CAP = 10000  # prolongations a completion may examine unless told otherwise
+
+
 class CapExceeded(RuntimeError):
     """A completion exceeded its prolongation budget; partial work attached."""
 
@@ -111,13 +114,12 @@ def _pommaret_multiplicative(u):
     return set(range(max((i for i, e in enumerate(u) if e), default=0), len(u)))
 
 
-def _lex_induced_separations(U, before):
-    # U is a run of lex-sorted tips and ``before`` the tips ahead of it, so the
-    # elements lexicographically below u are those of ``before`` and those
-    # before u in U: x_i is nonmultiplicative for u iff one of them has a
-    # larger i-th exponent
+def _lex_induced_separations(U, running):
+    # U is a run of lex-sorted tips and ``running`` the column maxima of the
+    # tips ahead of it (empty if there are none), so x_i is nonmultiplicative
+    # for u iff running[i], or the i-th exponent of a tip before u in U, is larger
     positions = range(len(U[0]))
-    running = [max(column) for column in zip(*before)] or [0] * len(positions)
+    running = running or [0] * len(positions)
     out = {}
     for u in U:
         out[u] = {i for i in positions if u[i] >= running[i]}
@@ -156,7 +158,7 @@ class ConeIndex:
     and the tips a change can reach are read off these runs by bisection.
     """
 
-    __slots__ = ("kind", "tips", "groups", "filed")
+    __slots__ = ("kind", "tips", "groups", "filed", "ahead")
 
     def __init__(self, kind, U=()):
         # nonmultiplicative set -> (that set, getter of the exponents on it,
@@ -167,6 +169,7 @@ class ConeIndex:
         self.tips = _check_set(U)
         self.groups = {}
         self.filed = {}
+        self.ahead = []  # column maxima of the tips ahead of the last lex reach
         self._refile(self.tips)
 
     def add(self, v, drop=()):
@@ -208,7 +211,8 @@ class ConeIndex:
         # added, where the column maxima of the tips before it that stayed
         # dominate every tip that came or went: from there on no running
         # maximum, so no separation, can change (under Pommaret, only the
-        # tip added changes)
+        # tip added changes); the column maxima of the tips ahead of the run
+        # stay in ``ahead`` for the lex-induced pass that re-files it
         if self.kind is Division.JANET:
             return self._below(marks, *new)
         if not marks:
@@ -217,7 +221,7 @@ class ConeIndex:
         lo = k = bisect.bisect_left(tips, min(marks))
         end = bisect.bisect_right(tips, new[0], lo) if new else lo
         top = [max(column) for column in zip(*marks)]
-        stayed = [max(column) for column in zip(*tips[:lo])] or [0] * len(top)
+        stayed = self.ahead = [max(column) for column in zip(*tips[:lo])] or [0] * len(top)
         while k < len(tips) and (k < end or not all(map(operator.ge, stayed, top))):
             if tips[k] not in new:
                 stayed = list(map(max, stayed, tips[k]))
@@ -248,8 +252,7 @@ class ConeIndex:
         if self.kind is Division.JANET:
             seps = self._janet(tips)
         elif self.kind is Division.LEX_INDUCED:  # a lex reach is a run of the tips
-            seps = _lex_induced_separations(
-                tips, self.tips[:bisect.bisect_left(self.tips, tips[0])])
+            seps = _lex_induced_separations(tips, self.ahead)
         else:
             seps = {u: _pommaret_multiplicative(u) for u in tips}
         for v, mult in seps.items():
@@ -344,7 +347,7 @@ def autoreduce(U, kind):
         index.remove(min(victims))
 
 
-def complete(U, kind, cap=10000):
+def complete(U, kind, cap=DEFAULT_CAP):
     """Minimal involutive basis of the monomial ideal generated by U, as a
     lex-sorted tuple: ``completion.minimal_involutive_basis`` on the
     equations D[y, u] = 0, u in U, under the grlex ranking.  A CapExceeded,

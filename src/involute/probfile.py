@@ -164,10 +164,7 @@ class ProblemFile(NamedTuple):
                                    "(solve: D[...] = rhs)", line)
             if not isinstance(lhs, ast.Subscript):
                 raise ProblemError("left side must be a single derivative", line)
-            fn = lhs.slice.elts[0]
-            alpha = _deriv_index(lhs, self.variables, line)
-            if fn.id not in self.functions:
-                raise ProblemError(f"unknown function {fn.id!r}", line, fn.col)
+            fn, alpha = _derivative(lhs, self.variables, self.functions, line)
             lead = (self.functions.index(fn.id), alpha)
             rhs = _evaluate(rhs, jets, self.variables, self.functions, line)
             try:
@@ -239,32 +236,27 @@ def _names(value, line):
 
 def _derivative(node, variables, functions, line):
     """The function's name node and the multiindex of a derivative: a bare
-    function name (order 0) or ``D[f, ...]``."""
+    function name (order 0) or ``D[f, ...]``; errors point at the name."""
     fn = node if isinstance(node, ast.Name) else node.slice.elts[0]
     if fn.id not in functions:
         what = "identifier" if fn is node else "function"
         raise ProblemError(f"unknown {what} {fn.id!r}", line, fn.col)
-    if fn is node:
-        return fn, MultiIndex.unit(len(variables))
-    return fn, _deriv_index(node, variables, line)
-
-
-def _deriv_index(node, variables, line):
-    """The multiindex of a derivative ``D[f, ...]``; errors point at ``f``."""
-    fn, *spec = node.slice.elts
     n = len(variables)
+    if fn is node:
+        return fn, MultiIndex.unit(n)
+    spec = node.slice.elts[1:]
     if isinstance(spec[0], ast.Set):
         entries = [e.value for e in spec[0].elts]
         if len(entries) != n:
             raise ProblemError(f"multiindex of length {len(entries)} in a "
                                f"{n}-variable problem", line, fn.col)
-        return MultiIndex(entries)
+        return fn, MultiIndex(entries)
     alpha = [0] * n
     for v in spec:
         if v.id not in variables:
             raise ProblemError(f"unknown variable {v.id!r} in derivative", line, fn.col)
         alpha[variables.index(v.id)] += 1
-    return MultiIndex(alpha)
+    return fn, MultiIndex(alpha)
 
 
 class _LinearDomain:

@@ -3,12 +3,14 @@
 Works with polynomials in the independent variables, the dependent
 functions, their derivative symbols, and the derivatives of the unknown
 infinitesimal coefficients (one xi per independent variable, one eta per
-dependent function, each a function of all x's and y's).  Applying the
-prolonged vector field to an equation and eliminating the equation's lead
-and its differential consequences leaves a polynomial in the surviving
-derivative symbols whose coefficients, linear in the xi/eta derivatives,
-form the determining system.  Each determining equation is built with
-polynomial coefficients and kept primitive (``LinearDiffPoly.primitive``).
+dependent function, each a function of all x's and y's).  The prolonged
+vector field acts in its characteristic form (P. J. Olver, Applications of
+Lie Groups to Differential Equations, 1993, Thm 2.36).  Applying it to an
+equation and eliminating the equation's lead and its differential
+consequences leaves a polynomial in the surviving derivative symbols whose
+coefficients, linear in the xi/eta derivatives, form the determining
+system.  Each determining equation is built with polynomial coefficients
+and kept primitive (``LinearDiffPoly.primitive``).
 """
 
 from __future__ import annotations
@@ -123,10 +125,6 @@ class DiffPolynomial(SparsePolynomial):
             out.update(sym for sym, _ in key)
         return out
 
-    def max_order(self):
-        return max((sum(sym[2]) for key in self.terms for sym, _ in key
-                    if sym[0] == "d"), default=0)
-
     # -- calculus -------------------------------------------------------------
 
     def partial_wrt(self, sym):
@@ -223,63 +221,46 @@ class DiffPolynomial(SparsePolynomial):
         return f"DiffPolynomial({self.format()})"
 
 
-class VectorFieldAnsatz:
-    """Point-symmetry generator with unknown coefficients xi_i(x,y), eta_j(x,y)."""
-
-    def __init__(self, n, m):
-        self.n = n
-        self.m = m
-        self._zeta = {}
-
-    def xi(self, i):
-        return DiffPolynomial.symbol(self.n, self.m, ("a", i, (0,) * (self.n + self.m)))
-
-    def eta(self, j):
-        return DiffPolynomial.symbol(self.n, self.m, ("a", self.n + j, (0,) * (self.n + self.m)))
-
-    def zeta(self, j, path):
-        """Prolongation coefficient for the derivative of y_j along ``path``."""
-        path = tuple(path)
-        if not path:
-            raise ValueError("empty prolongation path")
-        key = (j, path)
-        cached = self._zeta.get(key)
-        if cached is not None:
-            return cached
-        n, m = self.n, self.m
-        i = path[-1]
-        if len(path) == 1:
-            z = self.eta(j).total_derivative(i)
-            prefix_alpha = (0,) * n
-        else:
-            z = self.zeta(j, path[:-1]).total_derivative(i)
-            prefix_alpha = [0] * n
-            for p in path[:-1]:
-                prefix_alpha[p] += 1
-            prefix_alpha = tuple(prefix_alpha)
-        for q in range(n):
-            z = z - (DiffPolynomial.deriv(n, m, j, _add_index(prefix_alpha, q))
-                     * self.xi(q).total_derivative(i))
-        self._zeta[key] = z
-        return z
+def _total_derivative(memo, key, alpha):
+    """D^alpha of the p kept in ``memo`` under (key, 0...0), itself kept under
+    (key, alpha) and built from alpha lowered at its first nonzero place."""
+    got = memo.get((key, alpha))
+    if got is None:
+        i = next(k for k, e in enumerate(alpha) if e)
+        lower = alpha[:i] + (alpha[i] - 1,) + alpha[i + 1:]
+        got = memo[key, alpha] = _total_derivative(memo, key, lower).total_derivative(i)
+    return got
 
 
-def apply_prolonged_field(f, ansatz, q):
-    """Apply the vector field prolonged to order q to a differential polynomial."""
-    if q < f.max_order():
-        raise ValueError(f"prolongation order {q} below the order of the equation")
-    out = DiffPolynomial.zero(f.n, f.m)
+def apply_prolonged_field(f):
+    """Apply the prolonged point-symmetry generator, with unknown coefficients
+    xi_i(x, y) and eta_j(x, y), to a differential polynomial f:
+    pr X f = sum_i xi_i D_i f + sum_{j,J} D_J Q_j * df/du^j_J, with the
+    characteristic Q_j = eta_j - sum_i xi_i u^j_i."""
+    n, m = f.n, f.m
+    zero = (0,) * n
+    a = [DiffPolynomial.symbol(n, m, ("a", k, (0,) * (n + m))) for k in range(n + m)]
+    out = DiffPolynomial.zero(n, m)
+    for i in range(n):
+        out = out + a[i] * f.total_derivative(i)
+    memo = {}  # D_J Q_j under (j, J)
+    for j in range(m):
+        q = a[n + j]
+        for i in range(n):
+            q = q - a[i] * DiffPolynomial.deriv(n, m, j, _add_index(zero, i))
+        memo[j, zero] = q
     for sym in sorted(f.symbols()):
-        if sym[0] == "x":
-            coeff = ansatz.xi(sym[1])
-        elif sym[0] == "y":
-            coeff = ansatz.eta(sym[1])
-        elif sym[0] == "d":
-            coeff = ansatz.zeta(sym[1], [i for i, e in enumerate(sym[2]) for _ in range(e)])
-        else:
-            continue
-        out = out + coeff * f.partial_wrt(sym)
+        if sym[0] in ("y", "d"):
+            alpha = sym[2] if sym[0] == "d" else zero
+            out = out + _total_derivative(memo, sym[1], alpha) * f.partial_wrt(sym)
     return out
+
+
+def _derived(lead, sym):
+    """delta if sym = D^delta lead, the lead or a derivative of it; else None."""
+    j, alpha = lead
+    if sym[0] == "d" and sym[1] == j and all(b >= a for a, b in zip(alpha, sym[2])):
+        return tuple(b - a for a, b in zip(alpha, sym[2]))
 
 
 class SolvedEquation(NamedTuple("SolvedEquation", [("lead", tuple), ("rhs", DiffPolynomial)])):
@@ -292,9 +273,9 @@ class SolvedEquation(NamedTuple("SolvedEquation", [("lead", tuple), ("rhs", Diff
         alpha = tuple(alpha)
         if not any(alpha):
             raise ValueError("the lead of a solved equation must have order >= 1")
-        for sym in rhs.symbols():
-            if sym[0] == "d" and sym[1] == j and all(b >= a for a, b in zip(alpha, sym[2])):
-                raise ValueError("rhs contains the lead or one of its derivatives")
+        # a delta is a nonempty tuple, so true even for the lead itself
+        if any(_derived((j, alpha), sym) for sym in rhs.symbols()):
+            raise ValueError("rhs contains the lead or one of its derivatives")
         return super().__new__(cls, (j, alpha), rhs)
 
     @classmethod
@@ -306,49 +287,22 @@ class SolvedEquation(NamedTuple("SolvedEquation", [("lead", tuple), ("rhs", Diff
         return DiffPolynomial.deriv(n, m, *self.lead) - self.rhs
 
 
-class _LeadSubstituter:
-    """Fixed-point elimination of lead symbols and their derivatives."""
-
-    def __init__(self, eqs):
-        self.eqs = list(eqs)
-        self.cache = {}
-
-    def _rhs_derivative(self, idx, delta):
-        key = (idx, delta)
-        got = self.cache.get(key)
-        if got is not None:
-            return got
-        if not any(delta):
-            out = self.eqs[idx].rhs
-        else:
-            i = next(k for k, e in enumerate(delta) if e)
-            lower = tuple(e - 1 if k == i else e for k, e in enumerate(delta))
-            out = self._rhs_derivative(idx, lower).total_derivative(i)
-        self.cache[key] = out
-        return out
-
-    def _match(self, sym):
-        if sym[0] != "d":
-            return None
-        for idx, eq in enumerate(self.eqs):
-            j, alpha = eq.lead
-            if sym[1] == j and all(b >= a for a, b in zip(alpha, sym[2])):
-                return idx
-        return None
-
-    def reduce(self, p):
-        for _ in range(200):  # passes before the leads are taken to be circular
-            mapping = {}
-            for sym in sorted(p.symbols()):
-                idx = self._match(sym)
-                if idx is not None:
-                    j, alpha = self.eqs[idx].lead
-                    delta = tuple(b - a for a, b in zip(alpha, sym[2]))
-                    mapping[sym] = self._rhs_derivative(idx, delta)
-            if not mapping:
-                return p
-            p = p.substitute(mapping)
-        raise ValueError("substitution did not reach a fixed point; circular leads?")
+def _eliminate_leads(p, eqs, memo):
+    """p with each lead of the solved equations ``eqs``, and each derivative
+    of one, replaced by that derivative of the equation's rhs, pass by pass
+    until none is left; ``memo`` keeps D^delta of the k-th rhs under (k, delta)."""
+    for _ in range(200):  # passes before the leads are taken to be circular
+        mapping = {}
+        for sym in sorted(p.symbols()):
+            for k, eq in enumerate(eqs):
+                delta = _derived(eq.lead, sym)
+                if delta is not None:
+                    mapping[sym] = _total_derivative(memo, k, delta)
+                    break
+        if not mapping:
+            return p
+        p = p.substitute(mapping)
+    raise ValueError("substitution did not reach a fixed point; circular leads?")
 
 
 class SymmetryProblem(NamedTuple):
@@ -389,23 +343,17 @@ def determining_system(problem):
     Returns the determining-system context and the deduplicated determining
     equations, primitive over Z[x] on denominator 1 (``cleared`` takes no gcd).
     """
-    n, m = problem.n, problem.m
-    ansatz = VectorFieldAnsatz(n, m)
-    subst = _LeadSubstituter(problem.equations)
+    n, m, solved = problem.n, problem.m, problem.equations
     det_ctx, order = determining_context(problem)
     pos = {(head, k): p for p, (head, k) in enumerate(order)}
     nv = n + m
 
-    raw = []
-    for eq in problem.equations:
-        f = eq.residual()
-        g = apply_prolonged_field(f, ansatz, f.max_order())
-        raw.append(subst.reduce(g))
-
     internal = Ranking("grlex", "term")
     zero, one = MultivarPolynomial.zero(nv), MultivarPolynomial.const(nv, 1)
+    memo = {(k, (0,) * n): eq.rhs for k, eq in enumerate(solved)}  # one per system
     collected = []
-    for g in raw:
+    for eq in solved:
+        g = _eliminate_leads(apply_prolonged_field(eq.residual()), solved, memo)
         # buckets[surviving derivative symbols][ansatz symbol] = coefficient
         # terms; a term of g is the only one with its three parts, so none add
         buckets = {}

@@ -104,8 +104,9 @@ def test_subcommand_help_loads_only_the_layers_of_its_choices():
 
 # the names the package bound when __init__ imported every submodule, less
 # probfile.format_problem and completion.verify_partial_involutive, which
-# moved to the tests, and with monomial.in_involutive_cone in place of
-# separation and involutive_divides, which restated it
+# moved to the tests, and symmetry.VectorFieldAnsatz, which the characteristic
+# form of apply_prolonged_field replaced, and with monomial.in_involutive_cone
+# in place of separation and involutive_divides, which restated it
 PUBLIC = """
     CapExceeded CartanCharacters ComplementaryDecomposition Division MultiIndex
     NoFiniteBasis Separation autoreduce axioms_check cartan_characters
@@ -117,8 +118,8 @@ PUBLIC = """
     minimal_involutive_basis s_polynomial verify_involutive
     HilbertData IVPEntry IVPSpec SolutionDimension complementary_set hilbert_data
     ivp_spec solution_dimension
-    DiffPolynomial SolvedEquation SymmetryProblem VectorFieldAnsatz
-    apply_prolonged_field determining_system symmetry_dimension
+    DiffPolynomial SolvedEquation SymmetryProblem apply_prolonged_field
+    determining_system symmetry_dimension
     ProblemError ProblemFile parse_problem
 """.split()
 SUBMODULES = ["analysis", "completion", "diffpoly", "monomial", "probfile", "scalars",

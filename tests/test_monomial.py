@@ -632,7 +632,7 @@ class TestAxioms:
     ])
     def test_violation_reports(self, monkeypatch, rule, U, report):
         # a fresh index separates the whole set in one lex-induced pass
-        monkeypatch.setattr(monomial, "_lex_induced_separations", lambda U, before: rule(U))
+        monkeypatch.setattr(monomial, "_lex_induced_separations", lambda U, running: rule(U))
         assert axioms_check(U, Division.LEX_INDUCED) == report
 
 

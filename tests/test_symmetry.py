@@ -11,8 +11,7 @@ from involute import (CompletionOptions, Context, Division, MultiIndex, Ranking,
                       verify_involutive)
 from involute.scalars import MultivarPolynomial, RationalFunction
 from involute.symmetry import (DiffPolynomial, SolvedEquation, SymmetryProblem,
-                               VectorFieldAnsatz, apply_prolonged_field,
-                               determining_system)
+                               apply_prolonged_field, determining_system)
 from conftest import load_problem, norm_set, substitute_solution, system
 
 DRL = Ranking("degrevlex")
@@ -184,77 +183,84 @@ class TestTotalDerivative:
         assert got == s["const"](3) * y * y * s["d"](0, 1)
 
 
-class TestZeta:
+def a_symbol(n, m, k, *beta):
+    """D^beta of the k-th infinitesimal coefficient: xi_1..xi_n, then eta_1..eta_m."""
+    return DiffPolynomial.symbol(n, m, ("a", k, beta))
+
+
+class TestProlongation:
     def test_first_prolongation(self):
-        # single-variable, single-function expansion of the first coefficient
-        ansatz = VectorFieldAnsatz(1, 1)
+        # one x and one y: phi^x = eta_x + (eta_y - xi_x) y_x - xi_y y_x^2
         s = dp(1, 1)
         yx = s["d"](0, 1)
-        eta_x = DiffPolynomial.symbol(1, 1, ("a", 1, (1, 0)))
-        eta_y = DiffPolynomial.symbol(1, 1, ("a", 1, (0, 1)))
-        xi_x = DiffPolynomial.symbol(1, 1, ("a", 0, (1, 0)))
-        xi_y = DiffPolynomial.symbol(1, 1, ("a", 0, (0, 1)))
+        xi_x, xi_y = a_symbol(1, 1, 0, 1, 0), a_symbol(1, 1, 0, 0, 1)
+        eta_x, eta_y = a_symbol(1, 1, 1, 1, 0), a_symbol(1, 1, 1, 0, 1)
         want = eta_x + (eta_y - xi_x) * yx - xi_y * yx * yx
-        assert ansatz.zeta(0, (0,)) == want
+        assert apply_prolonged_field(yx) == want
 
-    def test_path_symmetry(self):
-        ansatz = VectorFieldAnsatz(2, 1)
-        assert ansatz.zeta(0, (0, 1)) == ansatz.zeta(0, (1, 0))
-        ansatz3 = VectorFieldAnsatz(2, 1)
-        assert (ansatz3.zeta(0, (0, 1, 1)) == ansatz3.zeta(0, (1, 0, 1))
-                == ansatz3.zeta(0, (1, 1, 0)))
+    def test_second_prolongation(self):
+        # the textbook phi^xx = phi_xx + (2 phi_xu - xi_xx) u_x + (phi_uu - 2 xi_xu) u_x^2
+        #   - xi_uu u_x^3 + (phi_u - 2 xi_x) u_xx - 3 xi_u u_x u_xx, phi = eta
+        s = dp(1, 1)
+        ux, uxx, c = s["d"](0, 1), s["d"](0, 2), s["const"]
 
-    def test_translation_ansatz_vanishes(self):
-        # constant xi, zero eta: all prolongation coefficients vanish
-        ansatz = VectorFieldAnsatz(2, 1)
-        z = ansatz.zeta(0, (0, 1))
-        mapping = {}
-        for key in z.terms:
-            for sym, _ in key:
-                if sym[0] != "a":
-                    continue
-                k, beta = sym[1], sym[2]
-                if k >= 2 or any(beta):  # eta or any derivative of xi
-                    mapping[sym] = DiffPolynomial.zero(2, 1)
-        assert z.substitute(mapping).is_zero()
+        def xi(*beta):
+            return a_symbol(1, 1, 0, *beta)
+
+        def phi(*beta):
+            return a_symbol(1, 1, 1, *beta)
+
+        want = (phi(2, 0) + (c(2) * phi(1, 1) - xi(2, 0)) * ux
+                + (phi(0, 2) - c(2) * xi(1, 1)) * ux ** 2 - xi(0, 2) * ux ** 3
+                + (phi(0, 1) - c(2) * xi(1, 0)) * uxx - c(3) * xi(0, 1) * ux * uxx)
+        assert apply_prolonged_field(uxx) == want
+
+    @pytest.mark.parametrize("alpha", [(1, 1), (2, 1), (1, 1, 1), (0, 2, 1)])
+    def test_translation_ansatz_annihilates_a_mixed_derivative(self, alpha):
+        # constant xi's and zero eta: every derivative of xi and every eta
+        # symbol set to 0 leaves nothing
+        n = len(alpha)
+        got = apply_prolonged_field(DiffPolynomial.deriv(n, 1, 0, alpha))
+        zero = DiffPolynomial.zero(n, 1)
+        mapping = {sym: zero for sym in got.symbols()
+                   if sym[0] == "a" and (sym[1] == n or any(sym[2]))}
+        assert mapping and got.substitute(mapping).is_zero()
+
+    @pytest.mark.parametrize("alpha, i", [
+        ((0,), 0), ((1,), 0), ((0, 1), 0), ((1, 0), 1), ((2, 1), 1), ((1, 1, 0), 2)])
+    def test_recursion_of_the_coefficients(self, alpha, i):
+        # phi^{J+i} = D_i phi^J - sum_k u_{J+k} D_i xi_k, with phi^J what the
+        # field gives D[y,J] (eta for J = 0)
+        n = len(alpha)
+        s = dp(n, 1)
+        higher = tuple(e + (k == i) for k, e in enumerate(alpha))
+        want = apply_prolonged_field(s["d"](0, *alpha)).total_derivative(i)
+        for k in range(n):
+            uk = s["d"](0, *(e + (q == k) for q, e in enumerate(alpha)))
+            want = want - uk * a_symbol(n, 1, k, *(0,) * (n + 1)).total_derivative(i)
+        assert apply_prolonged_field(s["d"](0, *higher)) == want
 
 
-class TestProlongedField:
-    def test_single_derivative(self):
-        ansatz = VectorFieldAnsatz(2, 1)
-        s = dp(2, 1)
-        f = s["d"](0, 1, 0)  # y_t with variables (t, x)
-        assert apply_prolonged_field(f, ansatz, 1) == ansatz.zeta(0, (0,))
+# the jet symbols of JET_SYMBOLS that are not ansatz symbols
+plain_jet_polys = st.dictionaries(
+    st.lists(st.tuples(st.sampled_from(JET_SYMBOLS[:5]), st.integers(0, 2)),
+             max_size=3).map(tuple),
+    st.fractions(-4, 4, max_denominator=3), max_size=3,
+).map(lambda terms: DiffPolynomial(2, 1, terms))
 
-    def test_linearity(self):
-        ansatz = VectorFieldAnsatz(2, 1)
-        s = dp(2, 1)
-        f = s["d"](0, 1, 0) - s["d"](0, 0, 2)
-        want = ansatz.zeta(0, (0,)) - ansatz.zeta(0, (1, 1))
-        assert apply_prolonged_field(f, ansatz, 2) == want
 
-    def test_product_of_symbols(self):
-        ansatz = VectorFieldAnsatz(2, 1)
-        s = dp(2, 1)
-        y, yxxx = s["y"](0), s["d"](0, 0, 3)
-        f = y ** 3 * yxxx
-        want = (s["const"](3) * y * y * ansatz.eta(0) * yxxx
-                + y ** 3 * ansatz.zeta(0, (1, 1, 1)))
-        assert apply_prolonged_field(f, ansatz, 3) == want
+class TestProlongationIsADerivation:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(plain_jet_polys, plain_jet_polys, st.fractions(-3, 3, max_denominator=4))
+    def test_linear(self, p, q, c):
+        got = apply_prolonged_field(p + q.scale(c))
+        assert got == apply_prolonged_field(p) + apply_prolonged_field(q).scale(c)
 
-    def test_ansatz_symbols_are_constants_of_the_field(self):
-        # the field acts on coordinates and derivatives; a coefficient symbol
-        # of the ansatz (xi, eta and their derivatives) is skipped
-        ansatz = VectorFieldAnsatz(2, 1)
-        s = dp(2, 1)
-        f = ansatz.xi(0) * s["d"](0, 1, 0)
-        assert apply_prolonged_field(f, ansatz, 1) == ansatz.xi(0) * ansatz.zeta(0, (0,))
-
-    def test_order_too_small(self):
-        ansatz = VectorFieldAnsatz(2, 1)
-        s = dp(2, 1)
-        with pytest.raises(ValueError):
-            apply_prolonged_field(s["d"](0, 0, 2), ansatz, 1)
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(plain_jet_polys, plain_jet_polys)
+    def test_leibniz_rule(self, p, q):
+        got = apply_prolonged_field(p * q)
+        assert got == apply_prolonged_field(p) * q + p * apply_prolonged_field(q)
 
 
 class TestSolvedEquation:
@@ -577,7 +583,3 @@ class TestMisuse:
     def test_total_derivative_of_an_unknown_symbol(self):
         with pytest.raises(ValueError, match=r"^unknown symbol \('q', 0\)$"):
             DiffPolynomial.symbol(1, 1, ("q", 0)).total_derivative(0)
-
-    def test_empty_prolongation_path(self):
-        with pytest.raises(ValueError, match="^empty prolongation path$"):
-            VectorFieldAnsatz(1, 1).zeta(0, ())
